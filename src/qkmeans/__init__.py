@@ -26,10 +26,9 @@ from .distance import (
     distance_matrix,
     quantum_distance,
 )
-from .encoding import EncodedState, amplitude_encode, angle_encode, encode
 from .errors import ConfigError, DataError
 from .metrics import ScoreReport, assignment_fidelity, cross_validate, fowlkes_mallows
-from .simulator import StateVector, derive_seed
+from .simulator import derive_seed
 
 __all__ = [
     "BatchConfig",
@@ -39,20 +38,15 @@ __all__ = [
     "DataError",
     "DataSet",
     "DistanceRequest",
-    "EncodedState",
     "FitConfig",
     "ReadoutFrame",
     "ScoreReport",
-    "StateVector",
     "__version__",
-    "amplitude_encode",
-    "angle_encode",
     "assignment_fidelity",
     "classical_kmeans_oracle",
     "cross_validate",
     "derive_seed",
     "distance_matrix",
-    "encode",
     "estimate_distances",
     "fit",
     "fit_readout_frame",

@@ -8,9 +8,9 @@ One loop serves three distance modes:
 
 Iteration structure: assign every point to its nearest center (argmin,
 ties to the lowest center index), average the assigned raw feature rows
-to get new centers, re-encode on the next pass, stop when the L1 sum of
-center movement drops below ``tol``.  Quantum modes amplitude-encode
-points and centers per distance evaluation; centers always live in the
+to get new centers, stop when the L1 sum of center movement drops below
+``tol``.  Quantum modes apply the amplitude encoding to points and
+centers at every distance evaluation; centers always live in the
 original feature space.
 
 Initialization is greedy farthest-point seeding ("qkmeans++"): the first
@@ -110,7 +110,7 @@ def _pairwise(
         return np.sqrt(np.sum(diff * diff, axis=2)), None
     sampled = distance_mode == "quantum_sampled"
     cfg = replace(batch, seed=seed_tag)
-    return distance_matrix(points, centers, strategy="amplitude", config=cfg, sampled=sampled)
+    return distance_matrix(points, centers, config=cfg, sampled=sampled)
 
 
 def qkmeans_plusplus_init(

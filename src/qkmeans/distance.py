@@ -11,10 +11,11 @@ From an (estimated or exact) ancilla-zero probability p0:
     distance   = sqrt(2 - 2*sqrt(overlap_sq))        in [0, sqrt(2)]
 
 The batched executor packs many independent pairs into (batch, 2**n)
-arrays, grouping by (strategy, feature length) and splitting each group
-into jobs of at most ``max_circuits_per_job`` circuits.  Results are
-bit-identical to the one-pair path and do not depend on the grouping:
-in sampled mode every request draws from its own generator seeded by
+arrays, grouping by feature length and splitting each group into jobs of
+at most ``max_circuits_per_job`` circuits.  It is the only executor:
+``quantum_distance`` is a one-request call into it.  Results do not
+depend on the job size or on the grouping: in sampled mode every request
+draws from its own generator seeded by
 ``derive_seed(config.seed, request_index)``.
 """
 
@@ -26,22 +27,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import EncodedState, encode, encode_matrix, padded_dimension
+from .encoding import encode_matrix, padded_dimension
+from .errors import ConfigError
 from .simulator import (
-    GateOp,
-    apply_circuit,
     batch_cswap,
     batch_ground,
     batch_h,
     batch_marginal,
     batch_prepare,
-    batch_ry,
-    cswap,
     derive_seed,
-    exact_probability,
-    ground_state,
-    h,
-    measure_ancilla,
 )
 
 MAX_DISTANCE = math.sqrt(2.0)
@@ -53,7 +47,6 @@ class DistanceRequest:
 
     left: np.ndarray
     right: np.ndarray
-    strategy: str = "amplitude"
 
 
 @dataclass(frozen=True)
@@ -66,9 +59,9 @@ class BatchConfig:
 
     def __post_init__(self) -> None:
         if self.max_circuits_per_job < 1:
-            raise ValueError("max_circuits_per_job must be >= 1")
+            raise ConfigError("max_circuits_per_job must be >= 1")
         if self.shots_per_circuit < 1:
-            raise ValueError("shots_per_circuit must be >= 1")
+            raise ConfigError("shots_per_circuit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -92,52 +85,23 @@ def distance_from_p0(p0):
     return distance_from_overlap_sq(overlap_squared(p0))
 
 
-def swap_test_ops(left: EncodedState, right: EncodedState) -> tuple[list[GateOp], int]:
-    """Full SwapTest op list and total qubit count for two encoded states."""
-    if left.strategy != right.strategy:
-        raise ValueError("both states must use the same encoding strategy")
-    if left.num_qubits != right.num_qubits:
-        raise ValueError("both states must occupy registers of equal size")
-    m = left.num_qubits
-    a_reg = tuple(range(1, m + 1))
-    b_reg = tuple(range(m + 1, 2 * m + 1))
-    ops = [*left.prep_ops(a_reg), *right.prep_ops(b_reg), h(0)]
-    ops.extend(cswap(0, 1 + i, 1 + m + i) for i in range(m))
-    ops.append(h(0))
-    return ops, 1 + 2 * m
-
-
-def swap_test_state(left: EncodedState, right: EncodedState):
-    ops, n = swap_test_ops(left, right)
-    return apply_circuit(ground_state(n), ops)
-
-
-def exact_ancilla_p0(left: EncodedState, right: EncodedState) -> float:
-    return exact_probability(swap_test_state(left, right), 0, 0)
-
-
 def quantum_distance(
     x: np.ndarray,
     y: np.ndarray,
-    strategy: str = "amplitude",
     shots: int | None = None,
     seed: int = 0,
 ) -> float:
-    """Distance between two raw vectors via one explicitly simulated SwapTest.
+    """Distance between two raw vectors: one request to ``estimate_distances``.
 
-    ``shots=None`` reads the exact ancilla marginal; an integer samples it.
+    ``shots=None`` reads the exact ancilla marginal; an integer samples it
+    from request 0's stream, ``derive_seed(seed, 0)``.
     """
-    state = swap_test_state(encode(x, strategy), encode(y, strategy))
     if shots is None:
-        p0 = exact_probability(state, 0, 0)
+        config = BatchConfig(seed=seed)
     else:
-        p0 = measure_ancilla(state, 0, shots, seed).frequency(0)
-    return float(distance_from_p0(p0))
-
-
-def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.sqrt(np.sum(diff * diff)))
+        config = BatchConfig(shots_per_circuit=shots, seed=seed)
+    dists, _ = estimate_distances([DistanceRequest(x, y)], config, sampled=shots is not None)
+    return float(dists[0])
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +112,13 @@ def euclidean_distance(x: np.ndarray, y: np.ndarray) -> float:
 def _run_group(
     left_mat: np.ndarray,
     right_mat: np.ndarray,
-    strategy: str,
     config: BatchConfig,
     sampled: bool,
     request_indices: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Execute one same-shape group job by job; returns (p0 estimates, jobs)."""
     total = left_mat.shape[0]
-    if strategy == "angle":
-        m = 1
-    else:
-        m = int(np.log2(padded_dimension(left_mat.shape[1])))
+    m = int(np.log2(padded_dimension(left_mat.shape[1])))
     n = 1 + 2 * m
     a_reg = tuple(range(1, m + 1))
     b_reg = tuple(range(m + 1, 2 * m + 1))
@@ -168,15 +128,11 @@ def _run_group(
         stop = min(start + config.max_circuits_per_job, total)
         jobs += 1
         rows = stop - start
-        enc_left = encode_matrix(left_mat[start:stop], strategy)
-        enc_right = encode_matrix(right_mat[start:stop], strategy)
+        enc_left = encode_matrix(left_mat[start:stop])
+        enc_right = encode_matrix(right_mat[start:stop])
         amps = batch_ground(rows, n)
-        if strategy == "angle":
-            batch_ry(amps, n, a_reg[0], 2.0 * np.arctan2(enc_left[:, 1].real, enc_left[:, 0].real))
-            batch_ry(amps, n, b_reg[0], 2.0 * np.arctan2(enc_right[:, 1].real, enc_right[:, 0].real))
-        else:
-            batch_prepare(amps, n, a_reg, enc_left)
-            batch_prepare(amps, n, b_reg, enc_right)
+        batch_prepare(amps, n, a_reg, enc_left)
+        batch_prepare(amps, n, b_reg, enc_right)
         batch_h(amps, n, 0)
         for i in range(m):
             batch_cswap(amps, n, 0, 1 + i, 1 + m + i)
@@ -196,7 +152,6 @@ def _run_group(
 def _execute_pairs(
     left_mat: np.ndarray,
     right_mat: np.ndarray,
-    strategy: str,
     config: BatchConfig,
     sampled: bool,
 ) -> tuple[np.ndarray, BatchStats]:
@@ -205,7 +160,7 @@ def _execute_pairs(
     if left_mat.shape != right_mat.shape or left_mat.ndim != 2:
         raise ValueError("left and right matrices must share a (pairs, features) shape")
     indices = np.arange(left_mat.shape[0])
-    p0, jobs = _run_group(left_mat, right_mat, strategy, config, sampled, indices)
+    p0, jobs = _run_group(left_mat, right_mat, config, sampled, indices)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=left_mat.shape[0])
     return distance_from_p0(p0), stats
 
@@ -217,25 +172,25 @@ def estimate_distances(
 ) -> tuple[np.ndarray, BatchStats]:
     """Run every request through the batched backend.
 
-    Requests are grouped by (strategy, feature length); each group is cut
-    into jobs of at most ``config.max_circuits_per_job`` circuits.  Result
-    i depends only on request i (and config), never on its neighbours.
+    Requests are grouped by feature length; each group is cut into jobs
+    of at most ``config.max_circuits_per_job`` circuits.  Result i depends
+    only on request i (and config), never on its neighbours.
     """
     config = config or BatchConfig()
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, req in enumerate(requests):
         left = np.asarray(req.left, dtype=np.float64)
         right = np.asarray(req.right, dtype=np.float64)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError(f"request {i}: left/right must be 1-D vectors of equal length")
-        groups.setdefault((req.strategy, left.size), []).append(i)
+        groups.setdefault(left.size, []).append(i)
     out = np.empty(len(requests), dtype=np.float64)
     jobs = 0
-    for (strategy, _size), idx_list in groups.items():
+    for idx_list in groups.values():
         idx = np.asarray(idx_list)
         left_mat = np.stack([np.asarray(requests[i].left, dtype=np.float64) for i in idx_list])
         right_mat = np.stack([np.asarray(requests[i].right, dtype=np.float64) for i in idx_list])
-        p0, group_jobs = _run_group(left_mat, right_mat, strategy, config, sampled, idx)
+        p0, group_jobs = _run_group(left_mat, right_mat, config, sampled, idx)
         out[idx] = distance_from_p0(p0)
         jobs += group_jobs
     return out, BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
@@ -244,7 +199,6 @@ def estimate_distances(
 def distance_matrix(
     points: np.ndarray,
     centers: np.ndarray,
-    strategy: str = "amplitude",
     config: BatchConfig | None = None,
     sampled: bool = False,
 ) -> tuple[np.ndarray, BatchStats]:
@@ -262,5 +216,5 @@ def distance_matrix(
     n_pts, k = pts.shape[0], ctr.shape[0]
     left = np.repeat(pts, k, axis=0)
     right = np.tile(ctr, (n_pts, 1))
-    dists, stats = _execute_pairs(left, right, strategy, config, sampled)
+    dists, stats = _execute_pairs(left, right, config, sampled)
     return dists.reshape(n_pts, k), stats

@@ -1,46 +1,15 @@
-"""Classical-vector encodings for the overlap circuits.
+"""Amplitude encoding of classical feature vectors for the overlap circuits.
 
-Two strategies:
-
-* ``amplitude``: normalize, then zero-pad to the next power of two, so a
-  feature vector of length F occupies ceil(log2(max(F, 2))) qubits.
-* ``angle``: strictly 2-D nonnegative vectors mapped onto one qubit as
-  ``(cos(theta), sin(theta))`` with ``theta = atan2(a1, a0)``, realised by
-  an RY(2*theta) rotation from |0>.
-
-Both return the exact amplitudes alongside the GateOps that produce them,
-so exact math and circuit execution cannot drift apart.  The single-vector
-functions delegate to ``encode_matrix`` so one arithmetic path feeds both
-the scalar and the batched executors (bit-identical results).
+Each row is normalized, then zero-padded to the next power of two, so a
+feature vector of length F occupies ceil(log2(max(F, 2))) qubits.  The
+result is the exact register amplitudes that ``PREPARE`` injects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .simulator import GateOp, prepare, row_sums, ry
-
-VALID_STRATEGIES = ("amplitude", "angle")
-
-
-@dataclass(frozen=True)
-class EncodedState:
-    """A register-sized amplitude vector plus the ops that prepare it."""
-
-    strategy: str
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def prep_ops(self, qubits: tuple[int, ...]) -> list[GateOp]:
-        """Ops preparing this state on ``qubits`` (assumed |0>)."""
-        if len(qubits) != self.num_qubits:
-            raise ValueError("qubit tuple length must match register size")
-        if self.strategy == "angle":
-            theta = float(np.arctan2(self.amplitudes[1].real, self.amplitudes[0].real))
-            return [ry(2.0 * theta, qubits[0])]
-        return [prepare(self.amplitudes, qubits)]
+from .simulator import row_sums
 
 
 def padded_dimension(num_features: int) -> int:
@@ -50,64 +19,17 @@ def padded_dimension(num_features: int) -> int:
     return 1 << max(1, (num_features - 1).bit_length())
 
 
-def register_width(num_features: int, strategy: str = "amplitude") -> int:
-    """Qubits needed for one encoded vector."""
-    if strategy == "angle":
-        return 1
-    return int(np.log2(padded_dimension(num_features)))
-
-
-def encode_matrix(matrix: np.ndarray, strategy: str = "amplitude") -> np.ndarray:
+def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     """Encode each row of ``matrix``; returns a (rows, register_dim) complex array."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
-    if strategy == "angle":
-        if mat.shape[1] != 2:
-            raise ValueError("angle encoding takes exactly two features")
-        if np.any(mat < 0.0):
-            raise ValueError("angle encoding requires nonnegative features")
-        if not np.all(np.isfinite(mat)) or np.any(np.all(mat == 0.0, axis=1)):
-            raise ValueError("cannot angle-encode a zero or non-finite vector")
-        theta = np.arctan2(mat[:, 1], mat[:, 0])
-        out = np.empty((mat.shape[0], 2), dtype=np.complex128)
-        out[:, 0] = np.cos(theta)
-        out[:, 1] = np.sin(theta)
-        return out
-    if strategy != "amplitude":
-        raise ValueError(f"unknown encoding strategy {strategy!r}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("cannot amplitude-encode a zero or non-finite vector")
+        raise ValueError("amplitude encoding needs nonzero finite vectors")
     norms = np.sqrt(row_sums(mat * mat))
     if np.any(norms == 0.0):
-        raise ValueError("cannot amplitude-encode a zero or non-finite vector")
+        raise ValueError("amplitude encoding needs nonzero finite vectors")
     target = padded_dimension(mat.shape[1])
     out = np.zeros((mat.shape[0], target), dtype=np.complex128)
     out[:, : mat.shape[1]] = mat / norms[:, None]
     return out
-
-
-def amplitude_encode(vector: np.ndarray) -> EncodedState:
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("expected a 1-D feature vector")
-    amps = encode_matrix(vec[None, :], "amplitude")[0]
-    amps.setflags(write=False)
-    return EncodedState("amplitude", int(np.log2(amps.size)), amps)
-
-
-def angle_encode(vector: np.ndarray) -> EncodedState:
-    vec = np.asarray(vector, dtype=np.float64)
-    if vec.shape != (2,):
-        raise ValueError("angle encoding takes exactly two features")
-    amps = encode_matrix(vec[None, :], "angle")[0]
-    amps.setflags(write=False)
-    return EncodedState("angle", 1, amps)
-
-
-def encode(vector: np.ndarray, strategy: str = "amplitude") -> EncodedState:
-    if strategy == "amplitude":
-        return amplitude_encode(vector)
-    if strategy == "angle":
-        return angle_encode(vector)
-    raise ValueError(f"unknown encoding strategy {strategy!r}")

@@ -316,9 +316,7 @@ def assemble_datasets(
 _HEADER = "pair,qubit,schedule,shot,i,q"
 
 
-def save_table(table: IQShotTable, path, format: str = "csv") -> None:
-    if format != "csv":
-        raise ConfigError(f"unsupported table format {format!r}")
+def save_table(table: IQShotTable, path) -> None:
     lines = [f"# device: {table.device}", _HEADER]
     for row in range(len(table)):
         lines.append(
@@ -330,9 +328,7 @@ def save_table(table: IQShotTable, path, format: str = "csv") -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_table(path, format: str = "csv") -> IQShotTable:
-    if format != "csv":
-        raise ConfigError(f"unsupported table format {format!r}")
+def load_table(path) -> IQShotTable:
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
     device = ""

@@ -30,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import clustering
 from .dataset import DataSet
+from .errors import DataError
 from .simulator import derive_seed
 
 METRIC_NAMES = {"fidelity": "AssignmentFidelity", "fm": "FowlkesMallows"}
@@ -139,7 +140,7 @@ def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.nd
     for offset, value in enumerate(np.unique(labels)):
         members = np.flatnonzero(labels == value)
         if members.size < n_splits:
-            raise ValueError(
+            raise DataError(
                 f"class {value} has {members.size} samples; need >= n_splits={n_splits}"
             )
         shuffled = rng.permutation(members)

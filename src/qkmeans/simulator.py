@@ -1,11 +1,9 @@
-"""Pure-statevector simulation of the small circuits used by the toolkit.
+"""Pure-statevector kernels for the small circuits used by the toolkit.
 
 Conventions (fixed, relied on by every consumer):
 
 * Qubit 0 is the least significant bit of the amplitude index, so basis
   state ``|b_{n-1} ... b_1 b_0>`` lives at index ``sum(b_q << q)``.
-* ``RY(theta)`` is the real rotation
-  ``[[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]]``.
 * ``CSWAP`` takes its first qubit as control and swaps the other two
   (Fredkin gate).
 * ``PREPARE`` injects a normalized amplitude vector directly into a
@@ -15,18 +13,16 @@ Conventions (fixed, relied on by every consumer):
   explicit seed; nothing reads global RNG state.  ``derive_seed`` is the
   one sanctioned way to fan a base seed out into per-task sub-seeds.
 
-Two execution levels share the same arithmetic kernels: single-state
-``apply_gate`` / ``apply_circuit`` for clarity, and ``batch_*`` functions
-that run many independent same-shape circuits as one ``(batch, 2**n)``
-array.  Results are bit-identical between the two paths; the distance
-batcher depends on that.  Intended scale is a dozen qubits or fewer.
+Every kernel runs many independent same-shape circuits as one
+``(batch, 2**n)`` array, which the gate kernels update in place; a single
+circuit is a batch of one.  Each row's arithmetic is independent of the other rows, so a
+circuit's result does not depend on how many circuits share its array.
+Intended scale is a dozen qubits or fewer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -34,90 +30,6 @@ import numpy as np
 NORM_ATOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class Gate(Enum):
-    H = "h"
-    RY = "ry"
-    CSWAP = "cswap"
-    PREPARE = "prepare"
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One circuit operation: a gate, its qubits, and any parameters."""
-
-    gate: Gate
-    qubits: tuple[int, ...]
-    theta: float | None = None
-    amplitudes: np.ndarray | None = None
-
-
-def h(qubit: int) -> GateOp:
-    return GateOp(Gate.H, (int(qubit),))
-
-
-def ry(theta: float, qubit: int) -> GateOp:
-    return GateOp(Gate.RY, (int(qubit),), theta=float(theta))
-
-
-def cswap(control: int, target_a: int, target_b: int) -> GateOp:
-    return GateOp(Gate.CSWAP, (int(control), int(target_a), int(target_b)))
-
-
-def prepare(amplitudes: np.ndarray, qubits: tuple[int, ...]) -> GateOp:
-    """Amplitude-injection op for ``qubits`` (must be in |0> when applied)."""
-    vec = np.asarray(amplitudes, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size != 2 ** len(qubits):
-        raise ValueError("PREPARE vector length must be 2**len(qubits)")
-    if abs(np.sum(vec.real**2 + vec.imag**2) - 1.0) > NORM_ATOL:
-        raise ValueError("PREPARE vector must have unit norm within 1e-9")
-    vec = vec.copy()
-    vec.setflags(write=False)
-    return GateOp(Gate.PREPARE, tuple(int(q) for q in qubits), amplitudes=vec)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Immutable n-qubit state. Amplitude index bit q is qubit q."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size != 2**self.num_qubits:
-            raise ValueError("amplitude vector length must be 2**num_qubits")
-        if abs(np.sum(amps.real**2 + amps.imag**2) - 1.0) > NORM_ATOL:
-            raise ValueError("state norm must be 1 within 1e-9")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """Measurement counts for one ancilla readout. Zero counts are omitted."""
-
-    counts: dict[int, int]
-    shots: int
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to shots")
-
-    def frequency(self, outcome: int) -> float:
-        return self.counts.get(outcome, 0) / self.shots
-
-
-def ground_state(num_qubits: int) -> StateVector:
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 def derive_seed(base: int, *indices: int) -> int:
@@ -196,8 +108,8 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     """Per-row sum via a fixed binary reduction tree.
 
     ``np.sum(..., axis=1)`` may pick different accumulation orders for
-    different row counts, which breaks bit-identity between one-circuit
-    and batched execution; this tree depends only on the column count.
+    different row counts, which would make a circuit's result depend on
+    its job size; this tree depends only on the column count.
     """
     arr = values
     while arr.shape[1] > 1:
@@ -216,23 +128,6 @@ def batch_h(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
     a1 = amps[:, i1]
     amps[:, i0] = (a0 + a1) * _INV_SQRT2
     amps[:, i1] = (a0 - a1) * _INV_SQRT2
-    return amps
-
-
-def batch_ry(amps: np.ndarray, num_qubits: int, qubit: int, theta) -> np.ndarray:
-    _check_qubits(num_qubits, (qubit,))
-    th = np.asarray(theta, dtype=np.float64)
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    if c.ndim == 1:
-        c = c[:, None]
-        s = s[:, None]
-    i0 = _axis_indices(num_qubits, qubit, 0)
-    i1 = i0 + (1 << qubit)
-    a0 = amps[:, i0]
-    a1 = amps[:, i1]
-    amps[:, i0] = c * a0 - s * a1
-    amps[:, i1] = s * a0 + c * a1
     return amps
 
 
@@ -275,51 +170,3 @@ def batch_marginal(amps: np.ndarray, num_qubits: int, qubit: int, outcome: int) 
     idx = _axis_indices(num_qubits, qubit, outcome)
     block = amps[:, idx]
     return row_sums(block.real**2 + block.imag**2)
-
-
-# ---------------------------------------------------------------------------
-# single-state interface
-# ---------------------------------------------------------------------------
-
-
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one op and return the new state (the input is never mutated)."""
-    n = state.num_qubits
-    buf = state.amplitudes[None, :].copy()
-    if op.gate is Gate.H:
-        batch_h(buf, n, op.qubits[0])
-    elif op.gate is Gate.RY:
-        if op.theta is None:
-            raise ValueError("RY op needs theta")
-        batch_ry(buf, n, op.qubits[0], op.theta)
-    elif op.gate is Gate.CSWAP:
-        batch_cswap(buf, n, *op.qubits)
-    elif op.gate is Gate.PREPARE:
-        if op.amplitudes is None:
-            raise ValueError("PREPARE op needs amplitudes")
-        batch_prepare(buf, n, op.qubits, op.amplitudes)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown gate {op.gate}")
-    return StateVector(n, buf[0])
-
-
-def apply_circuit(state: StateVector, ops) -> StateVector:
-    for op in ops:
-        state = apply_gate(state, op)
-    return state
-
-
-def exact_probability(state: StateVector, qubit: int, outcome: int) -> float:
-    return float(batch_marginal(state.amplitudes[None, :], state.num_qubits, qubit, outcome)[0])
-
-
-def measure_ancilla(state: StateVector, qubit: int, shots: int, seed: int) -> ShotResult:
-    """Sample ``shots`` measurements of one qubit from its exact marginal."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    p1 = exact_probability(state, qubit, 1)
-    p1 = min(max(p1, 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    ones = int(rng.binomial(shots, p1))
-    counts = {k: v for k, v in ((0, shots - ones), (1, ones)) if v > 0}
-    return ShotResult(counts=counts, shots=shots)

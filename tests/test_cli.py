@@ -174,6 +174,27 @@ class TestBenchmark:
         ])
         assert code == 1
 
+    def test_zero_sampled_shots_is_config_error(self, shot_table_dir, tmp_path):
+        code = main([
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--shots", "0", "--mode", "sampled", "--out", str(tmp_path),
+        ])
+        assert code == 1
+
+    def test_zero_max_circuits_is_config_error(self, shot_table_dir, tmp_path):
+        code = main([
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--max-circuits", "0", "--out", str(tmp_path),
+        ])
+        assert code == 1
+
+    def test_more_splits_than_class_shots_is_data_error(self, shot_table_dir, tmp_path):
+        code = main([
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--splits", "500", "--out", str(tmp_path),
+        ])
+        assert code == 2
+
     def test_score_reader_rejects_foreign_files(self, tmp_path):
         other = tmp_path / "other.csv"
         other.write_text("a,b\n1,2\n")

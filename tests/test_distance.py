@@ -14,14 +14,11 @@ from qkmeans.distance import (
     distance_from_p0,
     distance_matrix,
     estimate_distances,
-    euclidean_distance,
-    exact_ancilla_p0,
     overlap_squared,
     quantum_distance,
-    swap_test_ops,
-    swap_test_state,
 )
-from qkmeans.encoding import amplitude_encode, angle_encode
+from qkmeans.encoding import encode_matrix
+from qkmeans.simulator import batch_cswap, batch_ground, batch_h, batch_prepare
 
 vectors = st.lists(
     st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3),
@@ -41,39 +38,25 @@ def oracle_distance(x: np.ndarray, y: np.ndarray) -> float:
 class TestSwapTestCircuit:
     def test_known_p0_for_plus_state_pair(self):
         # |0> against (|0>+|1>)/sqrt(2): overlap^2 = 1/2 so p0 = 3/4.
-        left = amplitude_encode(np.array([1.0, 0.0]))
-        right = amplitude_encode(np.array([1.0, 1.0]))
-        assert exact_ancilla_p0(left, right) == pytest.approx(0.75, abs=1e-12)
-
-    def test_ops_layout(self):
-        left = amplitude_encode(np.array([1.0, 2.0, 3.0, 4.0]))
-        right = amplitude_encode(np.array([4.0, 3.0, 2.0, 1.0]))
-        ops, n = swap_test_ops(left, right)
-        assert n == 5  # ancilla + two 2-qubit registers
-        # two preparations, H, one CSWAP per register qubit, H
-        assert len(ops) == 2 + 1 + 2 + 1
-        assert ops[-1].qubits == (0,)
-
-    def test_rejects_mixed_strategies(self):
-        with pytest.raises(ValueError):
-            swap_test_ops(
-                amplitude_encode(np.array([1.0, 1.0])),
-                angle_encode(np.array([1.0, 1.0])),
-            )
+        d = quantum_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        assert d == pytest.approx(float(distance_from_p0(0.75)), abs=1e-12)
 
     def test_rejects_mixed_register_sizes(self):
         with pytest.raises(ValueError):
-            swap_test_ops(
-                amplitude_encode(np.array([1.0, 1.0])),
-                amplitude_encode(np.array([1.0, 1.0, 1.0])),
-            )
+            quantum_distance(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
 
     def test_state_norm(self):
-        state = swap_test_state(
-            amplitude_encode(np.array([1.0, -2.0, 0.5])),
-            amplitude_encode(np.array([0.3, 0.3, 4.0])),
-        )
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-9
+        # the documented layout: ancilla 0, left on 1..m, right on m+1..2m
+        enc = encode_matrix(np.array([[1.0, -2.0, 0.5], [0.3, 0.3, 4.0]]))
+        m, n = 2, 5
+        amps = batch_ground(1, n)
+        batch_prepare(amps, n, (1, 2), enc[0])
+        batch_prepare(amps, n, (3, 4), enc[1])
+        batch_h(amps, n, 0)
+        for i in range(m):
+            batch_cswap(amps, n, 0, 1 + i, 1 + m + i)
+        batch_h(amps, n, 0)
+        assert abs(np.linalg.norm(amps[0]) - 1.0) < 1e-9
 
 
 class TestScalarDistance:
@@ -111,13 +94,6 @@ class TestScalarDistance:
         d = quantum_distance(x, y, shots=200_000, seed=4)
         assert d == pytest.approx(oracle_distance(x, y), abs=0.01)
 
-    def test_angle_strategy_uses_ray_angle(self):
-        # angle encoding sees only the direction of a nonnegative 2-vector
-        d = quantum_distance(
-            np.array([1.0, 1.0]), np.array([2.0, 2.0]), strategy="angle"
-        )
-        assert d == pytest.approx(0.0, abs=1e-7)
-
     @given(vectors, vectors, st.booleans())
     def test_distance_stays_in_range(self, xs, ys, sampled):
         size = min(len(xs), len(ys))
@@ -133,11 +109,6 @@ class TestScalarDistance:
         assert quantum_distance(x, y) == pytest.approx(
             quantum_distance(y, x), abs=1e-12
         )
-
-    def test_euclidean_matches_numpy(self):
-        x = np.array([1.0, 2.0, 3.0])
-        y = np.array([-1.0, 0.5, 3.0])
-        assert euclidean_distance(x, y) == pytest.approx(np.linalg.norm(x - y))
 
 
 class TestConversions:
@@ -164,25 +135,20 @@ class TestBatchedExecutor:
         assert stats.jobs_submitted == 4  # ceil(25 / 7)
         assert stats.circuits_executed == 25
 
-    def test_matches_single_circuit_sampled(self):
-        rng = np.random.default_rng(3)
-        config = BatchConfig(max_circuits_per_job=5, shots_per_circuit=256, seed=11)
-        requests = [
-            DistanceRequest(rng.normal(size=4), rng.normal(size=4))
-            for _ in range(12)
-        ]
-        dists, _ = estimate_distances(requests, config, sampled=True)
-        from qkmeans.simulator import derive_seed
-
-        singles = np.array(
-            [
-                quantum_distance(
-                    r.left, r.right, shots=256, seed=derive_seed(11, i)
-                )
-                for i, r in enumerate(requests)
-            ]
-        )
-        np.testing.assert_array_equal(dists, singles)
+    @given(
+        vectors,
+        vectors,
+        st.integers(1, 4096),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_matches_single_circuit_sampled(self, xs, ys, shots, seed):
+        # one sampler: the scalar call is request 0 of a one-request batch
+        size = min(len(xs), len(ys))
+        x = np.array(xs[:size])
+        y = np.array(ys[:size])
+        config = BatchConfig(shots_per_circuit=shots, seed=seed)
+        dists, _ = estimate_distances([DistanceRequest(x, y)], config, sampled=True)
+        assert quantum_distance(x, y, shots=shots, seed=seed) == dists[0]
 
     def test_results_independent_of_job_size(self):
         rng = np.random.default_rng(4)
@@ -213,17 +179,16 @@ class TestBatchedExecutor:
         requests = [
             DistanceRequest(rng.normal(size=2), rng.normal(size=2)),
             DistanceRequest(rng.normal(size=6), rng.normal(size=6)),
-            DistanceRequest(
-                rng.uniform(0.1, 1.0, 2), rng.uniform(0.1, 1.0, 2), strategy="angle"
-            ),
+            DistanceRequest(rng.normal(size=3), rng.normal(size=3)),
             DistanceRequest(rng.normal(size=2), rng.normal(size=2)),
+            DistanceRequest(rng.normal(size=6), rng.normal(size=6)),
         ]
         dists, stats = estimate_distances(requests)
         for i, r in enumerate(requests):
-            assert dists[i] == quantum_distance(r.left, r.right, strategy=r.strategy)
-        # three distinct (strategy, length) groups, each one job
+            assert dists[i] == quantum_distance(r.left, r.right)
+        # three distinct feature lengths, each one job
         assert stats.jobs_submitted == 3
-        assert stats.circuits_executed == 4
+        assert stats.circuits_executed == 5
 
     def test_mixed_group_job_accounting(self):
         rng = np.random.default_rng(7)

@@ -6,22 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qkmeans.encoding import (
-    EncodedState,
-    amplitude_encode,
-    angle_encode,
-    encode,
-    encode_matrix,
-    padded_dimension,
-    register_width,
-)
-from qkmeans.simulator import apply_circuit, ground_state
+from qkmeans.encoding import encode_matrix, padded_dimension
+from qkmeans.simulator import batch_ground, batch_prepare
 
 finite_features = st.lists(
     st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-6),
     min_size=1,
     max_size=9,
 )
+
+
+def encode_row(vector) -> np.ndarray:
+    return encode_matrix(np.asarray(vector, dtype=np.float64)[None, :])[0]
 
 
 class TestPadding:
@@ -33,141 +29,64 @@ class TestPadding:
         assert padded_dimension(n_features) == expected
 
     def test_register_width_is_log2(self):
-        assert register_width(5) == 3
-        assert register_width(2) == 1
+        assert encode_matrix(np.ones((1, 5))).shape[1] == 2**3
+        assert encode_matrix(np.ones((1, 2))).shape[1] == 2**1
 
 
 class TestAmplitude:
     def test_normalizes(self):
-        enc = amplitude_encode(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(enc.amplitudes, [0.6, 0.8])
-        assert enc.num_qubits == 1
-        assert enc.strategy == "amplitude"
+        np.testing.assert_allclose(encode_row([3.0, 4.0]), [0.6, 0.8])
 
     def test_pads_with_zeros(self):
-        enc = amplitude_encode(np.array([1.0, 1.0, 1.0]))
-        assert enc.num_qubits == 2
         np.testing.assert_allclose(
-            enc.amplitudes, [1 / np.sqrt(3)] * 3 + [0.0], atol=1e-15
+            encode_row([1.0, 1.0, 1.0]), [1 / np.sqrt(3)] * 3 + [0.0], atol=1e-15
         )
 
     def test_single_feature_pads_to_one_qubit(self):
-        enc = amplitude_encode(np.array([-2.0]))
-        np.testing.assert_allclose(enc.amplitudes, [-1.0, 0.0])
+        np.testing.assert_allclose(encode_row([-2.0]), [-1.0, 0.0])
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            amplitude_encode(np.zeros(4))
+            encode_row(np.zeros(4))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            amplitude_encode(np.array([1.0, np.nan]))
+            encode_row([1.0, np.nan])
 
     @given(finite_features)
     def test_unit_norm(self, values):
-        enc = amplitude_encode(np.array(values))
-        assert abs(np.linalg.norm(enc.amplitudes) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(encode_row(values)) - 1.0) < 1e-9
 
     @given(finite_features, st.floats(0.001, 1000.0))
     def test_positive_scale_invariant(self, values, scale):
-        base = amplitude_encode(np.array(values))
-        scaled = amplitude_encode(np.array(values) * scale)
-        np.testing.assert_allclose(scaled.amplitudes, base.amplitudes, atol=1e-9)
-
-
-class TestAngle:
-    def test_maps_to_unit_circle(self):
-        enc = angle_encode(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(
-            enc.amplitudes, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12
-        )
-
-    def test_axis_points(self):
-        np.testing.assert_allclose(
-            angle_encode(np.array([1.0, 0.0])).amplitudes, [1.0, 0.0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            angle_encode(np.array([0.0, 1.0])).amplitudes, [0.0, 1.0], atol=1e-15
-        )
-
-    def test_requires_two_features(self):
-        with pytest.raises(ValueError):
-            angle_encode(np.array([1.0, 2.0, 3.0]))
-
-    def test_requires_nonnegative(self):
-        with pytest.raises(ValueError):
-            angle_encode(np.array([-0.5, 1.0]))
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            angle_encode(np.zeros(2))
-
-    @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
-    def test_ratio_determines_state(self, a, b):
-        if a + b < 1e-6:
-            return
-        enc = angle_encode(np.array([a, b]))
-        doubled = angle_encode(np.array([2 * a, 2 * b]))
-        np.testing.assert_array_equal(enc.amplitudes, doubled.amplitudes)
-        assert abs(np.linalg.norm(enc.amplitudes) - 1.0) < 1e-12
+        base = encode_row(values)
+        scaled = encode_row(np.array(values) * scale)
+        np.testing.assert_allclose(scaled, base, atol=1e-9)
 
 
 class TestPrepOps:
-    @pytest.mark.parametrize("strategy", ["amplitude", "angle"])
-    def test_prep_ops_realize_amplitudes(self, strategy):
-        rng = np.random.default_rng(3)
-        features = rng.uniform(0.1, 2.0, size=2)
-        enc = encode(features, strategy)
-        qubits = tuple(range(enc.num_qubits))
-        state = apply_circuit(ground_state(enc.num_qubits), enc.prep_ops(qubits))
-        np.testing.assert_allclose(state.amplitudes, enc.amplitudes, atol=1e-12)
-
     def test_prep_ops_target_upper_register(self):
-        enc = amplitude_encode(np.array([1.0, 2.0, 2.0]))
-        state = apply_circuit(ground_state(4), enc.prep_ops((2, 3)))
+        vec = encode_matrix(np.array([[1.0, 2.0, 2.0]]))
+        state = batch_prepare(batch_ground(1, 4), 4, (2, 3), vec)
         # qubits 2,3 hold the state; qubits 0,1 stay |0>
         expected = np.zeros(16, dtype=np.complex128)
         expected[[0, 4, 8]] = np.array([1.0, 2.0, 2.0]) / 3.0
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(state[0], expected, atol=1e-12)
 
     def test_prep_ops_checks_register_size(self):
-        enc = amplitude_encode(np.array([1.0, 2.0, 2.0]))
+        vec = encode_matrix(np.array([[1.0, 2.0, 2.0]]))
         with pytest.raises(ValueError):
-            enc.prep_ops((0,))
+            batch_prepare(batch_ground(1, 4), 4, (0,), vec)
 
 
 class TestEncodeMatrix:
     def test_rows_match_scalar_encoder(self):
         rng = np.random.default_rng(9)
         mat = rng.normal(size=(6, 5))
-        block = encode_matrix(mat, "amplitude")
+        block = encode_matrix(mat)
         for i in range(6):
-            np.testing.assert_array_equal(
-                block[i], amplitude_encode(mat[i]).amplitudes
-            )
-
-    def test_rows_match_scalar_encoder_angle(self):
-        rng = np.random.default_rng(10)
-        mat = rng.uniform(0.01, 3.0, size=(5, 2))
-        block = encode_matrix(mat, "angle")
-        for i in range(5):
-            np.testing.assert_array_equal(block[i], angle_encode(mat[i]).amplitudes)
-
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            encode_matrix(np.ones((2, 2)), "basis")
+            np.testing.assert_array_equal(block[i], encode_row(mat[i]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            encode_matrix(np.ones(4), "amplitude")
-
-
-class TestDispatcher:
-    def test_encode_routes_by_strategy(self):
-        vec = np.array([1.0, 1.0])
-        assert isinstance(encode(vec, "amplitude"), EncodedState)
-        assert encode(vec, "angle").strategy == "angle"
-
-    def test_encode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            encode(np.array([1.0, 0.0]), "basis")
+            encode_matrix(np.ones(4))

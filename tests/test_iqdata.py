@@ -316,12 +316,6 @@ class TestFileRoundTrip:
         with pytest.raises(DataError, match="6 fields"):
             load_table(path)
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            save_table(empty_table(), tmp_path / "x.bin", format="parquet")
-        with pytest.raises(ConfigError):
-            load_table(tmp_path / "x.bin", format="parquet")
-
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_table(tmp_path / "absent.csv")

@@ -1,4 +1,8 @@
-"""Statevector simulator unit tests."""
+"""Statevector kernel unit tests, run on (batch, 2**n) arrays.
+
+Ancilla shot sampling lives in the batched SwapTest executor, so the
+measurement tests go through ``qkmeans.distance``.
+"""
 
 from __future__ import annotations
 
@@ -6,195 +10,198 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qkmeans.distance import (
+    BatchConfig,
+    DistanceRequest,
+    distance_from_p0,
+    estimate_distances,
+    quantum_distance,
+)
 from qkmeans.simulator import (
-    StateVector,
-    apply_circuit,
-    apply_gate,
     batch_cswap,
     batch_ground,
     batch_h,
     batch_marginal,
-    batch_ry,
-    cswap,
+    batch_prepare,
     derive_seed,
-    exact_probability,
-    ground_state,
-    h,
-    measure_ancilla,
-    prepare,
     row_sums,
-    ry,
 )
 
 SQRT_HALF = np.sqrt(0.5)
 
 
-def basis(num_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+def basis(num_qubits: int, index: int) -> np.ndarray:
+    amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
+    amps[0, index] = 1.0
+    return amps
+
+
+def random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    amps /= np.linalg.norm(amps)
+    return amps[None, :]
+
+
+def dense_h(num_qubits: int, qubit: int) -> np.ndarray:
+    """Full H matrix on ``qubit``; qubit 0 is the rightmost Kronecker factor."""
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT_HALF
+    return np.kron(np.kron(np.eye(1 << (num_qubits - 1 - qubit)), had), np.eye(1 << qubit))
+
+
+def dense_cswap(num_qubits: int, control: int, a: int, b: int) -> np.ndarray:
+    """Full CSWAP permutation matrix built from the index bits."""
+    dim = 1 << num_qubits
+    mat = np.zeros((dim, dim))
+    for idx in range(dim):
+        out = idx
+        if (idx >> control) & 1 and ((idx >> a) & 1) != ((idx >> b) & 1):
+            out = idx ^ (1 << a) ^ (1 << b)
+        mat[out, idx] = 1.0
+    return mat
 
 
 class TestSingleGates:
     def test_h_on_zero_gives_plus(self):
-        out = apply_gate(ground_state(1), h(0))
-        np.testing.assert_allclose(out.amplitudes, [SQRT_HALF, SQRT_HALF])
+        out = batch_h(batch_ground(1, 1), 1, 0)
+        np.testing.assert_allclose(out[0], [SQRT_HALF, SQRT_HALF])
 
     def test_h_on_one_gives_minus(self):
-        out = apply_gate(basis(1, 1), h(0))
-        np.testing.assert_allclose(out.amplitudes, [SQRT_HALF, -SQRT_HALF])
+        out = batch_h(basis(1, 1), 1, 0)
+        np.testing.assert_allclose(out[0], [SQRT_HALF, -SQRT_HALF])
 
     def test_h_is_involution(self):
-        state = apply_gate(ground_state(3), ry(0.7, 1))
-        twice = apply_gate(apply_gate(state, h(1)), h(1))
-        np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi, 2.2, -1.1])
-    def test_ry_matches_rotation_matrix(self, theta):
-        half = theta / 2.0
-        expected = np.array(
-            [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]]
-        )
-        for col, start in enumerate((0, 1)):
-            out = apply_gate(basis(1, start), ry(theta, 0))
-            np.testing.assert_allclose(out.amplitudes, expected[:, col], atol=1e-12)
-
-    def test_ry_acts_on_named_qubit_only(self):
-        theta = 0.9
-        out = apply_gate(ground_state(2), ry(theta, 1))
-        np.testing.assert_allclose(
-            out.amplitudes,
-            [np.cos(theta / 2), 0.0, np.sin(theta / 2), 0.0],
-            atol=1e-12,
-        )
+        state = random_state(np.random.default_rng(1), 3)
+        twice = batch_h(batch_h(state.copy(), 3, 1), 3, 1)
+        np.testing.assert_allclose(twice, state, atol=1e-12)
 
     def test_cswap_truth_table(self):
         # control set: |1,a,b> -> |1,b,a>; control clear: identity.
-        op = cswap(0, 1, 2)
         for a in (0, 1):
             for b in (0, 1):
                 for ctl in (0, 1):
                     index = ctl | (a << 1) | (b << 2)
-                    out = apply_gate(basis(3, index), op)
+                    out = batch_cswap(basis(3, index), 3, 0, 1, 2)
                     if ctl:
                         want = ctl | (b << 1) | (a << 2)
                     else:
                         want = index
-                    np.testing.assert_array_equal(
-                        out.amplitudes, basis(3, want).amplitudes
-                    )
+                    np.testing.assert_array_equal(out, basis(3, want))
 
     def test_qubit_zero_is_least_significant(self):
-        # RY(pi) on qubit 0 maps |00> to index 1 (not index 2).
-        out = apply_gate(ground_state(2), ry(np.pi, 0))
-        np.testing.assert_allclose(out.amplitudes, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
+        # PREPARE |1> on qubit 0 maps |00> to index 1 (not index 2).
+        out = batch_prepare(batch_ground(1, 2), 2, (0,), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(out[0], [0.0, 1.0, 0.0, 0.0])
 
 
 class TestPrepare:
     def test_prepare_injects_amplitudes(self):
         vec = np.array([0.5, 0.5, 0.5, 0.5], dtype=np.complex128)
-        out = apply_gate(ground_state(2), prepare(vec, (0, 1)))
-        np.testing.assert_allclose(out.amplitudes, vec)
+        out = batch_prepare(batch_ground(1, 2), 2, (0, 1), vec)
+        np.testing.assert_allclose(out[0], vec)
 
     def test_prepare_on_subregister_leaves_rest(self):
         vec = np.array([SQRT_HALF, SQRT_HALF], dtype=np.complex128)
-        out = apply_gate(ground_state(2), prepare(vec, (1,)))
-        np.testing.assert_allclose(out.amplitudes, [SQRT_HALF, 0.0, SQRT_HALF, 0.0])
+        out = batch_prepare(batch_ground(1, 2), 2, (1,), vec)
+        np.testing.assert_allclose(out[0], [SQRT_HALF, 0.0, SQRT_HALF, 0.0])
 
     def test_prepare_requires_unit_norm(self):
         with pytest.raises(ValueError):
-            prepare(np.array([1.0, 1.0]), (0,))
+            batch_prepare(batch_ground(1, 1), 1, (0,), np.array([1.0, 1.0]))
 
     def test_prepare_requires_ground_targets(self):
-        state = apply_gate(ground_state(1), ry(1.0, 0))
-        op = prepare(np.array([1.0, 0.0]), (0,))
+        state = batch_h(batch_ground(1, 1), 1, 0)
         with pytest.raises(ValueError):
-            apply_gate(state, op)
+            batch_prepare(state, 1, (0,), np.array([1.0, 0.0]))
 
     def test_prepare_requires_matching_length(self):
         with pytest.raises(ValueError):
-            prepare(np.array([1.0, 0.0, 0.0]), (0, 1))
+            batch_prepare(batch_ground(1, 2), 2, (0, 1), np.array([1.0, 0.0, 0.0]))
 
 
 class TestCircuits:
     def test_apply_circuit_composes_in_order(self):
-        ops = [ry(0.4, 0), h(1), cswap(2, 0, 1)]
-        state = ground_state(3)
-        via_circuit = apply_circuit(state, ops)
-        step = state
-        for op in ops:
-            step = apply_gate(step, op)
-        np.testing.assert_array_equal(via_circuit.amplitudes, step.amplitudes)
+        state = random_state(np.random.default_rng(2), 3)
+        want = dense_h(3, 0) @ dense_cswap(3, 2, 0, 1) @ dense_h(3, 1) @ state[0]
+        out = batch_h(state, 3, 1)
+        assert out is state  # kernels update in place, so calls compose
+        batch_cswap(state, 3, 2, 0, 1)
+        batch_h(state, 3, 0)
+        np.testing.assert_allclose(state[0], want, atol=1e-12)
 
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4))
-    def test_norm_preserved(self, thetas):
-        ops = [ry(t, i % 3) for i, t in enumerate(thetas)]
-        ops += [h(i % 3) for i in range(len(thetas))]
-        out = apply_circuit(ground_state(3), ops)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_norm_preserved(self, gates, seed):
+        # gate code g < 3 is H on qubit g; g == 3 is CSWAP(0, 1, 2)
+        state = random_state(np.random.default_rng(seed), 3)
+        for g in gates:
+            if g < 3:
+                batch_h(state, 3, g)
+            else:
+                batch_cswap(state, 3, 0, 1, 2)
+        assert abs(np.linalg.norm(state[0]) - 1.0) < 1e-9
 
     def test_exact_probability_plus_state(self):
-        state = apply_gate(ground_state(2), h(0))
-        assert exact_probability(state, 0, 0) == pytest.approx(0.5)
-        assert exact_probability(state, 1, 0) == pytest.approx(1.0)
+        state = batch_h(batch_ground(1, 2), 2, 0)
+        assert batch_marginal(state, 2, 0, 0)[0] == pytest.approx(0.5)
+        assert batch_marginal(state, 2, 1, 0)[0] == pytest.approx(1.0)
 
     def test_gate_qubit_bounds_checked(self):
         with pytest.raises(ValueError):
-            apply_gate(ground_state(2), h(2))
+            batch_h(batch_ground(1, 2), 2, 2)
         with pytest.raises(ValueError):
-            apply_gate(ground_state(2), cswap(0, 1, 1))
+            batch_cswap(batch_ground(1, 2), 2, 0, 1, 1)
 
     def test_state_vector_validates_norm(self):
+        # every payload row is checked, not only the first
+        payload = np.array([[1.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            StateVector(1, np.array([1.0, 1.0], dtype=np.complex128))
-
-    def test_apply_gate_does_not_mutate_input(self):
-        state = ground_state(1)
-        before = state.amplitudes.copy()
-        apply_gate(state, h(0))
-        np.testing.assert_array_equal(state.amplitudes, before)
+            batch_prepare(batch_ground(2, 1), 1, (0,), payload)
 
 
 class TestMeasurement:
     def test_measure_ancilla_deterministic(self):
-        state = apply_gate(ground_state(1), ry(1.1, 0))
-        a = measure_ancilla(state, 0, shots=512, seed=7)
-        b = measure_ancilla(state, 0, shots=512, seed=7)
-        assert a.counts == b.counts
+        rng = np.random.default_rng(7)
+        requests = [DistanceRequest(rng.normal(size=2), rng.normal(size=2)) for _ in range(4)]
+        config = BatchConfig(shots_per_circuit=512, seed=7)
+        a, _ = estimate_distances(requests, config, sampled=True)
+        b, _ = estimate_distances(requests, config, sampled=True)
+        np.testing.assert_array_equal(a, b)
 
     def test_measure_ancilla_counts_sum_to_shots(self):
-        state = apply_gate(ground_state(2), h(0))
-        result = measure_ancilla(state, 0, shots=1000, seed=3)
-        assert sum(result.counts.values()) == 1000
-        assert result.shots == 1000
-        assert result.frequency(0) + result.frequency(1) == pytest.approx(1.0)
+        # a sampled p0 is a count of ancilla-zero shots out of exactly `shots`
+        shots = 8
+        allowed = distance_from_p0(np.arange(shots + 1) / shots)
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            d = quantum_distance(rng.normal(size=3), rng.normal(size=3), shots=shots, seed=seed)
+            assert np.min(np.abs(allowed - d)) < 1e-12
 
     def test_measure_ancilla_certain_outcome(self):
-        result = measure_ancilla(ground_state(2), 0, shots=64, seed=0)
-        assert result.counts == {0: 64}
+        # identical states leave the ancilla in |0>: every shot reads 0
+        v = np.array([0.3, -1.2, 2.0])
+        assert quantum_distance(v, v, shots=64, seed=0) == 0.0
 
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            measure_ancilla(ground_state(1), 0, shots=0, seed=0)
+            quantum_distance(np.ones(2), np.ones(2), shots=0, seed=0)
 
 
 class TestBatchKernels:
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_batch_rows_match_single_circuits(self, batch_size, seed):
         rng = np.random.default_rng(seed)
-        thetas = rng.uniform(-np.pi, np.pi, size=batch_size)
-        block = batch_ground(batch_size, 3)
-        block = batch_ry(block, 3, 0, thetas)
-        block = batch_h(block, 3, 2)
-        block = batch_cswap(block, 3, 2, 0, 1)
-        p0 = batch_marginal(block, 3, 2, 0)
+        payloads = np.concatenate([random_state(rng, 2) for _ in range(batch_size)])
+
+        def run(vectors):
+            block = batch_prepare(batch_ground(len(vectors), 3), 3, (0, 1), vectors)
+            block = batch_h(block, 3, 2)
+            block = batch_cswap(block, 3, 2, 0, 1)
+            return block, batch_marginal(block, 3, 2, 0)
+
+        block, p0 = run(payloads)
         for row in range(batch_size):
-            state = ground_state(3)
-            state = apply_gate(state, ry(float(thetas[row]), 0))
-            state = apply_gate(state, h(2))
-            state = apply_gate(state, cswap(2, 0, 1))
-            np.testing.assert_array_equal(block[row], state.amplitudes)
-            assert p0[row] == exact_probability(state, 2, 0)
+            single, single_p0 = run(payloads[row : row + 1])
+            np.testing.assert_array_equal(block[row], single[0])
+            assert p0[row] == single_p0[0]
 
     def test_row_sums_matches_sum(self):
         rng = np.random.default_rng(5)
@@ -203,8 +210,8 @@ class TestBatchKernels:
 
     def test_row_sums_independent_of_stacking(self):
         # The reduction over columns must not depend on how many rows are
-        # processed together; that property is what makes batched execution
-        # bit-identical to one-at-a-time execution.
+        # processed together; that property is what keeps results
+        # independent of job size.
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(9, 24))
         whole = row_sums(mat)
