@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
 from . import __version__, clustering, complexity, crosstalk, iqdata, metrics
@@ -61,24 +61,25 @@ def _write_manifest(out_dir: Path, command: str, seed, config_paths: dict,
     (out_dir / f"{command}_manifest.json").write_text(text, encoding="utf-8")
 
 
-def _builtin_config_text(name: str) -> str:
-    return resources.files("qkmeans").joinpath("configs", name).read_text(encoding="utf-8")
-
-
 def _load_json(path: str | None, builtin_name: str) -> tuple[dict, str]:
     """(payload, recorded source) from an explicit path or a packaged file."""
+    if path is None:
+        return iqdata.packaged_config(builtin_name), f"builtin:{builtin_name}"
     try:
-        if path is not None:
-            text = Path(path).read_text(encoding="utf-8")
-            source = path
-        else:
-            text = _builtin_config_text(builtin_name)
-            source = f"builtin:{builtin_name}"
-        return json.loads(text), source
+        return json.loads(Path(path).read_text(encoding="utf-8")), path
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {exc.filename}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc})") from exc
+
+
+def _read_data_lines(path) -> list[str]:
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,8 @@ def _load_json(path: str | None, builtin_name: str) -> tuple[dict, str]:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     model_payload, model_src = _load_json(args.model, f"{args.preset}_model.json")
     coupling_payload, coupling_src = _load_json(args.coupling, "coupling_map.json")
     model = iqdata.model_from_dict(model_payload)
@@ -126,6 +129,8 @@ def _fit_config_for(args, batch: BatchConfig) -> clustering.FitConfig:
 
 
 def cmd_benchmark(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     table = iqdata.load_table(args.data)
     pairs = table.pairs()
     if not pairs:
@@ -175,7 +180,7 @@ def cmd_benchmark(args) -> int:
 
 def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
     """Fidelity means keyed by (pair, qubit, kind) from a scores.csv file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_data_lines(path)
     if not lines or lines[0] != _SCORES_HEADER:
         raise DataError(f"{path} is not a benchmark score table")
     out: dict[tuple[tuple[int, int], int, str], float] = {}
@@ -204,6 +209,9 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
 def cmd_crosstalk(args) -> int:
     if (args.data is None) == (args.named_values is None):
         raise ConfigError("provide exactly one of --data or --named-values")
+    for flag, value in (("--threshold", args.threshold), ("--fidelity-gap", args.fidelity_gap)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{flag} must be a finite number >= 0")
     if args.data is not None:
         table = iqdata.load_table(args.data)
         pairs = table.pairs()
@@ -211,8 +219,7 @@ def cmd_crosstalk(args) -> int:
             raise DataError(f"no shot rows found in {args.data}")
         reports = [crosstalk.analyze_pair(table, pair) for pair in pairs]
     else:
-        lines = Path(args.named_values).read_text(encoding="utf-8").splitlines()
-        reports = crosstalk.parse_named_block(lines)
+        reports = crosstalk.parse_named_block(_read_data_lines(args.named_values))
     fidelities = read_score_table(args.scores) if args.scores else None
     flags = crosstalk.flag_crosstalk(
         reports, fidelities, threshold=args.threshold, fidelity_gap=args.fidelity_gap

@@ -13,10 +13,11 @@ to get new centers, stop when the L1 sum of center movement drops below
 centers at every distance evaluation; centers always live in the
 original feature space.
 
-Initialization is greedy farthest-point seeding ("qkmeans++"): the first
-center is a uniformly drawn data point, each next center the point with
-the greatest distance to its nearest chosen center (measured in the same
-distance mode), ties to the lowest index.
+Initialization is always greedy farthest-point seeding ("qkmeans++",
+``qkmeans_plusplus_init``): the first center is a uniformly drawn data
+point, each next center the point with the greatest distance to its
+nearest chosen center (measured in the same distance mode), ties to the
+lowest index.
 
 Empty clusters are repaired deterministically: ascending over empty
 cluster ids, reassign the not-yet-stolen point with the largest distance
@@ -40,7 +41,6 @@ from .distance import BatchConfig, BatchStats, distance_matrix
 from .simulator import derive_seed
 
 DISTANCE_MODES = ("quantum_exact", "quantum_sampled", "classical_euclidean")
-INIT_METHODS = ("qkmeans_plusplus", "random_sample")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class FitConfig:
     n_clusters: int
     max_iter: int = 30
     tol: float = 1e-4
-    init: str = "qkmeans_plusplus"
     distance_mode: str = "quantum_exact"
     batch: BatchConfig = field(default_factory=BatchConfig)
     seed: int = 0
@@ -60,8 +59,6 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.tol >= 0.0:
             raise ValueError("tol must be nonnegative")
-        if self.init not in INIT_METHODS:
-            raise ValueError(f"init must be one of {INIT_METHODS}")
         if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
 
@@ -91,10 +88,6 @@ class ClusterModel:
             raise ValueError("inertia_history must have one entry per iteration")
         object.__setattr__(self, "cluster_centers", centers)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_clusters(self) -> int:
-        return int(self.cluster_centers.shape[0])
 
 
 def _pairwise(
@@ -143,12 +136,6 @@ def qkmeans_plusplus_init(
     return X.features[np.asarray(chosen)].copy()
 
 
-def _random_sample_init(X: DataSet, n_clusters: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(X.n_points, size=n_clusters, replace=False)
-    return X.features[np.sort(picks)].copy()
-
-
 def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: int) -> np.ndarray:
     """Hand the farthest-from-its-center point to each empty cluster."""
     counts = np.bincount(labels, minlength=n_clusters)
@@ -176,12 +163,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
         raise ValueError("cannot fit an empty dataset")
     if n < k:
         raise ValueError(f"need at least n_clusters={k} points, got {n}")
-    if config.init == "qkmeans_plusplus":
-        centers = qkmeans_plusplus_init(
-            X, k, config.distance_mode, config.seed, config.batch
-        )
-    else:
-        centers = _random_sample_init(X, k, config.seed)
+    centers = qkmeans_plusplus_init(X, k, config.distance_mode, config.seed, config.batch)
 
     labels = np.zeros(n, dtype=np.int64)
     history: list[float] = []
@@ -245,7 +227,6 @@ def classical_kmeans_oracle(
         n_clusters=n_clusters,
         max_iter=max_iter,
         tol=tol,
-        init="qkmeans_plusplus",
         distance_mode="classical_euclidean",
         seed=seed,
     )

@@ -14,7 +14,10 @@ shots paired by index, for (X, Y) = (I, Q) and (Q, I):
     r_j(ES_q_X, GS_q_Y)
 
 Row labels are pair-relative ("a" = first qubit of the couple, "b" =
-second) so the 8 forms line up across pairs in the table block.
+second) so the 8 forms line up across pairs in the table block.  A
+report holds the 8 values as a tuple of floats in the row order of
+``named_form_labels()``; one table fixes that order for the analysis,
+the block writer and the block parser.
 
 A pair is flagged when the largest finite named |r| reaches
 ``threshold`` or when either qubit's single-schedule vs all-schedule
@@ -32,7 +35,19 @@ from .errors import DataError
 from .iqdata import IQShotTable
 
 FEATURE_NAMES = {"i": "real", "q": "imag"}
-_NAMED_FORMS = (("i", "q"), ("q", "i"))
+# pearson rescales deviations outside this range to unit size first: their
+# squares, or the product of the two variances, would lose bits in the
+# subnormal range or overflow.  IQ data stays far inside it, so its
+# correlations keep the unscaled formula's exact bits.
+_SAFE_SPREAD = (1e-60, 1e60)
+# (pair slot, own state, ES feature, GS feature) of each named coefficient,
+# in row order.
+_NAMED_FORMS = tuple(
+    (slot, state, es_feat, gs_feat)
+    for slot in ("a", "b")
+    for state in (0, 1)
+    for es_feat, gs_feat in (("i", "q"), ("q", "i"))
+)
 
 
 def pearson(a, b) -> float:
@@ -45,23 +60,14 @@ def pearson(a, b) -> float:
         raise ValueError("pearson needs at least two samples")
     dx = x - x.mean()
     dy = y - y.mean()
+    sx, sy = float(np.max(np.abs(dx))), float(np.max(np.abs(dy)))
+    if sx == 0.0 or sy == 0.0:
+        return float("nan")
+    if not (_SAFE_SPREAD[0] <= min(sx, sy) and max(sx, sy) <= _SAFE_SPREAD[1]):
+        dx, dy = dx / sx, dy / sy
     vx = float(np.sum(dx * dx))
     vy = float(np.sum(dy * dy))
-    if vx == 0.0 or vy == 0.0:
-        return float("nan")
     return float(np.clip(np.sum(dx * dy) / np.sqrt(vx * vy), -1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class NamedCoefficient:
-    """One Table-style coefficient r_j(ES_q_X, GS_q_Y)."""
-
-    form: str
-    qubit: int
-    own_state: int
-    es_feature: str
-    gs_feature: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -75,15 +81,19 @@ class CorrelationReport:
     """Per-pair analysis output.
 
     ``matrix`` is the 8x8 heatmap grid over ``array_labels`` (None when a
-    report was reconstructed from a named-coefficient block alone).
+    report was reconstructed from a named-coefficient block alone);
+    ``named_coefficients`` holds the 8 values in ``named_form_labels()``
+    order.
     """
 
     pair: tuple[int, int]
     array_labels: tuple[str, ...]
     matrix: np.ndarray | None
-    named_coefficients: tuple[NamedCoefficient, ...]
+    named_coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if len(self.named_coefficients) != len(_NAMED_FORMS):
+            raise ValueError(f"a report holds {len(_NAMED_FORMS)} named coefficients")
         if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=np.float64)
             if m.shape != (8, 8) or len(self.array_labels) != 8:
@@ -100,7 +110,7 @@ class CorrelationReport:
 
     def max_named_abs(self) -> float:
         """Largest finite |named coefficient|; NaN if none are finite."""
-        values = np.asarray([c.value for c in self.named_coefficients])
+        values = np.asarray(self.named_coefficients, dtype=np.float64)
         finite = values[np.isfinite(values)]
         return float(np.max(np.abs(finite))) if finite.size else float("nan")
 
@@ -113,21 +123,12 @@ def _schedule_for(pos: int, own_bit: int, neighbor_bit: int) -> str:
     return "".join(bits)
 
 
-def form_label(pair_slot: str, own_state: int, es_feature: str, gs_feature: str) -> str:
-    return (
-        f"r{own_state}(ES_{pair_slot}_{es_feature.upper()}, "
-        f"GS_{pair_slot}_{gs_feature.upper()})"
-    )
-
-
 def named_form_labels() -> tuple[str, ...]:
     """The 8 pair-relative coefficient labels in canonical row order."""
-    labels = []
-    for slot in ("a", "b"):
-        for state in (0, 1):
-            for es_feat, gs_feat in _NAMED_FORMS:
-                labels.append(form_label(slot, state, es_feat, gs_feat))
-    return tuple(labels)
+    return tuple(
+        f"r{state}(ES_{slot}_{es_feat.upper()}, GS_{slot}_{gs_feat.upper()})"
+        for slot, state, es_feat, gs_feat in _NAMED_FORMS
+    )
 
 
 def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport:
@@ -162,22 +163,12 @@ def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport
             matrix[r, c] = value
             matrix[c, r] = value
 
-    named: list[NamedCoefficient] = []
-    for pos, (slot, qubit) in enumerate(zip(("a", "b"), pair)):
-        for own_state in (0, 1):
-            for es_feat, gs_feat in _NAMED_FORMS:
-                es = table.values(pair, qubit, _schedule_for(pos, own_state, 1), es_feat)
-                gs = table.values(pair, qubit, _schedule_for(pos, own_state, 0), gs_feat)
-                named.append(
-                    NamedCoefficient(
-                        form=form_label(slot, own_state, es_feat, gs_feat),
-                        qubit=qubit,
-                        own_state=own_state,
-                        es_feature=es_feat,
-                        gs_feature=gs_feat,
-                        value=pearson(es, gs),
-                    )
-                )
+    named = []
+    for slot, own_state, es_feat, gs_feat in _NAMED_FORMS:
+        pos = "ab".index(slot)
+        es = table.values(pair, pair[pos], _schedule_for(pos, own_state, 1), es_feat)
+        gs = table.values(pair, pair[pos], _schedule_for(pos, own_state, 0), gs_feat)
+        named.append(pearson(es, gs))
     return CorrelationReport(
         pair=pair,
         array_labels=tuple(labels),
@@ -249,12 +240,7 @@ def named_block_lines(reports: Sequence[CorrelationReport]) -> list[str]:
     header = "form," + ",".join(f"{a}-{b}" for a, b in (r.pair for r in reports))
     lines = [header]
     for row_idx, label in enumerate(named_form_labels()):
-        values = []
-        for report in reports:
-            coeff = report.named_coefficients[row_idx]
-            if coeff.form != label:
-                raise ValueError("report coefficients out of canonical order")
-            values.append(repr(float(coeff.value)))
+        values = [repr(float(report.named_coefficients[row_idx])) for report in reports]
         lines.append(f'"{label}",' + ",".join(values))
     return lines
 
@@ -290,27 +276,10 @@ def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
             values[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise DataError(f"row {r + 1}: malformed value ({exc})") from exc
-    reports = []
-    for c, pair in enumerate(pairs):
-        named = []
-        row = 0
-        for slot, qubit in zip(("a", "b"), pair):
-            for state in (0, 1):
-                for es_feat, gs_feat in _NAMED_FORMS:
-                    named.append(
-                        NamedCoefficient(
-                            form=form_label(slot, state, es_feat, gs_feat),
-                            qubit=qubit,
-                            own_state=state,
-                            es_feature=es_feat,
-                            gs_feature=gs_feat,
-                            value=float(values[row, c]),
-                        )
-                    )
-                    row += 1
-        reports.append(
-            CorrelationReport(
-                pair=pair, array_labels=(), matrix=None, named_coefficients=tuple(named)
-            )
+    return [
+        CorrelationReport(
+            pair=pair, array_labels=(), matrix=None,
+            named_coefficients=tuple(float(v) for v in values[:, c]),
         )
-    return reports
+        for c, pair in enumerate(pairs)
+    ]

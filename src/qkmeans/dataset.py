@@ -47,21 +47,6 @@ class ReadoutFrame:
             raise ValueError("ReadoutFrame expects (n, 2) IQ features")
         return (x - self.mean) @ self.matrix + self.offset
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": [float(v) for v in self.mean],
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "offset": [float(v) for v in self.offset],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReadoutFrame":
-        return cls(
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            matrix=np.asarray(payload["matrix"], dtype=np.float64),
-            offset=np.asarray(payload["offset"], dtype=np.float64),
-        )
-
 
 def fit_readout_frame(features: np.ndarray) -> ReadoutFrame:
     """Fit the similarity transform described in the module docstring."""

@@ -21,7 +21,6 @@ draws from its own generator seeded by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +36,6 @@ from .simulator import (
     batch_prepare,
     derive_seed,
 )
-
-MAX_DISTANCE = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -72,17 +69,10 @@ class BatchStats:
     circuits_executed: int
 
 
-def overlap_squared(p0):
-    """|<x|y>|^2 implied by an ancilla-zero probability, clipped into [0, 1]."""
-    return np.clip(2.0 * p0 - 1.0, 0.0, 1.0)
-
-
-def distance_from_overlap_sq(ov_sq):
-    return np.sqrt(2.0 - 2.0 * np.sqrt(ov_sq))
-
-
 def distance_from_p0(p0):
-    return distance_from_overlap_sq(overlap_squared(p0))
+    """Distance implied by an ancilla-zero probability; the overlap
+    |<x|y>|^2 = 2*p0 - 1 is clipped into [0, 1] first."""
+    return np.sqrt(2.0 - 2.0 * np.sqrt(np.clip(2.0 * p0 - 1.0, 0.0, 1.0)))
 
 
 def quantum_distance(
@@ -149,22 +139,6 @@ def _run_group(
     return p0_hat, jobs
 
 
-def _execute_pairs(
-    left_mat: np.ndarray,
-    right_mat: np.ndarray,
-    config: BatchConfig,
-    sampled: bool,
-) -> tuple[np.ndarray, BatchStats]:
-    left_mat = np.asarray(left_mat, dtype=np.float64)
-    right_mat = np.asarray(right_mat, dtype=np.float64)
-    if left_mat.shape != right_mat.shape or left_mat.ndim != 2:
-        raise ValueError("left and right matrices must share a (pairs, features) shape")
-    indices = np.arange(left_mat.shape[0])
-    p0, jobs = _run_group(left_mat, right_mat, config, sampled, indices)
-    stats = BatchStats(jobs_submitted=jobs, circuits_executed=left_mat.shape[0])
-    return distance_from_p0(p0), stats
-
-
 def estimate_distances(
     requests: Sequence[DistanceRequest],
     config: BatchConfig | None = None,
@@ -216,5 +190,6 @@ def distance_matrix(
     n_pts, k = pts.shape[0], ctr.shape[0]
     left = np.repeat(pts, k, axis=0)
     right = np.tile(ctr, (n_pts, 1))
-    dists, stats = _execute_pairs(left, right, config, sampled)
-    return dists.reshape(n_pts, k), stats
+    p0, jobs = _run_group(left, right, config, sampled, np.arange(n_pts * k))
+    stats = BatchStats(jobs_submitted=jobs, circuits_executed=n_pts * k)
+    return distance_from_p0(p0).reshape(n_pts, k), stats

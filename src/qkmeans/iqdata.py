@@ -31,8 +31,10 @@ clustering; the frame is recorded on the dataset.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -45,6 +47,7 @@ CROSSTALK_LATENT_GAIN = 1.8
 EXCITED_SHIFT_FRACTION = 0.25
 _ORTHOGONALIZE_MIN_SHOTS = 32
 _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
+_MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
 
 
 @dataclass(frozen=True)
@@ -90,18 +93,9 @@ class ReadoutModel:
 
 
 @dataclass(frozen=True)
-class QubitInfo:
-    """Informational device metadata (not used by the generator)."""
-
-    frequency_ghz: float
-    readout_error: float
-
-
-@dataclass(frozen=True)
 class CouplingMap:
     device: str
     edges: tuple[tuple[int, int], ...]
-    qubits: dict[int, QubitInfo] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         edges = tuple((int(a), int(b)) for a, b in self.edges)
@@ -110,6 +104,8 @@ class CouplingMap:
                 raise ConfigError("coupling edges must connect distinct qubits")
             if a > b:
                 raise ConfigError("coupling edges must list the lower qubit first")
+            if a < 0 or b > _MAX_INDEX:
+                raise ConfigError(f"coupling edge ({a}, {b}) has a qubit index outside [0, 2**63)")
         if len(set(edges)) != len(edges):
             raise ConfigError("duplicate coupling edge")
         object.__setattr__(self, "edges", edges)
@@ -151,6 +147,8 @@ class IQShotTable:
         if n:
             if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
                 raise DataError("i/q values must be finite")
+            if min(pf.min(), ps.min(), qb.min(), shot.min()) < 0:
+                raise DataError("pair, qubit and shot indices must be >= 0")
             valid = np.isin(sched, SCHEDULES)
             if not np.all(valid):
                 raise DataError(f"invalid schedule string {sched[~valid][0]!r}")
@@ -329,8 +327,11 @@ def save_table(table: IQShotTable, path) -> None:
 
 
 def load_table(path) -> IQShotTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     device = ""
     rows: dict[str, list] = {k: [] for k in (
         "pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")}
@@ -367,80 +368,54 @@ def load_table(path) -> IQShotTable:
             raise DataError(f"line {lineno}: non-finite i/q value")
         if rows["schedule"][-1] not in SCHEDULES:
             raise DataError(f"line {lineno}: invalid schedule {rows['schedule'][-1]!r}")
-    return IQShotTable(
-        device=device,
-        pair_first=np.asarray(rows["pair_first"], dtype=np.int64),
-        pair_second=np.asarray(rows["pair_second"], dtype=np.int64),
-        qubit=np.asarray(rows["qubit"], dtype=np.int64),
-        schedule=np.asarray(rows["schedule"], dtype="U2"),
-        shot=np.asarray(rows["shot"], dtype=np.int64),
-        i_value=np.asarray(rows["i_value"], dtype=np.float64),
-        q_value=np.asarray(rows["q_value"], dtype=np.float64),
-    )
+    try:
+        return IQShotTable(
+            device=device,
+            pair_first=np.asarray(rows["pair_first"], dtype=np.int64),
+            pair_second=np.asarray(rows["pair_second"], dtype=np.int64),
+            qubit=np.asarray(rows["qubit"], dtype=np.int64),
+            schedule=np.asarray(rows["schedule"], dtype="U2"),
+            shot=np.asarray(rows["shot"], dtype=np.int64),
+            i_value=np.asarray(rows["i_value"], dtype=np.float64),
+            q_value=np.asarray(rows["q_value"], dtype=np.float64),
+        )
+    except OverflowError as exc:
+        raise DataError(f"pair, qubit or shot index outside the int64 range ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
-# shipped defaults: a five-qubit linear chain
+# config parsing and the packaged presets (a five-qubit linear chain)
 # ---------------------------------------------------------------------------
+
+
+def packaged_config(name: str) -> dict:
+    """Parsed JSON of the packaged file ``configs/<name>``."""
+    text = resources.files("qkmeans").joinpath("configs", name).read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 def default_coupling_map() -> CouplingMap:
-    """Linear chain 0-1-2-3-4 with informational per-qubit metadata."""
-    frequencies = (5.030, 4.851, 5.096, 4.943, 5.052)
-    readout_errors = (0.021, 0.084, 0.018, 0.013, 0.016)
-    return CouplingMap(
-        device="synthetic-5q-chain",
-        edges=((0, 1), (1, 2), (2, 3), (3, 4)),
-        qubits={
-            q: QubitInfo(frequency_ghz=frequencies[q], readout_error=readout_errors[q])
-            for q in range(5)
-        },
-    )
+    """Linear chain 0-1-2-3-4 (``configs/coupling_map.json``)."""
+    return coupling_from_dict(packaged_config("coupling_map.json"))
 
 
 def default_readout_model() -> ReadoutModel:
-    """Calibrated so per-qubit half-separation/sigma gives 10-fold k-means
+    """The no-crosstalk preset (``configs/default_model.json``).
+
+    Calibrated so per-qubit half-separation/sigma gives 10-fold k-means
     fidelities inside the 0.95..0.995 target band, with no crosstalk."""
-    specs = {
-        0: QubitReadoutSpec((-1.10, 0.45), (2.4759, 1.6119)),
-        1: QubitReadoutSpec((0.55, -0.30), (-0.0508, 3.1074)),
-        2: QubitReadoutSpec((-0.20, 1.95), (3.2641, -0.05)),
-        3: QubitReadoutSpec((1.15, 0.80), (3.7196, 4.4697)),
-        4: QubitReadoutSpec((2.05, -1.20), (-2.1847, -0.4533)),
-    }
-    return ReadoutModel(device="synthetic-5q-chain", qubits=specs)
+    return model_from_dict(packaged_config("default_model.json"))
 
 
 def crosstalk_demo_model() -> ReadoutModel:
-    """The default model plus bidirectional coupling on pairs (1,2), (2,3)."""
-    base = default_readout_model()
-    return replace(
-        base,
-        crosstalk={(1, 2): 0.3, (2, 1): 0.3, (2, 3): 0.25, (3, 2): 0.25},
-    )
+    """The default model plus bidirectional coupling on pairs (1,2), (2,3)
+    (``configs/crosstalk_model.json``)."""
+    return model_from_dict(packaged_config("crosstalk_model.json"))
 
 
-# ---------------------------------------------------------------------------
-# config (de)serialization
-# ---------------------------------------------------------------------------
-
-
-def model_to_dict(model: ReadoutModel) -> dict:
-    return {
-        "device": model.device,
-        "qubits": {
-            str(q): {
-                "ground_center": list(spec.ground_center),
-                "excited_center": list(spec.excited_center),
-                "cluster_stddev": list(spec.cluster_stddev),
-            }
-            for q, spec in sorted(model.qubits.items())
-        },
-        "crosstalk": {
-            f"{victim}-{aggressor}": kappa
-            for (victim, aggressor), kappa in sorted(model.crosstalk.items())
-        },
-    }
+# Parse failures of user JSON; ConfigError (a ValueError) raised by the
+# dataclass checks passes through with its own message.
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError, OverflowError)
 
 
 def model_from_dict(payload: dict) -> ReadoutModel:
@@ -460,19 +435,10 @@ def model_from_dict(payload: dict) -> ReadoutModel:
         return ReadoutModel(
             device=str(payload.get("device", "")), qubits=qubits, crosstalk=crosstalk
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except ConfigError:
+        raise
+    except _MALFORMED as exc:
         raise ConfigError(f"malformed readout model config: {exc}") from exc
-
-
-def coupling_to_dict(coupling: CouplingMap) -> dict:
-    return {
-        "device": coupling.device,
-        "edges": [list(edge) for edge in coupling.edges],
-        "qubits": {
-            str(q): {"frequency_ghz": info.frequency_ghz, "readout_error": info.readout_error}
-            for q, info in sorted(coupling.qubits.items())
-        },
-    }
 
 
 def coupling_from_dict(payload: dict) -> CouplingMap:
@@ -480,13 +446,8 @@ def coupling_from_dict(payload: dict) -> CouplingMap:
         return CouplingMap(
             device=str(payload.get("device", "")),
             edges=tuple(tuple(edge) for edge in payload["edges"]),
-            qubits={
-                int(q): QubitInfo(
-                    frequency_ghz=float(info["frequency_ghz"]),
-                    readout_error=float(info["readout_error"]),
-                )
-                for q, info in payload.get("qubits", {}).items()
-            },
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except ConfigError:
+        raise
+    except _MALFORMED as exc:
         raise ConfigError(f"malformed coupling map config: {exc}") from exc

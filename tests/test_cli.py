@@ -8,18 +8,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkmeans.cli import _builtin_config_text, main, read_score_table
+from qkmeans.cli import main, read_score_table
 from qkmeans.errors import DataError
-from qkmeans.iqdata import (
-    coupling_to_dict,
-    crosstalk_demo_model,
-    default_coupling_map,
-    default_readout_model,
-    load_table,
-    model_to_dict,
-)
+from qkmeans.iqdata import load_table
 
 FIXTURE = Path(__file__).parent / "data" / "reference_named_coefficients.csv"
+
+MODEL = {
+    "device": "toy",
+    "qubits": {
+        str(q): {"ground_center": [-1.0, 0.5 * q], "excited_center": [2.5, 1.5 + 0.5 * q]}
+        for q in range(3)
+    },
+}
+COUPLING = {"device": "toy", "edges": [[0, 1], [1, 2]]}
+
+
+def write_json(path: Path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def assert_error_exit(capsys, argv, code):
+    """main(argv) returns ``code`` and prints one ``error:`` line, no traceback."""
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def manifest_without_timestamp(path: Path) -> dict:
@@ -59,18 +73,17 @@ class TestSynth:
         assert manifest["config_paths"]["model"] == "builtin:crosstalk_model.json"
 
     def test_explicit_config_files(self, tmp_path):
-        model_path = tmp_path / "model.json"
-        coupling_path = tmp_path / "coupling.json"
-        model_path.write_text(json.dumps(model_to_dict(default_readout_model())))
-        coupling_path.write_text(json.dumps(coupling_to_dict(default_coupling_map())))
+        model_path = write_json(tmp_path / "model.json", MODEL)
+        coupling_path = write_json(tmp_path / "coupling.json", COUPLING)
         out = tmp_path / "out"
         code = main([
-            "synth", "--model", str(model_path), "--coupling", str(coupling_path),
+            "synth", "--model", model_path, "--coupling", coupling_path,
             "--shots", "4", "--out", str(out),
         ])
         assert code == 0
         manifest = json.loads((out / "synth_manifest.json").read_text())
-        assert manifest["config_paths"]["model"] == str(model_path)
+        assert manifest["config_paths"]["model"] == model_path
+        assert load_table(out / "iq_shots.csv").pairs() == ((0, 1), (1, 2))
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -91,6 +104,28 @@ class TestSynth:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["synth", "--model", str(bad), "--out", str(tmp_path)]) == 1
+
+    def test_non_numeric_center_is_config_error(self, tmp_path, capsys):
+        model = json.loads(json.dumps(MODEL))
+        model["qubits"]["0"]["ground_center"] = "ab"
+        assert_error_exit(capsys, [
+            "synth", "--model", write_json(tmp_path / "m.json", model),
+            "--coupling", write_json(tmp_path / "c.json", COUPLING), "--out", str(tmp_path),
+        ], 1)
+
+    def test_three_qubit_edge_is_config_error(self, tmp_path, capsys):
+        assert_error_exit(capsys, [
+            "synth", "--coupling", write_json(tmp_path / "c.json", {"edges": [[0, 1, 2]]}),
+            "--out", str(tmp_path),
+        ], 1)
+
+    def test_non_utf8_model_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert_error_exit(capsys, ["synth", "--model", str(bad), "--out", str(tmp_path)], 1)
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert_error_exit(capsys, ["synth", "--seed", "-1", "--out", str(tmp_path)], 1)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +230,26 @@ class TestBenchmark:
         ])
         assert code == 2
 
+    def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "x.csv"
+        bad.write_bytes(b"\xff\xfe")
+        assert_error_exit(capsys, ["benchmark", "--data", str(bad), "--out", str(tmp_path)], 2)
+
+    def test_negative_qubit_index_is_data_error(self, tmp_path, capsys):
+        rows = [f"0--1,{q},{sched},{shot},{shot}.0,1.0"
+                for q in (0, -1) for sched in ("00", "01", "10", "11") for shot in (0, 1)]
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(["pair,qubit,schedule,shot,i,q", *rows]) + "\n")
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(data), "--splits", "2", "--out", str(tmp_path),
+        ], 2)
+
+    def test_negative_seed_is_config_error(self, shot_table_dir, tmp_path, capsys):
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--seed", "-1", "--out", str(tmp_path),
+        ], 1)
+
     def test_score_reader_rejects_foreign_files(self, tmp_path):
         other = tmp_path / "other.csv"
         other.write_text("a,b\n1,2\n")
@@ -262,6 +317,25 @@ class TestCrosstalkCommand:
             "--out", str(tmp_path),
         ]) == 1
 
+    @pytest.mark.parametrize("inputs", [
+        ["--data", "BAD"],
+        ["--named-values", "BAD"],
+        ["--named-values", str(FIXTURE), "--scores", "BAD"],
+    ])
+    def test_non_utf8_input_is_data_error(self, inputs, tmp_path, capsys):
+        bad = tmp_path / "x.csv"
+        bad.write_bytes(b"\xff\xfe")
+        argv = [str(bad) if arg == "BAD" else arg for arg in inputs]
+        assert_error_exit(capsys, ["crosstalk", *argv, "--out", str(tmp_path)], 2)
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--fidelity-gap"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_threshold_flags_must_be_finite_and_nonnegative(self, flag, value, tmp_path, capsys):
+        assert_error_exit(capsys, [
+            "crosstalk", "--named-values", str(FIXTURE), flag, value, "--out", str(tmp_path),
+        ], 1)
+        assert not (tmp_path / "crosstalk_manifest.json").exists()
+
     def test_malformed_named_values(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("form,0-1\n\"not a form\",0.1\n")
@@ -320,17 +394,3 @@ class TestEntryPoint:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["synth", "--bogus"]) == 1
-
-
-class TestPackagedConfigs:
-    def test_default_model_matches_library(self):
-        payload = json.loads(_builtin_config_text("default_model.json"))
-        assert payload == model_to_dict(default_readout_model())
-
-    def test_crosstalk_model_matches_library(self):
-        payload = json.loads(_builtin_config_text("crosstalk_model.json"))
-        assert payload == model_to_dict(crosstalk_demo_model())
-
-    def test_coupling_matches_library(self):
-        payload = json.loads(_builtin_config_text("coupling_map.json"))
-        assert payload == coupling_to_dict(default_coupling_map())

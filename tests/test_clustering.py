@@ -65,14 +65,6 @@ class TestInit:
         c = qkmeans_plusplus_init(X, 2, "classical_euclidean", seed=seed)
         np.testing.assert_array_equal(q, c)
 
-    def test_random_sample_init_returns_data_rows(self):
-        X = make_blobs(1, n=30)
-        config = FitConfig(
-            n_clusters=3, init="random_sample", distance_mode="classical_euclidean"
-        )
-        model = clustering.fit(X, config)
-        assert model.n_clusters == 3
-
     def test_requires_enough_points(self):
         X = unlabeled([[0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -238,8 +230,6 @@ class TestFitMechanics:
     def test_fit_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(n_clusters=0)
-        with pytest.raises(ValueError):
-            FitConfig(n_clusters=2, init="kmeans++")
         with pytest.raises(ValueError):
             FitConfig(n_clusters=2, distance_mode="manhattan")
         with pytest.raises(ValueError):

@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 from qkmeans.crosstalk import (
     CorrelationReport,
     CrosstalkFlag,
-    NamedCoefficient,
     analyze_pair,
     flag_crosstalk,
-    form_label,
     heatmap_lines,
     named_block_lines,
     named_form_labels,
@@ -65,6 +63,17 @@ class TestPearson:
         assert np.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
         assert np.isnan(pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
+    def test_subnormal_and_huge_spreads_keep_precision(self):
+        a = np.array([1.0, 2.0, 4.0])
+        b = np.array([1.0, 2.5, 3.5])
+        base = pearson(a, b)
+        for scale_a, scale_b in ((1e-200, 1.0), (1e-160, 1e-160), (1e200, 1e-200), (1e300, 1e300)):
+            assert pearson(scale_a * a, scale_b * b) == pytest.approx(base, abs=1e-12)
+        # deviations near 1e-159 square into the subnormal range and lose bits
+        tiny = np.array([0.0, 0.0, 2.320684972860438e-159])
+        noisy = tiny + np.random.default_rng(0).normal(size=3)
+        assert pearson(tiny, 0.5 * noisy) == pytest.approx(pearson(tiny, noisy), abs=1e-12)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
@@ -113,8 +122,8 @@ class TestAnalyzePair:
             "0_1_real", "0_1_imag", "0_2_real", "0_2_imag",
             "1_1_real", "1_1_imag", "1_2_real", "1_2_imag",
         )
-        assert len(report.named_coefficients) == 8
-        assert tuple(c.form for c in report.named_coefficients) == named_form_labels()
+        assert len(report.named_coefficients) == len(named_form_labels()) == 8
+        assert all(type(value) is float for value in report.named_coefficients)
 
     def test_matrix_is_exactly_symmetric_with_unit_diagonal(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 96, seed=1)
@@ -132,14 +141,14 @@ class TestAnalyzePair:
         report = analyze_pair(table, (1, 2))
         lam = CROSSTALK_LATENT_GAIN * 0.3
         expected = lam * lam / (1.0 + lam * lam)
-        for coeff in report.named_coefficients:
-            assert coeff.value == pytest.approx(expected, abs=1e-12), coeff.form
+        for label, value in zip(named_form_labels(), report.named_coefficients):
+            assert value == pytest.approx(expected, abs=1e-12), label
 
     def test_uncoupled_pair_named_values_are_exact_nulls(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 256, seed=3)
         report = analyze_pair(table, (1, 2))
-        for coeff in report.named_coefficients:
-            assert abs(coeff.value) < 1e-12
+        for value in report.named_coefficients:
+            assert abs(value) < 1e-12
 
     def test_named_values_scale_with_kappa(self):
         values = {}
@@ -238,23 +247,9 @@ class TestFlagging:
             flag_crosstalk(reports, fidelities)
 
     def test_all_nan_report_never_flags(self):
-        named = []
-        for slot, qubit in zip(("a", "b"), (0, 1)):
-            for state in (0, 1):
-                for es, gs in (("i", "q"), ("q", "i")):
-                    named.append(
-                        NamedCoefficient(
-                            form=form_label(slot, state, es, gs),
-                            qubit=qubit,
-                            own_state=state,
-                            es_feature=es,
-                            gs_feature=gs,
-                            value=float("nan"),
-                        )
-                    )
         report = CorrelationReport(
             pair=(0, 1), array_labels=(), matrix=None,
-            named_coefficients=tuple(named),
+            named_coefficients=(float("nan"),) * 8,
         )
         assert np.isnan(report.max_named_abs())
         assert flag_crosstalk([report]) == ()
@@ -289,9 +284,8 @@ class TestSerialization:
         for before, after in zip(reports, parsed):
             assert after.pair == before.pair
             assert after.matrix is None
-            for x, y in zip(before.named_coefficients, after.named_coefficients):
-                assert x.form == y.form
-                assert x.value == y.value  # repr() round trip is exact
+            # repr() round trip is exact
+            assert after.named_coefficients == before.named_coefficients
 
     def test_reference_fixture_parses_and_flags(self):
         reports = parse_named_block(FIXTURE.read_text().splitlines())
@@ -326,7 +320,17 @@ class TestSerialization:
             parse_named_block(lines)
 
 
+ZEROS = (0.0,) * 8
+
+
 class TestReportValidation:
+    def test_named_coefficient_count_checked(self):
+        for named in ((), ZEROS[:7], ZEROS + (0.0,)):
+            with pytest.raises(ValueError, match="8 named coefficients"):
+                CorrelationReport(
+                    pair=(0, 1), array_labels=(), matrix=None, named_coefficients=named
+                )
+
     def test_asymmetric_matrix_rejected(self):
         m = np.eye(8)
         m[0, 1] = 0.5
@@ -335,7 +339,7 @@ class TestReportValidation:
                 pair=(0, 1),
                 array_labels=tuple(str(i) for i in range(8)),
                 matrix=m,
-                named_coefficients=(),
+                named_coefficients=ZEROS,
             )
 
     def test_out_of_range_rejected(self):
@@ -346,7 +350,7 @@ class TestReportValidation:
                 pair=(0, 1),
                 array_labels=tuple(str(i) for i in range(8)),
                 matrix=m,
-                named_coefficients=(),
+                named_coefficients=ZEROS,
             )
 
     def test_bad_diagonal_rejected(self):
@@ -357,7 +361,7 @@ class TestReportValidation:
                 pair=(0, 1),
                 array_labels=tuple(str(i) for i in range(8)),
                 matrix=m,
-                named_coefficients=(),
+                named_coefficients=ZEROS,
             )
 
     def test_nan_entries_allowed_when_symmetric(self):
@@ -367,6 +371,6 @@ class TestReportValidation:
             pair=(0, 1),
             array_labels=tuple(str(i) for i in range(8)),
             matrix=m,
-            named_coefficients=(),
+            named_coefficients=ZEROS,
         )
         assert np.isnan(report.matrix[0, 1])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkmeans.dataset import DataSet, ReadoutFrame, fit_readout_frame
+from qkmeans.dataset import DataSet, fit_readout_frame
 
 DIAG_135 = np.array([-1.0, 1.0]) / np.sqrt(2.0)
 
@@ -94,13 +94,6 @@ class TestFitReadoutFrame:
 
 
 class TestFrameSerialization:
-    def test_round_trip(self):
-        frame = fit_readout_frame(anisotropic_cloud(3))
-        clone = ReadoutFrame.from_dict(frame.to_dict())
-        np.testing.assert_allclose(clone.mean, frame.mean)
-        np.testing.assert_allclose(clone.matrix, frame.matrix)
-        np.testing.assert_allclose(clone.offset, frame.offset)
-
     def test_apply_validates_shape(self):
         frame = fit_readout_frame(anisotropic_cloud(4))
         with pytest.raises(ValueError):

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qkmeans.distance import (
-    MAX_DISTANCE,
     BatchConfig,
     BatchStats,
     DistanceRequest,
     distance_from_p0,
     distance_matrix,
     estimate_distances,
-    overlap_squared,
     quantum_distance,
 )
 from qkmeans.encoding import encode_matrix
@@ -70,7 +70,7 @@ class TestScalarDistance:
 
     def test_known_value_for_orthogonal_pair(self):
         d = quantum_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert d == pytest.approx(MAX_DISTANCE, abs=1e-7)
+        assert d == pytest.approx(math.sqrt(2.0), abs=1e-7)
 
     def test_known_value_for_plus_pair(self):
         d = quantum_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
@@ -100,7 +100,7 @@ class TestScalarDistance:
         x = np.array(xs[:size])
         y = np.array(ys[:size])
         d = quantum_distance(x, y, shots=64 if sampled else None, seed=1)
-        assert 0.0 <= d <= MAX_DISTANCE + 1e-12
+        assert 0.0 <= d <= math.sqrt(2.0) + 1e-12
 
     def test_symmetry(self):
         rng = np.random.default_rng(23)
@@ -113,13 +113,14 @@ class TestScalarDistance:
 
 class TestConversions:
     def test_overlap_squared_clips(self):
-        assert overlap_squared(0.3) == 0.0
-        assert overlap_squared(1.2) == 1.0
-        assert overlap_squared(0.75) == pytest.approx(0.5)
+        # |<x|y>|^2 = 2*p0 - 1 is clipped into [0, 1] before the square root
+        assert distance_from_p0(0.3) == distance_from_p0(0.5)
+        assert distance_from_p0(1.2) == 0.0
+        assert distance_from_p0(0.75) == pytest.approx(math.sqrt(2.0 - 2.0 * math.sqrt(0.5)))
 
     def test_distance_from_p0_endpoints(self):
         assert distance_from_p0(1.0) == 0.0
-        assert distance_from_p0(0.5) == pytest.approx(MAX_DISTANCE)
+        assert distance_from_p0(0.5) == pytest.approx(math.sqrt(2.0))
 
 
 class TestBatchedExecutor:

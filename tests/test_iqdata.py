@@ -15,14 +15,12 @@ from qkmeans.iqdata import (
     ReadoutModel,
     assemble_datasets,
     coupling_from_dict,
-    coupling_to_dict,
     crosstalk_demo_model,
     default_coupling_map,
     default_readout_model,
     empty_table,
     load_table,
     model_from_dict,
-    model_to_dict,
     save_table,
     synthesize,
 )
@@ -244,6 +242,19 @@ class TestTableContainer:
                 q_value=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("column", ["pair_first", "qubit", "shot"])
+    def test_negative_index_rejected(self, column):
+        columns = dict(pair_first=[0], pair_second=[1], qubit=[0], shot=[0])
+        columns[column] = [-1]
+        with pytest.raises(DataError, match=">= 0"):
+            IQShotTable(
+                device="toy",
+                schedule=np.array(["00"]),
+                i_value=np.array([1.0]),
+                q_value=np.array([1.0]),
+                **{name: np.array(values) for name, values in columns.items()},
+            )
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             IQShotTable(
@@ -320,12 +331,23 @@ class TestFileRoundTrip:
         with pytest.raises(OSError):
             load_table(tmp_path / "absent.csv")
 
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"pair,qubit,schedule,shot,i,q\n0-1,0,00,{2**63},1.0,2.0\n")
+        with pytest.raises(DataError, match="int64"):
+            load_table(path)
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_table(path)
+
 
 class TestDefaultsAndSerialization:
     def test_default_coupling_chain(self):
         coupling = default_coupling_map()
         assert coupling.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
-        assert sorted(coupling.qubits) == [0, 1, 2, 3, 4]
         assert coupling.device == "synthetic-5q-chain"
 
     def test_default_model_has_no_crosstalk(self):
@@ -347,14 +369,27 @@ class TestDefaultsAndSerialization:
         assert model.coupling_strength(0, 1) == 0.0
 
     def test_model_round_trip(self):
-        model = crosstalk_demo_model()
-        clone = model_from_dict(model_to_dict(model))
-        assert clone == model
+        payload = {
+            "device": "toy",
+            "qubits": {
+                "0": {"ground_center": [-1.0, 0.0], "excited_center": [3.0, 2.0]},
+                "1": {"ground_center": [0.5, -0.5], "excited_center": [0.5, 3.5],
+                      "cluster_stddev": [1.0, 1.0]},
+            },
+            "crosstalk": {"0-1": 0.2},
+        }
+        assert model_from_dict(payload) == ReadoutModel(
+            device="toy", qubits=TOY_MODEL.qubits, crosstalk={(0, 1): 0.2}
+        )
 
     def test_coupling_round_trip(self):
-        coupling = default_coupling_map()
-        clone = coupling_from_dict(coupling_to_dict(coupling))
-        assert clone == coupling
+        # per-qubit metadata in older coupling files is ignored like any extra key
+        payload = {
+            "device": "toy",
+            "edges": [[0, 1]],
+            "qubits": {"0": {"frequency_ghz": 5.03, "readout_error": 0.021}},
+        }
+        assert coupling_from_dict(payload) == CouplingMap(device="toy", edges=((0, 1),))
 
     def test_malformed_model_payload(self):
         with pytest.raises(ConfigError):
@@ -394,3 +429,7 @@ class TestDefaultsAndSerialization:
             CouplingMap(device="x", edges=((2, 1),))
         with pytest.raises(ConfigError):
             CouplingMap(device="x", edges=((0, 1), (0, 1)))
+        with pytest.raises(ConfigError, match="outside"):
+            CouplingMap(device="x", edges=((-1, 0),))
+        with pytest.raises(ConfigError, match="outside"):
+            CouplingMap(device="x", edges=((0, 2**63),))
