@@ -260,6 +260,8 @@ def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
             pairs.append((int(first), int(second)))
         except ValueError as exc:
             raise DataError(f"bad pair column {token!r}") from exc
+        if pairs.count(pairs[-1]) > 1:
+            raise DataError(f"pair column {token!r} appears twice")
     expected = named_form_labels()
     if len(rows) != 1 + len(expected):
         raise DataError(f"expected {len(expected)} coefficient rows, got {len(rows) - 1}")

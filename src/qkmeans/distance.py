@@ -3,20 +3,23 @@
 Circuit layout for registers of m qubits: qubit 0 is the ancilla, qubits
 1..m hold the left state, qubits m+1..2m the right state.  After
 H(0), CSWAP(0, 1+i, 1+m+i) for each register position, H(0), the ancilla
-measures 0 with probability  1/2 + |<x|y>|^2 / 2.
+measures 0 with probability  1/2 + |<x|y>|^2 / 2  (Buhrman et al., PRL 87,
+167902, 2001).  The executor computes that closed form, not the 2**(2m+1)
+amplitudes that ``simulator`` keeps as the reference: <x|y> is the dot
+product of the real encoded rows, summed over F by ``row_sums``' fixed
+tree rather than BLAS, so no value depends on job size, request count or
+thread count.
 
 From an (estimated or exact) ancilla-zero probability p0:
 
     overlap_sq = clip(2*p0 - 1, 0, 1)
     distance   = sqrt(2 - 2*sqrt(overlap_sq))        in [0, sqrt(2)]
 
-The batched executor packs many independent pairs into (batch, 2**n)
-arrays, grouping by feature length and splitting each group into jobs of
-at most ``max_circuits_per_job`` circuits.  It is the only executor:
-``quantum_distance`` is a one-request call into it.  Results do not
-depend on the job size or on the grouping: in sampled mode every request
-draws from its own generator seeded by
-``derive_seed(config.seed, request_index)``.
+Requests are grouped by feature length and cut into jobs of at most C =
+``max_circuits_per_job`` circuits; a job holds C*F*8-byte blocks of
+encoded rows.  ``quantum_distance`` is a one-request call into this
+executor.  In sampled mode every request draws from its own generator
+seeded by ``derive_seed(config.seed, request_index)``.
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import encode_matrix, padded_dimension
+from .encoding import encode_matrix
 from .errors import ConfigError
-from .simulator import (
+# The batch_* kernels are unused here; perfbench/tracer.py looks them up on this module.
+from .simulator import (  # noqa: F401
     batch_cswap,
     batch_ground,
     batch_h,
     batch_marginal,
     batch_prepare,
     derive_seed,
+    row_sums,
 )
 
 
@@ -94,48 +99,33 @@ def quantum_distance(
     return float(dists[0])
 
 
-# ---------------------------------------------------------------------------
-# batched execution
-# ---------------------------------------------------------------------------
-
-
 def _run_group(
-    left_mat: np.ndarray,
-    right_mat: np.ndarray,
+    enc_left: np.ndarray,
+    enc_right: np.ndarray,
+    left_rows: np.ndarray,
+    right_rows: np.ndarray,
     config: BatchConfig,
     sampled: bool,
     request_indices: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Execute one same-shape group job by job; returns (p0 estimates, jobs)."""
-    total = left_mat.shape[0]
-    m = int(np.log2(padded_dimension(left_mat.shape[1])))
-    n = 1 + 2 * m
-    a_reg = tuple(range(1, m + 1))
-    b_reg = tuple(range(m + 1, 2 * m + 1))
+    """p0 of each pair (enc_left[left_rows[r]], enc_right[right_rows[r]]),
+    job by job; returns (p0 estimates, jobs)."""
+    total = request_indices.size
     p0_hat = np.empty(total, dtype=np.float64)
     jobs = 0
     for start in range(0, total, config.max_circuits_per_job):
         stop = min(start + config.max_circuits_per_job, total)
         jobs += 1
-        rows = stop - start
-        enc_left = encode_matrix(left_mat[start:stop])
-        enc_right = encode_matrix(right_mat[start:stop])
-        amps = batch_ground(rows, n)
-        batch_prepare(amps, n, a_reg, enc_left)
-        batch_prepare(amps, n, b_reg, enc_right)
-        batch_h(amps, n, 0)
-        for i in range(m):
-            batch_cswap(amps, n, 0, 1 + i, 1 + m + i)
-        batch_h(amps, n, 0)
+        overlap = row_sums(enc_left[left_rows[start:stop]] * enc_right[right_rows[start:stop]])
         if sampled:
-            p1 = np.clip(batch_marginal(amps, n, 0, 1), 0.0, 1.0)
+            p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
             shots = config.shots_per_circuit
-            for j in range(rows):
+            for j in range(stop - start):
                 rng = np.random.default_rng(derive_seed(config.seed, int(request_indices[start + j])))
                 ones = int(rng.binomial(shots, p1[j]))
                 p0_hat[start + j] = (shots - ones) / shots
         else:
-            p0_hat[start:stop] = batch_marginal(amps, n, 0, 0)
+            p0_hat[start:stop] = 0.5 + 0.5 * overlap**2
     return p0_hat, jobs
 
 
@@ -164,7 +154,8 @@ def estimate_distances(
         idx = np.asarray(idx_list)
         left_mat = np.stack([np.asarray(requests[i].left, dtype=np.float64) for i in idx_list])
         right_mat = np.stack([np.asarray(requests[i].right, dtype=np.float64) for i in idx_list])
-        p0, group_jobs = _run_group(left_mat, right_mat, config, sampled, idx)
+        enc_left, enc_right, rows = encode_matrix(left_mat), encode_matrix(right_mat), np.arange(idx.size)
+        p0, group_jobs = _run_group(enc_left, enc_right, rows, rows, config, sampled, idx)
         out[idx] = distance_from_p0(p0)
         jobs += group_jobs
     return out, BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
@@ -180,7 +171,8 @@ def distance_matrix(
 
     Equivalent to ``estimate_distances`` over the row-major list of
     (point i, center k) requests — including per-request sampling seeds —
-    but without materialising the request objects.
+    but encodes each point and each center once and gathers the pairs
+    job by job instead of materialising N*K request rows.
     """
     config = config or BatchConfig()
     pts = np.asarray(points, dtype=np.float64)
@@ -188,8 +180,9 @@ def distance_matrix(
     if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
         raise ValueError("points and centers must be 2-D with matching feature counts")
     n_pts, k = pts.shape[0], ctr.shape[0]
-    left = np.repeat(pts, k, axis=0)
-    right = np.tile(ctr, (n_pts, 1))
-    p0, jobs = _run_group(left, right, config, sampled, np.arange(n_pts * k))
+    requests = np.arange(n_pts * k)
+    pt_rows, ctr_rows = np.divmod(requests, k)
+    enc_pts, enc_ctr = encode_matrix(pts), encode_matrix(ctr)
+    p0, jobs = _run_group(enc_pts, enc_ctr, pt_rows, ctr_rows, config, sampled, requests)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=n_pts * k)
     return distance_from_p0(p0).reshape(n_pts, k), stats

@@ -2,7 +2,7 @@
 
 Each row is normalized, then zero-padded to the next power of two, so a
 feature vector of length F occupies ceil(log2(max(F, 2))) qubits.  The
-result is the exact register amplitudes that ``PREPARE`` injects.
+result is the exact (real) register amplitudes that ``PREPARE`` injects.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def padded_dimension(num_features: int) -> int:
 
 
 def encode_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Encode each row of ``matrix``; returns a (rows, register_dim) complex array."""
+    """Encode each row of ``matrix``; returns a (rows, register_dim) float64 array."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
@@ -30,6 +30,6 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("amplitude encoding needs nonzero finite vectors")
     target = padded_dimension(mat.shape[1])
-    out = np.zeros((mat.shape[0], target), dtype=np.complex128)
+    out = np.zeros((mat.shape[0], target), dtype=np.float64)
     out[:, : mat.shape[1]] = mat / norms[:, None]
     return out

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -50,6 +51,12 @@ _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
 _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
 
 
+def _is_number(value, kind: type) -> bool:
+    """``value`` is a ``kind`` (numbers.Real or numbers.Integral) and not a bool,
+    so config values are checked, never coerced from strings or floats."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QubitReadoutSpec:
     """Ground/excited IQ centers and per-feature spread for one qubit."""
@@ -60,10 +67,14 @@ class QubitReadoutSpec:
 
     def __post_init__(self) -> None:
         for name in ("ground_center", "excited_center", "cluster_stddev"):
-            value = tuple(float(v) for v in getattr(self, name))
-            if len(value) != 2 or not all(math.isfinite(v) for v in value):
-                raise ConfigError(f"{name} must be two finite numbers")
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == 2
+                and all(_is_number(v, numbers.Real) and math.isfinite(v) for v in value)
+            ):
+                raise ConfigError(f"malformed {name} {value!r}: expected two finite numbers")
+            object.__setattr__(self, name, tuple(float(v) for v in value))
         if any(v <= 0 for v in self.cluster_stddev):
             raise ConfigError("cluster_stddev entries must be positive")
 
@@ -98,6 +109,9 @@ class CouplingMap:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        for edge in self.edges:
+            if not all(_is_number(v, numbers.Integral) for v in edge):
+                raise ConfigError(f"malformed coupling edge {edge!r}: qubit indices must be integers")
         edges = tuple((int(a), int(b)) for a, b in self.edges)
         for a, b in edges:
             if a == b:
@@ -422,15 +436,17 @@ def model_from_dict(payload: dict) -> ReadoutModel:
     try:
         qubits = {
             int(q): QubitReadoutSpec(
-                ground_center=tuple(spec["ground_center"]),
-                excited_center=tuple(spec["excited_center"]),
-                cluster_stddev=tuple(spec.get("cluster_stddev", (1.0, 1.0))),
+                ground_center=spec["ground_center"],
+                excited_center=spec["excited_center"],
+                cluster_stddev=spec.get("cluster_stddev", (1.0, 1.0)),
             )
             for q, spec in payload["qubits"].items()
         }
         crosstalk = {}
         for key, kappa in payload.get("crosstalk", {}).items():
             victim, _, aggressor = key.partition("-")
+            if not _is_number(kappa, numbers.Real):
+                raise ConfigError(f"malformed crosstalk strength {kappa!r} for {key!r}: expected a number")
             crosstalk[(int(victim), int(aggressor))] = float(kappa)
         return ReadoutModel(
             device=str(payload.get("device", "")), qubits=qubits, crosstalk=crosstalk

@@ -1,4 +1,7 @@
-"""Pure-statevector kernels for the small circuits used by the toolkit.
+"""Gate-level statevector reference for the SwapTest circuit.
+
+``distance`` computes the circuit's closed form and never runs these
+kernels; the tests check that form against them.
 
 Conventions (fixed, relied on by every consumer):
 
@@ -15,9 +18,9 @@ Conventions (fixed, relied on by every consumer):
 
 Every kernel runs many independent same-shape circuits as one
 ``(batch, 2**n)`` array, which the gate kernels update in place; a single
-circuit is a batch of one.  Each row's arithmetic is independent of the other rows, so a
-circuit's result does not depend on how many circuits share its array.
-Intended scale is a dozen qubits or fewer.
+circuit is a batch of one.  Each row's arithmetic is independent of the
+other rows, so a circuit's result does not depend on how many circuits
+share its array.  Intended scale is a dozen qubits or fewer.
 """
 
 from __future__ import annotations

@@ -119,6 +119,25 @@ class TestSynth:
             "--out", str(tmp_path),
         ], 1)
 
+    def test_string_center_is_config_error(self, tmp_path, capsys):
+        # a two-character string must not be split into the pair (1.0, 2.0)
+        model = json.loads(json.dumps(MODEL))
+        model["qubits"]["0"]["ground_center"] = "12"
+        assert_error_exit(capsys, [
+            "synth", "--model", write_json(tmp_path / "m.json", model),
+            "--coupling", write_json(tmp_path / "c.json", COUPLING), "--out", str(tmp_path),
+        ], 1)
+        assert not (tmp_path / "iq_shots.csv").exists()
+
+    @pytest.mark.parametrize("edge", [[0.5, 1.7], [0, 1.0], [False, True]])
+    def test_non_integer_edge_is_config_error(self, edge, tmp_path, capsys):
+        # [0.5, 1.7] must not be truncated to the edge (0, 1)
+        assert_error_exit(capsys, [
+            "synth", "--model", write_json(tmp_path / "m.json", MODEL),
+            "--coupling", write_json(tmp_path / "c.json", {"edges": [edge]}), "--out", str(tmp_path),
+        ], 1)
+        assert not (tmp_path / "iq_shots.csv").exists()
+
     def test_non_utf8_model_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe")
@@ -335,6 +354,16 @@ class TestCrosstalkCommand:
             "crosstalk", "--named-values", str(FIXTURE), flag, value, "--out", str(tmp_path),
         ], 1)
         assert not (tmp_path / "crosstalk_manifest.json").exists()
+
+    def test_duplicate_pair_column_is_data_error(self, tmp_path, capsys):
+        lines = FIXTURE.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("form,"))
+        dup = [lines[start] + ",1-2"] + [line + ",0.5" for line in lines[start + 1 :]]
+        bad = tmp_path / "dup.csv"
+        bad.write_text("\n".join(dup) + "\n")
+        out = tmp_path / "out"
+        assert_error_exit(capsys, ["crosstalk", "--named-values", str(bad), "--out", str(out)], 2)
+        assert not (out / "named_coefficients.csv").exists()
 
     def test_malformed_named_values(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qkmeans.distance import (
     quantum_distance,
 )
 from qkmeans.encoding import encode_matrix
-from qkmeans.simulator import batch_cswap, batch_ground, batch_h, batch_prepare
+from qkmeans.simulator import batch_cswap, batch_ground, batch_h, batch_marginal, batch_prepare
 
 vectors = st.lists(
     st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3),
@@ -35,6 +36,23 @@ def oracle_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(2.0 - 2.0 * overlap))
 
 
+def reference_swap_test(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The documented SwapTest layout run gate by gate on the simulator's
+    batch kernels: ancilla 0, left on 1..m, right on m+1..2m.  Returns the
+    final (1, 2**n) state and n."""
+    enc = encode_matrix(np.stack([x, y]))
+    m = enc.shape[1].bit_length() - 1
+    n = 1 + 2 * m
+    amps = batch_ground(1, n)
+    batch_prepare(amps, n, tuple(range(1, m + 1)), enc[0])
+    batch_prepare(amps, n, tuple(range(m + 1, 2 * m + 1)), enc[1])
+    batch_h(amps, n, 0)
+    for i in range(m):
+        batch_cswap(amps, n, 0, 1 + i, 1 + m + i)
+    batch_h(amps, n, 0)
+    return amps, n
+
+
 class TestSwapTestCircuit:
     def test_known_p0_for_plus_state_pair(self):
         # |0> against (|0>+|1>)/sqrt(2): overlap^2 = 1/2 so p0 = 3/4.
@@ -46,17 +64,27 @@ class TestSwapTestCircuit:
             quantum_distance(np.array([1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
 
     def test_state_norm(self):
-        # the documented layout: ancilla 0, left on 1..m, right on m+1..2m
-        enc = encode_matrix(np.array([[1.0, -2.0, 0.5], [0.3, 0.3, 4.0]]))
-        m, n = 2, 5
-        amps = batch_ground(1, n)
-        batch_prepare(amps, n, (1, 2), enc[0])
-        batch_prepare(amps, n, (3, 4), enc[1])
-        batch_h(amps, n, 0)
-        for i in range(m):
-            batch_cswap(amps, n, 0, 1 + i, 1 + m + i)
-        batch_h(amps, n, 0)
+        amps, _ = reference_swap_test(np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.3, 4.0]))
         assert abs(np.linalg.norm(amps[0]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("features", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    @given(st.data())
+    def test_closed_form_matches_gate_level_circuit(self, features, data):
+        # F in 1..8 covers m = 1..3 and the padded sizes 3, 5, 6, 7; F = 16 is m = 4
+        row = st.lists(st.floats(-50.0, 50.0), min_size=features, max_size=features).filter(
+            lambda v: max(abs(c) for c in v) > 1e-3
+        )
+        x, y = np.array(data.draw(row)), np.array(data.draw(row))
+        amps, n = reference_swap_test(x, y)
+        ref_p0 = float(batch_marginal(amps, n, 0, 0)[0])
+        d = float(estimate_distances([DistanceRequest(x, y)])[0][0])
+        p0 = 0.5 + 0.5 * (1.0 - 0.5 * d * d) ** 2  # |<x|y>| = 1 - d^2/2
+        assert abs(p0 - ref_p0) <= 1e-12
+        # The distance takes two square roots of p0, so where the overlap is
+        # 0 or 1 it turns last-bit p0 differences into ~1e-8; compare it
+        # where that amplification stays below 1e3.
+        if 0.5 + 1e-6 <= ref_p0 <= 1.0 - 1e-6:
+            assert abs(d - float(distance_from_p0(ref_p0))) <= 1e-12
 
 
 class TestScalarDistance:
@@ -249,6 +277,23 @@ class TestDistanceMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             distance_matrix(np.ones((4, 2)), np.ones((2, 3)))
+
+    def test_exact_job_memory_does_not_grow_with_f_squared(self):
+        # A 2**(2m+1)-amplitude statevector per circuit would need ~130 MB
+        # here (64 circuits x 2 * 256**2 x 16 B); the closed form needs
+        # O((N + K + C) * F) bytes.
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(32, 256))
+        ctr = rng.normal(size=(2, 256))
+        tracemalloc.start()
+        try:
+            mat, stats = distance_matrix(pts, ctr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert stats == BatchStats(1, 64)
+        assert mat[5, 1] == pytest.approx(oracle_distance(pts[5], ctr[1]), abs=1e-9)
 
 
 class TestBatchConfig:

@@ -409,6 +409,20 @@ class TestDefaultsAndSerialization:
         with pytest.raises(ConfigError):
             QubitReadoutSpec((np.inf, 0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("center", ["12", ["1", 2.0], [True, 0.0], [[1.0], 2.0], 3.0])
+    def test_spec_rejects_non_numeric_pairs_without_coercion(self, center):
+        with pytest.raises(ConfigError):
+            QubitReadoutSpec(center, (1.0, 1.0))
+        with pytest.raises(ConfigError):
+            QubitReadoutSpec((0.0, 0.0), (1.0, 1.0), cluster_stddev=center)
+
+    def test_model_rejects_non_numeric_strength(self):
+        qubits = {"0": {"ground_center": [0.0, 0.0], "excited_center": [1.0, 1.0]},
+                  "1": {"ground_center": [0.0, 0.0], "excited_center": [1.0, 1.0]}}
+        for kappa in ("0.3", True, None):
+            with pytest.raises(ConfigError):
+                model_from_dict({"qubits": qubits, "crosstalk": {"0-1": kappa}})
+
     def test_model_validation(self):
         spec = QubitReadoutSpec((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ConfigError):
@@ -433,3 +447,10 @@ class TestDefaultsAndSerialization:
             CouplingMap(device="x", edges=((-1, 0),))
         with pytest.raises(ConfigError, match="outside"):
             CouplingMap(device="x", edges=((0, 2**63),))
+
+    @pytest.mark.parametrize("edge", [(0.5, 1.7), (0.0, 1.0), (False, True), ("0", "1"), (0, 1.0)])
+    def test_coupling_rejects_non_integer_entries(self, edge):
+        with pytest.raises(ConfigError, match="integer"):
+            CouplingMap(device="x", edges=(edge,))
+        with pytest.raises(ConfigError, match="integer"):
+            coupling_from_dict({"edges": [list(edge)]})
