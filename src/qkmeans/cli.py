@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--splits", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--shots", type=int, default=1024,
-                         help="shots per circuit in sampled mode")
+                         help="shots per circuit in sampled mode, 1 to 2**53")
     p_bench.add_argument("--max-circuits", type=int, default=900,
                          help="circuits per batched job")
     p_bench.add_argument("--half-width", choices=metrics.HALF_WIDTH_KINDS, default="std")

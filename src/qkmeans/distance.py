@@ -18,8 +18,23 @@ From an (estimated or exact) ancilla-zero probability p0:
 Requests are grouped by feature length and cut into jobs of at most C =
 ``max_circuits_per_job`` circuits; a job holds C*F*8-byte blocks of
 encoded rows.  ``quantum_distance`` is a one-request call into this
-executor.  In sampled mode every request draws from its own generator
-seeded by ``derive_seed(config.seed, request_index)``.
+executor.
+
+Sampled mode draws each request's count of ancilla ones in two
+vectorized steps per job, keyed by request index:
+
+* **Uniform.**  ``derive_seed(config.seed)`` folds the seed into a 64-bit
+  key once per call; request i takes output i of a SplitMix64 stream
+  (Steele, Lea & Flood, OOPSLA 2014) from that key, mapped to
+  ``((bits >> 12) + 0.5) * 2**-52``, strictly inside (0, 1).
+* **Count.**  Exact binomial inversion: the smallest k in [0, shots] with
+  P(Bin(shots, p1) <= k) >= u, found from a Cornish-Fisher guess by
+  stepping k on the regularized incomplete beta function.
+
+Request i's estimate therefore depends only on (seed, i, p1_i): job size,
+grouping and appended requests never change it.  Request 0's stream is
+not the ``derive_seed(seed, 0)`` generator of earlier versions, so
+sampled numbers differ from theirs.
 """
 
 from __future__ import annotations
@@ -43,6 +58,11 @@ from .simulator import (  # noqa: F401
 )
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
 @dataclass(frozen=True)
 class DistanceRequest:
     """One left/right pair of raw (unencoded) feature vectors."""
@@ -64,6 +84,9 @@ class BatchConfig:
             raise ConfigError("max_circuits_per_job must be >= 1")
         if self.shots_per_circuit < 1:
             raise ConfigError("shots_per_circuit must be >= 1")
+        if self.shots_per_circuit > 2**53:
+            # the sampler counts in float64, which holds every integer up to 2**53
+            raise ConfigError("shots_per_circuit must be <= 2**53")
 
 
 @dataclass(frozen=True)
@@ -89,7 +112,10 @@ def quantum_distance(
     """Distance between two raw vectors: one request to ``estimate_distances``.
 
     ``shots=None`` reads the exact ancilla marginal; an integer samples it
-    from request 0's stream, ``derive_seed(seed, 0)``.
+    as request 0 of the batch: output 0 of the SplitMix64 stream keyed by
+    ``derive_seed(seed)`` gives a uniform u, and the count of ones is the
+    exact Bin(shots, p1) quantile at u.  That is not the
+    ``derive_seed(seed, 0)`` generator of earlier versions.
     """
     if shots is None:
         config = BatchConfig(seed=seed)
@@ -97,6 +123,64 @@ def quantum_distance(
         config = BatchConfig(shots_per_circuit=shots, seed=seed)
     dists, _ = estimate_distances([DistanceRequest(x, y)], config, sampled=shots is not None)
     return float(dists[0])
+
+
+def _request_uniforms(key: int, request_indices: np.ndarray) -> np.ndarray:
+    """Output ``request_indices`` of the SplitMix64 stream seeded with ``key``,
+    as doubles strictly inside (0, 1): the top 52 bits plus half a step, so
+    the extremes are 2**-53 and 1 - 2**-53."""
+    z = np.uint64(key) + (np.asarray(request_indices, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Smallest k in [0, shots] with P(Bin(shots, p) <= k) >= u, elementwise.
+
+    The tails are the incomplete-beta forms that ``scipy.special.bdtr`` and
+    ``bdtrc`` use, P(X <= k) = I_{1-p}(n-k, k+1) and P(X > k) =
+    I_p(k+1, n-k), evaluated with ``betainc``: ``bdtr`` is off by ~1e-9 at
+    2**20 shots and returns nan from 2**31.  For u >= 1/2 the test runs in
+    the upper tail, P(X > k) <= 1 - u, where 1 - u is exact; a CDF near 1
+    would round to 1.0 there.  Below 1/2 it reads 1 - p, as ``bdtr`` does,
+    which moves p by at most 2**-54.  Starting from a continuity-corrected
+    Cornish-Fisher guess, k steps up or down on the still-unsettled
+    entries only, so each entry's result depends on its own (p, u) alone.
+    """
+    # scipy.special is already loaded with scipy.optimize; importing it here
+    # keeps it off the import path of callers that never sample.
+    from scipy.special import betainc, ndtri
+
+    n = float(shots)
+    upper = u >= 0.5
+
+    def reached(k: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        # P(X <= k) >= u for the entries sel; k == shots always qualifies.
+        out = np.ones(sel.size, dtype=bool)
+        inner = k < n
+        hi = np.flatnonzero(inner & upper[sel])
+        out[hi] = betainc(k[hi] + 1.0, n - k[hi], p[sel[hi]]) <= 1.0 - u[sel[hi]]
+        lo = np.flatnonzero(inner & ~upper[sel])
+        out[lo] = betainc(n - k[lo], k[lo] + 1.0, 1.0 - p[sel[lo]]) >= u[sel[lo]]
+        return out
+
+    z = ndtri(u)
+    mean = n * p
+    guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    k = np.clip(np.floor(guess + 0.5), 0.0, n)
+    ok = reached(k, np.arange(k.size))
+    pending = np.flatnonzero(~ok)
+    while pending.size:
+        k[pending] += 1.0
+        pending = pending[~reached(k[pending], pending)]
+    pending = np.flatnonzero(ok & (k > 0.0))
+    while pending.size:
+        pending = pending[reached(k[pending] - 1.0, pending)]
+        k[pending] -= 1.0
+        pending = pending[k[pending] > 0.0]
+    return k
 
 
 def _run_group(
@@ -112,6 +196,8 @@ def _run_group(
     job by job; returns (p0 estimates, jobs)."""
     total = request_indices.size
     p0_hat = np.empty(total, dtype=np.float64)
+    key = derive_seed(config.seed) if sampled else 0
+    shots = config.shots_per_circuit
     jobs = 0
     for start in range(0, total, config.max_circuits_per_job):
         stop = min(start + config.max_circuits_per_job, total)
@@ -119,11 +205,8 @@ def _run_group(
         overlap = row_sums(enc_left[left_rows[start:stop]] * enc_right[right_rows[start:stop]])
         if sampled:
             p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
-            shots = config.shots_per_circuit
-            for j in range(stop - start):
-                rng = np.random.default_rng(derive_seed(config.seed, int(request_indices[start + j])))
-                ones = int(rng.binomial(shots, p1[j]))
-                p0_hat[start + j] = (shots - ones) / shots
+            ones = _binomial_quantile(shots, p1, _request_uniforms(key, request_indices[start:stop]))
+            p0_hat[start:stop] = (shots - ones) / shots
         else:
             p0_hat[start:stop] = 0.5 + 0.5 * overlap**2
     return p0_hat, jobs
@@ -170,7 +253,7 @@ def distance_matrix(
     """All point-to-center distances as an (N, K) matrix.
 
     Equivalent to ``estimate_distances`` over the row-major list of
-    (point i, center k) requests — including per-request sampling seeds —
+    (point i, center k) requests — including per-request sampling streams —
     but encodes each point and each center once and gathers the pairs
     job by job instead of materialising N*K request rows.
     """

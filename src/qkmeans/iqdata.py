@@ -57,6 +57,18 @@ def _is_number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """A real number (not a bool) that converts to a finite float; an int
+    beyond the float64 range makes ``math.isfinite`` raise, so it counts
+    as not finite."""
+    if not _is_number(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class QubitReadoutSpec:
     """Ground/excited IQ centers and per-feature spread for one qubit."""
@@ -71,7 +83,7 @@ class QubitReadoutSpec:
             if not (
                 isinstance(value, (list, tuple))
                 and len(value) == 2
-                and all(_is_number(v, numbers.Real) and math.isfinite(v) for v in value)
+                and all(_is_finite_real(v) for v in value)
             ):
                 raise ConfigError(f"malformed {name} {value!r}: expected two finite numbers")
             object.__setattr__(self, name, tuple(float(v) for v in value))

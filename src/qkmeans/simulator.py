@@ -12,9 +12,12 @@ Conventions (fixed, relied on by every consumer):
 * ``PREPARE`` injects a normalized amplitude vector directly into a
   register whose qubits must all still be in ``|0>``.  It is amplitude
   injection, not a gate decomposition.
-* Randomness flows through ``numpy.random.default_rng`` (PCG64) with an
-  explicit seed; nothing reads global RNG state.  ``derive_seed`` is the
-  one sanctioned way to fan a base seed out into per-task sub-seeds.
+* Randomness comes from an explicit seed; nothing reads global RNG
+  state.  ``derive_seed`` fans a base seed out into per-task sub-seeds,
+  which seed ``numpy.random.default_rng`` (PCG64) generators.  The shot
+  sampler in ``distance`` is the one other fan-out: it takes one
+  ``derive_seed`` key per batch and gives request i the i-th SplitMix64
+  output from it, without a generator per request.
 
 Every kernel runs many independent same-shape circuits as one
 ``(batch, 2**n)`` array, which the gate kernels update in place; a single

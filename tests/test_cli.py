@@ -235,6 +235,13 @@ class TestBenchmark:
         ])
         assert code == 1
 
+    def test_shots_beyond_float64_counts_is_config_error(self, shot_table_dir, tmp_path, capsys):
+        # 10**20 overflowed Generator.binomial's int64 before shots were bounded
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--shots", str(10**20), "--mode", "sampled", "--out", str(tmp_path),
+        ], 1)
+
     def test_zero_max_circuits_is_config_error(self, shot_table_dir, tmp_path):
         code = main([
             "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),

@@ -4,22 +4,34 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from qkmeans.distance import (
     BatchConfig,
     BatchStats,
     DistanceRequest,
+    _binomial_quantile,
+    _request_uniforms,
     distance_from_p0,
     distance_matrix,
     estimate_distances,
     quantum_distance,
 )
 from qkmeans.encoding import encode_matrix
-from qkmeans.simulator import batch_cswap, batch_ground, batch_h, batch_marginal, batch_prepare
+from qkmeans.errors import ConfigError
+from qkmeans.simulator import (
+    batch_cswap,
+    batch_ground,
+    batch_h,
+    batch_marginal,
+    batch_prepare,
+    derive_seed,
+)
 
 vectors = st.lists(
     st.floats(-50.0, 50.0).filter(lambda v: abs(v) > 1e-3),
@@ -249,6 +261,91 @@ class TestBatchedExecutor:
             )
 
 
+# The extremes of the uniform mapping ((bits >> 12) + 0.5) * 2**-52.
+U_MIN = 2.0**-53
+U_MAX = 1.0 - 2.0**-53
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-12]), st.floats(0.0, 1.0))
+uniforms = st.one_of(st.sampled_from([U_MIN, U_MAX, 0.5]), st.floats(U_MIN, U_MAX))
+
+
+def reaches(shots: int, p: np.ndarray, u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """P(Bin(shots, p) <= k) >= u as scipy.stats evaluates it: from u = 1/2 up
+    through the upper tail, P(X > k) <= 1 - u, because the CDF rounds to 1.0
+    near the top."""
+    return np.where(u < 0.5, stats.binom.cdf(k, shots, p) >= u, stats.binom.sf(k, shots, p) <= 1.0 - u)
+
+
+class TestShotSampler:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from([1, 7, 128, 8192, 2**20]),
+        st.lists(st.tuples(probabilities, uniforms), min_size=1, max_size=40),
+    )
+    def test_inversion_matches_scipy_quantile(self, shots, pairs):
+        p, u = (np.array(column) for column in zip(*pairs))
+        k = _binomial_quantile(shots, p, u)
+        # k is the smallest count whose CDF reaches u
+        assert np.all(reaches(shots, p, u, k))
+        assert np.all((k == 0) | ~reaches(shots, p, u, k - 1))
+        # binom.ppf is the same quantile wherever it meets that definition; its
+        # root search misses at the extremes (u = 1 - 2**-53, p = 1e-12 at 128
+        # shots gives 2 where P(X > 1) = 8e-21 <= 2**-53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = stats.binom.ppf(u, shots, p)
+        sound = reaches(shots, p, u, ref) & ((ref == 0) | ~reaches(shots, p, u, ref - 1))
+        np.testing.assert_array_equal(k[sound], ref[sound])
+
+    def test_uniforms_lie_strictly_inside_unit_interval(self):
+        for key in (0, 1, 2**64 - 1):
+            u = _request_uniforms(key, np.arange(200_000))
+            assert U_MIN <= u.min() and u.max() <= U_MAX
+            # a grid of odd multiples of 2**-53: the top 52 bits plus half a step
+            assert np.all(np.mod(u * 2.0**53, 2.0) == 1.0)
+
+    @pytest.mark.parametrize("shots", [1, 64, 8192])
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 1.0])
+    def test_counts_follow_binomial_pmf(self, shots, p):
+        draws = 20_000
+        counts = _binomial_quantile(
+            shots, np.full(draws, p), _request_uniforms(derive_seed(2024), np.arange(draws))
+        ).astype(np.int64)
+        expected = draws * stats.binom.pmf(np.arange(shots + 1), shots, p)
+        observed = np.bincount(counts, minlength=shots + 1)
+        # merge neighbouring counts until every bin expects at least 5 draws
+        edges, acc = [0], 0.0
+        for k, e in enumerate(expected):
+            acc += e
+            if acc >= 5.0:
+                edges.append(k + 1)
+                acc = 0.0
+        edges[-1] = shots + 1
+        if len(edges) > 2:
+            exp_bins = np.add.reduceat(expected, edges[:-1])
+            obs_bins = np.add.reduceat(observed, edges[:-1])
+            pvalue = stats.chisquare(obs_bins, exp_bins * draws / exp_bins.sum()).pvalue
+        else:
+            # one bin holds nearly all the mass: test how often a draw leaves the mode
+            mode = int(np.argmax(expected))
+            off_mass = max(1.0 - expected[mode] / draws, 0.0)
+            pvalue = stats.binomtest(int(np.count_nonzero(counts != mode)), draws, off_mass).pvalue
+        assert pvalue >= 1e-4
+
+    def test_request_ignores_every_other_request(self):
+        rng = np.random.default_rng(14)
+        base = [DistanceRequest(rng.normal(size=3), rng.normal(size=3)) for _ in range(12)]
+        config = BatchConfig(max_circuits_per_job=5, shots_per_circuit=256, seed=31)
+        reference, _ = estimate_distances(base, config, sampled=True)
+        for i in range(len(base)):
+            replaced = [
+                req if j == i else DistanceRequest(rng.normal(size=3), rng.normal(size=3))
+                for j, req in enumerate(base)
+            ]
+            dists, _ = estimate_distances(replaced, config, sampled=True)
+            assert dists[i] == reference[i]
+
+
 class TestDistanceMatrix:
     def test_matches_request_list(self):
         rng = np.random.default_rng(9)
@@ -304,3 +401,10 @@ class TestBatchConfig:
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             BatchConfig(shots_per_circuit=0)
+
+    def test_rejects_shots_beyond_float64_counts(self):
+        x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+        with pytest.raises(ConfigError):
+            quantum_distance(x, y, shots=2**53 + 1)
+        # 2**53 is the largest count a float64 holds exactly, and still samples
+        assert quantum_distance(x, y, shots=2**53, seed=3) == pytest.approx(oracle_distance(x, y), abs=1e-6)

@@ -409,6 +409,15 @@ class TestDefaultsAndSerialization:
         with pytest.raises(ConfigError):
             QubitReadoutSpec((np.inf, 0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_spec_rejects_int_beyond_float_range(self, big):
+        # math.isfinite raises OverflowError on such ints; construction must
+        # end in the same "malformed" ConfigError as any other bad pair
+        with pytest.raises(ConfigError, match="malformed ground_center"):
+            QubitReadoutSpec((big, 0.0), (1.0, 1.0))
+        with pytest.raises(ConfigError, match="malformed cluster_stddev"):
+            QubitReadoutSpec((0.0, 0.0), (1.0, 1.0), cluster_stddev=(1.0, big))
+
     @pytest.mark.parametrize("center", ["12", ["1", 2.0], [True, 0.0], [[1.0], 2.0], 3.0])
     def test_spec_rejects_non_numeric_pairs_without_coercion(self, center):
         with pytest.raises(ConfigError):
