@@ -1,5 +1,9 @@
 """Pearson-correlation crosstalk analysis for coupled qubit pairs.
 
+``iqdata`` owns the schedule convention (``schedule_name``) and the
+all-four-schedules check; the analysis also needs at least 2 shots per
+schedule, equally many in each.
+
 For a coupled pair (a, b) the analysis builds 8 signal arrays — own
 state {0, 1} x qubit {a, b} x feature {real, imag} — each the
 concatenation of the neighbor-ground schedule followed by the
@@ -32,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .iqdata import IQShotTable
+from .iqdata import SCHEDULES, IQShotTable, schedule_name
 
 FEATURE_NAMES = {"i": "real", "q": "imag"}
 # pearson rescales deviations outside this range to unit size first: their
@@ -115,14 +119,6 @@ class CorrelationReport:
         return float(np.max(np.abs(finite))) if finite.size else float("nan")
 
 
-def _schedule_for(pos: int, own_bit: int, neighbor_bit: int) -> str:
-    # Rightmost schedule character is the first pair qubit's state bit.
-    bits = ["", ""]
-    bits[1 - pos] = str(own_bit)
-    bits[pos] = str(neighbor_bit)
-    return "".join(bits)
-
-
 def named_form_labels() -> tuple[str, ...]:
     """The 8 pair-relative coefficient labels in canonical row order."""
     return tuple(
@@ -134,25 +130,20 @@ def named_form_labels() -> tuple[str, ...]:
 def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport:
     """Heatmap matrix and named coefficients for one coupled pair."""
     pair = (int(pair[0]), int(pair[1]))
-    present = table.schedules_for(pair)
-    missing = [s for s in ("00", "01", "10", "11") if s not in present]
-    if missing:
-        raise DataError(f"pair {pair} is missing schedules {missing}")
-    counts = {
-        (q, s): table.values(pair, q, s, "i").size
-        for q in pair
-        for s in ("00", "01", "10", "11")
-    }
+    table.require_schedules(pair)
+    counts = {(q, s): table.values(pair, q, s, "i").size for q in pair for s in SCHEDULES}
     if len(set(counts.values())) != 1:
         raise DataError(f"pair {pair} has unequal shot counts across schedules: {counts}")
+    if min(counts.values()) < 2:
+        raise DataError(f"pair {pair} needs at least 2 shots per schedule for correlations")
 
     arrays: list[np.ndarray] = []
     labels: list[str] = []
     for own_state in (0, 1):
         for pos, qubit in enumerate(pair):
             for feature in ("i", "q"):
-                ground = table.values(pair, qubit, _schedule_for(pos, own_state, 0), feature)
-                excited = table.values(pair, qubit, _schedule_for(pos, own_state, 1), feature)
+                ground = table.values(pair, qubit, schedule_name(pos, own_state, 0), feature)
+                excited = table.values(pair, qubit, schedule_name(pos, own_state, 1), feature)
                 arrays.append(np.concatenate([ground, excited]))
                 labels.append(f"{own_state}_{qubit}_{FEATURE_NAMES[feature]}")
 
@@ -166,8 +157,8 @@ def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport
     named = []
     for slot, own_state, es_feat, gs_feat in _NAMED_FORMS:
         pos = "ab".index(slot)
-        es = table.values(pair, pair[pos], _schedule_for(pos, own_state, 1), es_feat)
-        gs = table.values(pair, pair[pos], _schedule_for(pos, own_state, 0), gs_feat)
+        es = table.values(pair, pair[pos], schedule_name(pos, own_state, 1), es_feat)
+        gs = table.values(pair, pair[pos], schedule_name(pos, own_state, 0), gs_feat)
         named.append(pearson(es, gs))
     return CorrelationReport(
         pair=pair,

@@ -74,15 +74,10 @@ def fit_readout_frame(features: np.ndarray) -> ReadoutFrame:
 
 @dataclass(frozen=True)
 class DataSet:
-    """Feature matrix with integer labels and the frame that produced it.
-
-    ``transform`` records the fitted ``ReadoutFrame`` when the features
-    went through one (None for raw or synthetic benchmark data).
-    """
+    """Feature matrix with one integer label per row."""
 
     features: np.ndarray
     labels: np.ndarray
-    transform: ReadoutFrame | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)

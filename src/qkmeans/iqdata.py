@@ -2,8 +2,9 @@
 
 For every coupled pair (a, b) the generator runs the four two-qubit
 preparation schedules "00", "01", "10", "11", written so that the
-rightmost character is the state bit of the lower-indexed qubit (the
-pair's first qubit is the least significant bit).  Each schedule yields
+rightmost character is the state bit of the pair's first qubit.  This
+module owns that convention (``schedule_name``) and the check that a pair
+holds all four schedules (``IQShotTable.require_schedules``).  Each yields
 ``shots_per_schedule`` (I, Q) samples per qubit, drawn around that
 qubit's ground or excited center with per-feature spread.
 
@@ -26,7 +27,7 @@ correlations hit their nominal values exactly: kappa = 0 produces
 exactly zero named correlations, not merely small ones.
 
 Assembled per-qubit datasets go through a fitted ``ReadoutFrame`` before
-clustering; the frame is recorded on the dataset.
+clustering.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from importlib import resources
 import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 from .simulator import derive_seed
 
 SCHEDULES = ("00", "01", "10", "11")
@@ -49,19 +50,15 @@ EXCITED_SHIFT_FRACTION = 0.25
 _ORTHOGONALIZE_MIN_SHOTS = 32
 _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
 _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
-
-
-def _is_number(value, kind: type) -> bool:
-    """``value`` is a ``kind`` (numbers.Real or numbers.Integral) and not a bool,
-    so config values are checked, never coerced from strings or floats."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+# IQShotTable columns, in CSV field order (the "pair" field holds the first two)
+_COLUMNS = ("pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")
 
 
 def _is_finite_real(value) -> bool:
     """A real number (not a bool) that converts to a finite float; an int
     beyond the float64 range makes ``math.isfinite`` raise, so it counts
     as not finite."""
-    if not _is_number(value, numbers.Real):
+    if not is_number(value, numbers.Real):
         return False
     try:
         return math.isfinite(value)
@@ -122,7 +119,7 @@ class CouplingMap:
 
     def __post_init__(self) -> None:
         for edge in self.edges:
-            if not all(_is_number(v, numbers.Integral) for v in edge):
+            if not all(is_number(v, numbers.Integral) for v in edge):
                 raise ConfigError(f"malformed coupling edge {edge!r}: qubit indices must be integers")
         edges = tuple((int(a), int(b)) for a, b in self.edges)
         for a, b in edges:
@@ -137,13 +134,23 @@ class CouplingMap:
         object.__setattr__(self, "edges", edges)
 
 
+def schedule_name(pos: int, own_bit: int, neighbor_bit: int) -> str:
+    """Schedule string in which the qubit at pair position ``pos`` (0 for the
+    pair's first qubit, 1 for its second) is in ``own_bit`` and its neighbor
+    in ``neighbor_bit``; the rightmost character is the first qubit's bit."""
+    first, second = (own_bit, neighbor_bit) if pos == 0 else (neighbor_bit, own_bit)
+    return f"{second}{first}"
+
+
 @dataclass(frozen=True)
 class IQShotTable:
     """Column-oriented shot records, canonically ordered and key-unique.
 
     Keyed by (pair_first, pair_second, qubit, schedule, shot); a qubit
     belonging to two couplings appears once per pair, which is why the
-    pair columns are part of the key.
+    pair columns are part of the key.  A row's qubit is one of its pair's
+    two distinct qubits.  Each (pair, qubit, schedule) run of the sorted
+    rows is one slice, indexed once here.
     """
 
     device: str
@@ -154,12 +161,13 @@ class IQShotTable:
     shot: np.ndarray
     i_value: np.ndarray
     q_value: np.ndarray
+    _slices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pf = np.asarray(self.pair_first, dtype=np.int64)
         ps = np.asarray(self.pair_second, dtype=np.int64)
         qb = np.asarray(self.qubit, dtype=np.int64)
-        sched = np.asarray(self.schedule, dtype="U2")
+        sched = np.asarray(self.schedule)
         shot = np.asarray(self.shot, dtype=np.int64)
         i_val = np.asarray(self.i_value, dtype=np.float64)
         q_val = np.asarray(self.q_value, dtype=np.float64)
@@ -170,73 +178,75 @@ class IQShotTable:
         ):
             if arr.shape != (n,):
                 raise DataError(f"column {name} must match pair_first length")
+        valid = np.isin(sched, SCHEDULES)
+        if not np.all(valid):
+            raise DataError(f"invalid schedule string {str(sched[~valid][0])!r}")
+        sched = sched.astype("U2")  # checked first: the cast would truncate "011" to "01"
+        slices: dict[tuple[int, int, int, str], slice] = {}
         if n:
             if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
                 raise DataError("i/q values must be finite")
             if min(pf.min(), ps.min(), qb.min(), shot.min()) < 0:
                 raise DataError("pair, qubit and shot indices must be >= 0")
-            valid = np.isin(sched, SCHEDULES)
-            if not np.all(valid):
-                raise DataError(f"invalid schedule string {sched[~valid][0]!r}")
+            bad = np.flatnonzero((pf == ps) | ((qb != pf) & (qb != ps)))
+            if bad.size:
+                j = bad[0]
+                raise DataError(f"qubit {qb[j]} is not one of the distinct qubits of pair {pf[j]}-{ps[j]}")
             order = np.lexsort((shot, sched, qb, ps, pf))
             pf, ps, qb = pf[order], ps[order], qb[order]
             sched, shot = sched[order], shot[order]
             i_val, q_val = i_val[order], q_val[order]
-            keys = np.stack([pf, ps, qb, shot], axis=1)
-            same = np.all(keys[1:] == keys[:-1], axis=1) & (sched[1:] == sched[:-1])
+            new_run = (
+                (pf[1:] != pf[:-1]) | (ps[1:] != ps[:-1])
+                | (qb[1:] != qb[:-1]) | (sched[1:] != sched[:-1])
+            )
+            same = ~new_run & (shot[1:] == shot[:-1])
             if np.any(same):
                 j = int(np.flatnonzero(same)[0])
                 raise DataError(
                     "duplicate shot key "
                     f"(pair {pf[j]}-{ps[j]}, qubit {qb[j]}, schedule {sched[j]}, shot {shot[j]})"
                 )
+            starts = np.concatenate(([0], np.flatnonzero(new_run) + 1))
+            stops = np.append(starts[1:], n).tolist()
+            keys = zip(pf[starts].tolist(), ps[starts].tolist(),
+                       qb[starts].tolist(), sched[starts].tolist())
+            slices = {key: slice(a, b) for key, a, b in zip(keys, starts.tolist(), stops)}
         for name, arr in (
             ("pair_first", pf), ("pair_second", ps), ("qubit", qb),
             ("schedule", sched), ("shot", shot), ("i_value", i_val), ("q_value", q_val),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_slices", slices)
 
     def __len__(self) -> int:
         return int(self.pair_first.shape[0])
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        if len(self) == 0:
-            return ()
-        stacked = np.stack([self.pair_first, self.pair_second], axis=1)
-        uniq = np.unique(stacked, axis=0)
-        return tuple((int(a), int(b)) for a, b in uniq)
+        """Distinct (pair_first, pair_second) couples, in sorted order."""
+        return tuple(dict.fromkeys(key[:2] for key in self._slices))
 
-    def schedules_for(self, pair: tuple[int, int]) -> tuple[str, ...]:
-        mask = (self.pair_first == pair[0]) & (self.pair_second == pair[1])
-        return tuple(np.unique(self.schedule[mask]))
+    def require_schedules(self, pair: tuple[int, int]) -> None:
+        """Raise DataError unless both qubits of ``pair`` have rows in all
+        four schedules."""
+        for qubit in pair:
+            missing = [s for s in SCHEDULES if (pair[0], pair[1], qubit, s) not in self._slices]
+            if missing:
+                raise DataError(f"pair {pair} qubit {qubit} is missing schedules {missing}")
 
     def values(self, pair: tuple[int, int], qubit: int, schedule: str, feature: str) -> np.ndarray:
-        """Shot-ordered I or Q samples for one (pair, qubit, schedule) slice."""
+        """Shot-ordered I or Q samples for one (pair, qubit, schedule) slice,
+        as a read-only view of the column."""
         if feature not in ("i", "q"):
             raise ValueError("feature must be 'i' or 'q'")
-        mask = (
-            (self.pair_first == pair[0])
-            & (self.pair_second == pair[1])
-            & (self.qubit == qubit)
-            & (self.schedule == schedule)
-        )
+        rows = self._slices.get((pair[0], pair[1], qubit, schedule), slice(0, 0))
         column = self.i_value if feature == "i" else self.q_value
-        return column[mask]
+        return column[rows]
 
 
 def empty_table(device: str = "") -> IQShotTable:
-    z_int = np.zeros(0, dtype=np.int64)
-    return IQShotTable(
-        device=device,
-        pair_first=z_int,
-        pair_second=z_int.copy(),
-        qubit=z_int.copy(),
-        schedule=np.zeros(0, dtype="U2"),
-        shot=z_int.copy(),
-        i_value=np.zeros(0, dtype=np.float64),
-        q_value=np.zeros(0, dtype=np.float64),
-    )
+    return IQShotTable(device=device, **{name: [] for name in _COLUMNS})
 
 
 def _noise_columns(rng: np.random.Generator, shots: int) -> np.ndarray:
@@ -262,8 +272,7 @@ def synthesize(
         if a not in model.qubits or b not in model.qubits:
             raise ConfigError(f"readout model does not cover coupling ({a}, {b})")
     shots = shots_per_schedule
-    columns: dict[str, list[np.ndarray]] = {k: [] for k in (
-        "pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")}
+    columns: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
     shot_idx = np.arange(shots, dtype=np.int64)
     for a, b in coupling.edges:
         rng = np.random.default_rng(derive_seed(seed, a, b))
@@ -277,9 +286,9 @@ def synthesize(
             excited = np.asarray(spec.excited_center)
             stddev = np.asarray(spec.cluster_stddev)
             shift = EXCITED_SHIFT_FRACTION * kappa * (excited - ground)
-            for s_idx, sched in enumerate(SCHEDULES):
-                own_bit = int(sched[1 - pos])
-                neighbor_bit = int(sched[pos])
+            for own_bit, neighbor_bit in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                sched = schedule_name(pos, own_bit, neighbor_bit)
+                s_idx = SCHEDULES.index(sched)
                 center = excited if own_bit else ground
                 offset = shift if neighbor_bit else np.zeros(2)
                 base = noise[:, pos * 8 + s_idx * 2 : pos * 8 + s_idx * 2 + 2]
@@ -305,32 +314,30 @@ def assemble_datasets(
     """(single, both) labeled datasets for one qubit of one coupled pair.
 
     single: the two schedules with the neighbor in ground (2 * shots
-    points); both: all four schedules (4 * shots points).  Labels are the
-    qubit's own state bit.  Features pass through a freshly fitted
-    ReadoutFrame, recorded on each dataset.
+    points); both: all four schedules (4 * shots points), each in table
+    (schedule string) order.  Labels are the qubit's own state bit.
+    Features pass through a freshly fitted ReadoutFrame.
     """
     pair = (int(pair[0]), int(pair[1]))
     if qubit not in pair:
         raise DataError(f"qubit {qubit} is not part of pair {pair}")
-    present = table.schedules_for(pair)
-    missing = [s for s in SCHEDULES if s not in present]
-    if missing:
-        raise DataError(f"pair {pair} is missing schedules {missing}")
+    table.require_schedules(pair)
     pos = pair.index(qubit)
 
-    def gather(schedules: tuple[str, ...]) -> DataSet:
+    def gather(neighbor_bits: tuple[int, ...]) -> DataSet:
         feats, labels = [], []
-        for sched in schedules:
+        for sched, own_bit in sorted(
+            (schedule_name(pos, own_bit, neighbor_bit), own_bit)
+            for own_bit in (0, 1) for neighbor_bit in neighbor_bits
+        ):
             i_vals = table.values(pair, qubit, sched, "i")
             q_vals = table.values(pair, qubit, sched, "q")
             feats.append(np.column_stack([i_vals, q_vals]))
-            labels.append(np.full(i_vals.shape[0], int(sched[1 - pos]), dtype=np.int64))
+            labels.append(np.full(i_vals.shape[0], own_bit, dtype=np.int64))
         raw = np.concatenate(feats)
-        frame = fit_readout_frame(raw)
-        return DataSet(frame.apply(raw), np.concatenate(labels), transform=frame)
+        return DataSet(fit_readout_frame(raw).apply(raw), np.concatenate(labels))
 
-    ground_neighbor = tuple(s for s in SCHEDULES if s[pos] == "0")
-    return gather(ground_neighbor), gather(SCHEDULES)
+    return gather((0,)), gather((0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +366,7 @@ def load_table(path) -> IQShotTable:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     device = ""
-    rows: dict[str, list] = {k: [] for k in (
-        "pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")}
+    rows: dict[str, list] = {k: [] for k in _COLUMNS}
     header_seen = False
     for lineno, line in enumerate(raw_lines, start=1):
         text = line.strip()
@@ -395,16 +401,7 @@ def load_table(path) -> IQShotTable:
         if rows["schedule"][-1] not in SCHEDULES:
             raise DataError(f"line {lineno}: invalid schedule {rows['schedule'][-1]!r}")
     try:
-        return IQShotTable(
-            device=device,
-            pair_first=np.asarray(rows["pair_first"], dtype=np.int64),
-            pair_second=np.asarray(rows["pair_second"], dtype=np.int64),
-            qubit=np.asarray(rows["qubit"], dtype=np.int64),
-            schedule=np.asarray(rows["schedule"], dtype="U2"),
-            shot=np.asarray(rows["shot"], dtype=np.int64),
-            i_value=np.asarray(rows["i_value"], dtype=np.float64),
-            q_value=np.asarray(rows["q_value"], dtype=np.float64),
-        )
+        return IQShotTable(device=device, **rows)
     except OverflowError as exc:
         raise DataError(f"pair, qubit or shot index outside the int64 range ({exc})") from exc
 
@@ -457,7 +454,7 @@ def model_from_dict(payload: dict) -> ReadoutModel:
         crosstalk = {}
         for key, kappa in payload.get("crosstalk", {}).items():
             victim, _, aggressor = key.partition("-")
-            if not _is_number(kappa, numbers.Real):
+            if not is_number(kappa, numbers.Real):
                 raise ConfigError(f"malformed crosstalk strength {kappa!r} for {key!r}: expected a number")
             crosstalk[(int(victim), int(aggressor))] = float(kappa)
         return ReadoutModel(

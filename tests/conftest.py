@@ -63,7 +63,7 @@ def make_blobs(seed: int, n: int = 200, separation: float = 10.0) -> DataSet:
     ])
     labels = np.repeat([0, 1], (half, n - half))
     frame = fit_readout_frame(raw)
-    return DataSet(frame.apply(raw), labels, transform=frame)
+    return DataSet(frame.apply(raw), labels)
 
 
 def overlap_pair(rng: np.random.Generator, overlap_sq: float, dim: int = 4):

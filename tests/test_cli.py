@@ -270,6 +270,28 @@ class TestBenchmark:
             "benchmark", "--data", str(data), "--splits", "2", "--out", str(tmp_path),
         ], 2)
 
+    def test_pair_naming_one_qubit_twice_is_data_error(self, shot_table_dir, tmp_path, capsys):
+        rows = [f"1-1,1,{sched},{shot},{shot}.0,1.0"
+                for sched in ("00", "01", "10", "11") for shot in (0, 1)]
+        data = tmp_path / "x.csv"
+        text = (shot_table_dir / "iq_shots.csv").read_text()
+        data.write_text(text + "\n".join(rows) + "\n")
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(data), "--algo", "kmeans", "--splits", "2",
+            "--out", str(tmp_path),
+        ], 2)
+
+    def test_qubit_outside_its_pair_is_data_error(self, shot_table_dir, tmp_path, capsys):
+        lines = (shot_table_dir / "iq_shots.csv").read_text().splitlines()
+        relabelled = [line.replace("0-1,1,", "0-1,3,", 1) for line in lines]
+        assert relabelled != lines
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(relabelled) + "\n")
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(data), "--algo", "kmeans", "--splits", "2",
+            "--out", str(tmp_path),
+        ], 2)
+
     def test_negative_seed_is_config_error(self, shot_table_dir, tmp_path, capsys):
         assert_error_exit(capsys, [
             "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
@@ -296,6 +318,12 @@ class TestCrosstalkCommand:
         named = (tmp_path / "named_coefficients.csv").read_text().splitlines()
         assert named[0] == "form,0-1,1-2,2-3,3-4"
         assert len(named) == 9
+
+    def test_single_shot_table_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--shots", "1", "--out", str(tmp_path)]) == 0
+        assert_error_exit(capsys, [
+            "crosstalk", "--data", str(tmp_path / "iq_shots.csv"), "--out", str(tmp_path),
+        ], 2)
 
     def test_flags_coupled_pairs(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -200,6 +200,11 @@ class TestAnalyzePair:
         with pytest.raises(DataError, match="unequal shot counts"):
             analyze_pair(uneven, (1, 2))
 
+    def test_single_shot_per_schedule_rejected(self):
+        table = synthesize(default_readout_model(), TOY_COUPLING, 1, seed=0)
+        with pytest.raises(DataError, match="at least 2 shots"):
+            analyze_pair(table, (1, 2))
+
 
 class TestFlagging:
     def _reports(self):

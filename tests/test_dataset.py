@@ -107,7 +107,6 @@ class TestDataSet:
         ds = DataSet(np.ones((5, 3)), np.zeros(5, dtype=np.int64))
         assert ds.n_points == 5
         assert ds.n_features == 3
-        assert ds.transform is None
 
     def test_rejects_float_labels(self):
         with pytest.raises(ValueError):

@@ -402,6 +402,31 @@ class TestBatchConfig:
         with pytest.raises(ValueError):
             BatchConfig(shots_per_circuit=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_circuits_per_job": 2.5},
+            {"max_circuits_per_job": True},
+            {"shots_per_circuit": 1.5},
+            {"shots_per_circuit": "8"},
+            {"seed": 1.0},
+            {"seed": False},
+            {"seed": -1},
+        ],
+    )
+    def test_rejects_non_integer_fields_and_negative_seed(self, fields):
+        with pytest.raises(ConfigError):
+            BatchConfig(**fields)
+
+    def test_numpy_integers_accepted(self):
+        config = BatchConfig(max_circuits_per_job=np.int64(4), seed=np.uint64(2**64 - 1))
+        assert config.seed == 2**64 - 1
+
+    @pytest.mark.parametrize(("shots", "seed"), [(1.5, 0), (True, 0), (8, -1)])
+    def test_quantum_distance_rejects_bad_shots_and_seed(self, shots, seed):
+        with pytest.raises(ConfigError):
+            quantum_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0]), shots=shots, seed=seed)
+
     def test_rejects_shots_beyond_float64_counts(self):
         x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
         with pytest.raises(ConfigError):

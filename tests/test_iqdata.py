@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qkmeans.dataset import ReadoutFrame
 from qkmeans.errors import ConfigError, DataError
 from qkmeans.iqdata import (
     SCHEDULES,
@@ -41,7 +41,7 @@ class TestSynthesize:
         table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=50, seed=0)
         assert len(table) == 2 * 4 * 50
         assert table.pairs() == ((0, 1),)
-        assert table.schedules_for((0, 1)) == SCHEDULES
+        table.require_schedules((0, 1))  # both qubits hold all four schedules
         # canonical ordering: qubit-major, then schedule, then shot
         assert list(np.unique(table.qubit)) == [0, 1]
         first_block = table.schedule[:50]
@@ -158,11 +158,9 @@ class TestAssembleDatasets:
         # stay large in units of it
         assert gap > 0.8 * raw_gap / np.sqrt(1 + raw_gap**2 / 4)
 
-    def test_transform_recorded(self):
+    def test_framed_features_are_nonnegative(self):
         table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=50, seed=2)
-        single, both = assemble_datasets(table, qubit=0, pair=(0, 1))
-        assert isinstance(single.transform, ReadoutFrame)
-        assert isinstance(both.transform, ReadoutFrame)
+        single, _ = assemble_datasets(table, qubit=0, pair=(0, 1))
         assert np.all(single.features >= -1e-12)
 
     def test_rejects_foreign_qubit(self):
@@ -185,6 +183,74 @@ class TestAssembleDatasets:
         )
         with pytest.raises(DataError):
             assemble_datasets(partial, qubit=0, pair=(0, 1))
+
+    def test_rejects_schedule_missing_for_one_qubit(self):
+        # the pair as a whole still has all four schedules, qubit 1 does not
+        table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=10, seed=0)
+        keep = ~((table.qubit == 1) & (table.schedule == "01"))
+        partial = IQShotTable(
+            device=table.device,
+            pair_first=table.pair_first[keep],
+            pair_second=table.pair_second[keep],
+            qubit=table.qubit[keep],
+            schedule=table.schedule[keep],
+            shot=table.shot[keep],
+            i_value=table.i_value[keep],
+            q_value=table.q_value[keep],
+        )
+        with pytest.raises(DataError, match=r"qubit 1 is missing schedules \['01'\]"):
+            assemble_datasets(partial, qubit=1, pair=(0, 1))
+
+
+@st.composite
+def shuffled_rows(draw):
+    """Key rows over 1-3 pairs, both qubits of each, some schedules left
+    out and gaps in the shot ids, in random order."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    rows = []
+    for a, b in pairs:
+        for qubit in (a, b):
+            for sched in draw(st.lists(st.sampled_from(SCHEDULES), min_size=1, max_size=4, unique=True)):
+                shots = draw(st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True))
+                rows.extend((a, b, qubit, sched, shot) for shot in shots)
+    return draw(st.permutations(rows))
+
+
+class TestSliceIndex:
+    @given(shuffled_rows())
+    def test_matches_mask_and_unique_lookups(self, rows):
+        pf, ps, qb, sched, shot = (list(col) for col in zip(*rows))
+        ids = np.arange(len(rows), dtype=np.float64)
+        table = IQShotTable(
+            device="toy", pair_first=np.array(pf), pair_second=np.array(ps),
+            qubit=np.array(qb), schedule=np.array(sched), shot=np.array(shot),
+            i_value=ids, q_value=-ids,
+        )
+        # reference: the full-table mask and np.unique(axis=0) lookups
+        stacked = np.stack([table.pair_first, table.pair_second], axis=1)
+        assert table.pairs() == tuple((int(a), int(b)) for a, b in np.unique(stacked, axis=0))
+        for a, b in {(x, y) for x, y, *_ in rows} | {(y, x) for x, y, *_ in rows}:
+            for qubit in (a, b):
+                for s in SCHEDULES:
+                    mask = (
+                        (table.pair_first == a) & (table.pair_second == b)
+                        & (table.qubit == qubit) & (table.schedule == s)
+                    )
+                    np.testing.assert_array_equal(table.values((a, b), qubit, s, "i"), table.i_value[mask])
+                    np.testing.assert_array_equal(table.values((a, b), qubit, s, "q"), table.q_value[mask])
+                    assert np.all(np.diff(table.shot[mask]) > 0)
+        for a, b in table.pairs():
+            complete = all(
+                (a, b, qubit, s) in {row[:4] for row in rows} for qubit in (a, b) for s in SCHEDULES
+            )
+            if complete:
+                table.require_schedules((a, b))
+            else:
+                with pytest.raises(DataError, match="missing schedules"):
+                    table.require_schedules((a, b))
 
 
 class TestTableContainer:
@@ -229,6 +295,19 @@ class TestTableContainer:
                 q_value=np.array([1.0]),
             )
 
+    def test_long_schedule_rejected_not_truncated(self):
+        with pytest.raises(DataError, match="invalid schedule string '011'"):
+            IQShotTable(
+                device="toy",
+                pair_first=np.array([0]),
+                pair_second=np.array([1]),
+                qubit=np.array([0]),
+                schedule=np.array(["011"]),
+                shot=np.array([0]),
+                i_value=np.array([1.0]),
+                q_value=np.array([1.0]),
+            )
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             IQShotTable(
@@ -253,6 +332,24 @@ class TestTableContainer:
                 i_value=np.array([1.0]),
                 q_value=np.array([1.0]),
                 **{name: np.array(values) for name, values in columns.items()},
+            )
+
+    @pytest.mark.parametrize(
+        ("pair", "qubit", "message"),
+        [((1, 1), 1, "qubit 1 is not one of the distinct qubits of pair 1-1"),
+         ((1, 2), 3, "qubit 3 is not one of the distinct qubits of pair 1-2")],
+    )
+    def test_qubit_must_be_one_of_two_distinct_pair_qubits(self, pair, qubit, message):
+        with pytest.raises(DataError, match=message):
+            IQShotTable(
+                device="toy",
+                pair_first=np.array([1, pair[0]]),
+                pair_second=np.array([2, pair[1]]),
+                qubit=np.array([1, qubit]),
+                schedule=np.array(["00", "00"]),
+                shot=np.array([0, 0]),
+                i_value=np.array([1.0, 1.0]),
+                q_value=np.array([1.0, 1.0]),
             )
 
     def test_length_mismatch_rejected(self):
