@@ -14,14 +14,14 @@ arguments, outputs, version, and timestamp.  With fixed seeds all
 artifacts except the manifest timestamp are byte-identical across runs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data validation
-error.
+error.  The library checks every run parameter; this module checks only
+the shape of the command line and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__, clustering, complexity, crosstalk, iqdata, metrics
 from .distance import BatchConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, parse_pair, read_lines
 from .simulator import derive_seed
 
 _PRESETS = ("default", "crosstalk")
@@ -75,27 +75,16 @@ def _load_json(path: str | None, builtin_name: str) -> tuple[dict, str]:
         raise ConfigError(f"config {path} is not UTF-8 text ({exc})") from exc
 
 
-def _read_data_lines(path) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
     model_payload, model_src = _load_json(args.model, f"{args.preset}_model.json")
     coupling_payload, coupling_src = _load_json(args.coupling, "coupling_map.json")
     model = iqdata.model_from_dict(model_payload)
     coupling = iqdata.coupling_from_dict(coupling_payload)
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
     table = iqdata.synthesize(model, coupling, shots_per_schedule=args.shots, seed=args.seed)
     out_dir = _output_dir(args)
     data_name = "iq_shots.csv"
@@ -129,14 +118,10 @@ def _fit_config_for(args, batch: BatchConfig) -> clustering.FitConfig:
 
 
 def cmd_benchmark(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed must be >= 0")
     table = iqdata.load_table(args.data)
     pairs = table.pairs()
     if not pairs:
         raise DataError(f"no shot rows found in {args.data}")
-    if args.splits < 2:
-        raise ConfigError("--splits must be >= 2")
     batch = BatchConfig(max_circuits_per_job=args.max_circuits, shots_per_circuit=args.shots)
     base_config = _fit_config_for(args, batch)
     csv_lines = [_SCORES_HEADER]
@@ -179,8 +164,9 @@ def cmd_benchmark(args) -> int:
 
 
 def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
-    """Fidelity means keyed by (pair, qubit, kind) from a scores.csv file."""
-    lines = _read_data_lines(path)
+    """Fidelity means keyed by (pair, qubit, kind) from a scores.csv file;
+    each key has one AssignmentFidelity row, with a mean in [0, 1]."""
+    lines = read_lines(path)
     if not lines or lines[0] != _SCORES_HEADER:
         raise DataError(f"{path} is not a benchmark score table")
     out: dict[tuple[tuple[int, int], int, str], float] = {}
@@ -192,12 +178,16 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
             raise DataError(f"{path} line {lineno}: wrong field count")
         if parts[5] != "AssignmentFidelity":
             continue
-        first, _, second = parts[0].partition("-")
         try:
-            key = ((int(first), int(second)), int(parts[1]), parts[2])
-            out[key] = float(parts[8])
+            key = (parse_pair(parts[0]), int(parts[1]), parts[2])
+            mean = float(parts[8])
         except ValueError as exc:
             raise DataError(f"{path} line {lineno}: malformed row ({exc})") from exc
+        if not 0.0 <= mean <= 1.0:
+            raise DataError(f"{path} line {lineno}: fidelity mean {mean!r} is not in [0, 1]")
+        if key in out:
+            raise DataError(f"{path} line {lineno}: second AssignmentFidelity row for {key}")
+        out[key] = mean
     return out
 
 
@@ -209,9 +199,6 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
 def cmd_crosstalk(args) -> int:
     if (args.data is None) == (args.named_values is None):
         raise ConfigError("provide exactly one of --data or --named-values")
-    for flag, value in (("--threshold", args.threshold), ("--fidelity-gap", args.fidelity_gap)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigError(f"{flag} must be a finite number >= 0")
     if args.data is not None:
         table = iqdata.load_table(args.data)
         pairs = table.pairs()
@@ -219,7 +206,7 @@ def cmd_crosstalk(args) -> int:
             raise DataError(f"no shot rows found in {args.data}")
         reports = [crosstalk.analyze_pair(table, pair) for pair in pairs]
     else:
-        reports = crosstalk.parse_named_block(_read_data_lines(args.named_values))
+        reports = crosstalk.parse_named_block(read_lines(args.named_values))
     fidelities = read_score_table(args.scores) if args.scores else None
     flags = crosstalk.flag_crosstalk(
         reports, fidelities, threshold=args.threshold, fidelity_gap=args.fidelity_gap
@@ -262,17 +249,14 @@ def _parse_range(text: str) -> tuple[int, int, int]:
 
 
 def cmd_complexity(args) -> int:
-    try:
-        n_values = complexity.sweep_values(*_parse_range(args.n_range))
-        f_values = complexity.sweep_values(*_parse_range(args.f_range))
-        sample_base = complexity.ComplexityParams(
-            N=n_values[0], K=args.k, F=args.f, I=args.iterations, C=args.c
-        )
-        feature_base = complexity.ComplexityParams(
-            N=args.n, K=args.k, F=f_values[0], I=args.iterations, C=args.c
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    n_values = complexity.sweep_values(*_parse_range(args.n_range))
+    f_values = complexity.sweep_values(*_parse_range(args.f_range))
+    sample_base = complexity.ComplexityParams(
+        N=n_values[0], K=args.k, F=args.f, I=args.iterations, C=args.c
+    )
+    feature_base = complexity.ComplexityParams(
+        N=args.n, K=args.k, F=f_values[0], I=args.iterations, C=args.c
+    )
     sample_rows = complexity.cost_curve(sample_base, "samples", n_values)
     feature_rows = complexity.cost_curve(feature_base, "features", f_values)
     out_dir = _output_dir(args)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .distance import BatchConfig, BatchStats, distance_matrix
+from .errors import ConfigError, check_number
 from .simulator import derive_seed
 
 DISTANCE_MODES = ("quantum_exact", "quantum_sampled", "classical_euclidean")
@@ -53,14 +54,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not self.tol >= 0.0:
-            raise ValueError("tol must be nonnegative")
+        for name, low in (("n_clusters", 1), ("max_iter", 1), ("seed", 0)):
+            check_number(name, getattr(self, name), low)
+        check_number("tol", self.tol, 0.0, integral=False)
         if self.distance_mode not in DISTANCE_MODES:
-            raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
+            raise ConfigError(f"distance_mode must be one of {DISTANCE_MODES}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distance import BatchStats
+from .errors import ConfigError, check_number
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,7 @@ class ComplexityParams:
 
     def __post_init__(self) -> None:
         for name in ("N", "K", "F", "I", "C"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_number(name, getattr(self, name), 1)
 
 
 def classical_cost(p: ComplexityParams) -> float:
@@ -66,12 +66,11 @@ def verify_job_counts(history: Iterable[BatchStats], p: ComplexityParams) -> boo
 
 def sweep_values(start: int, stop: int, count: int) -> tuple[int, ...]:
     """Geometrically spaced integer sweep, deduplicated, ends included."""
-    if start < 1 or stop < start:
-        raise ValueError("need 1 <= start <= stop")
+    check_number("start", start, 1)
+    check_number("stop", stop, start)
+    check_number("count", count, 1 if start == stop else 2)
     if start == stop:
         return (start,)
-    if count < 2:
-        raise ValueError("count must be >= 2 when start < stop")
     points = np.geomspace(start, stop, count)
     values = sorted({int(round(v)) for v in points} | {start, stop})
     return tuple(values)
@@ -82,11 +81,11 @@ def cost_curve(
 ) -> list[tuple[int, float, float]]:
     """(x, classical, quantum) rows sweeping samples or features."""
     if sweep not in ("samples", "features"):
-        raise ValueError("sweep must be 'samples' or 'features'")
+        raise ConfigError("sweep must be 'samples' or 'features'")
     if not values:
-        raise ValueError("sweep values must not be empty")
+        raise ConfigError("sweep values must not be empty")
     rows = []
-    for v in values:
-        p = replace(base, N=int(v)) if sweep == "samples" else replace(base, F=int(v))
-        rows.append((int(v), classical_cost(p), quantum_cost(p)))
+    for v in values:  # ComplexityParams checks each value
+        p = replace(base, N=v) if sweep == "samples" else replace(base, F=v)
+        rows.append((v, classical_cost(p), quantum_cost(p)))
     return rows

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_number, parse_pair
 from .iqdata import SCHEDULES, IQShotTable, schedule_name
 
 FEATURE_NAMES = {"i": "real", "q": "imag"}
@@ -179,6 +179,8 @@ def flag_crosstalk(
     ``fidelities`` maps (pair, qubit, "single"|"both") to a mean fidelity;
     pass None (or {}) to flag on correlations alone.
     """
+    check_number("threshold", threshold, 0.0, integral=False)
+    check_number("fidelity_gap", fidelity_gap, 0.0, integral=False)
     fidelities = dict(fidelities or {})
     report_pairs = [r.pair for r in reports]
     if fidelities:
@@ -246,11 +248,7 @@ def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
         raise DataError("named-coefficient block must start with a 'form' header")
     pairs: list[tuple[int, int]] = []
     for token in header[1:]:
-        first, _, second = token.partition("-")
-        try:
-            pairs.append((int(first), int(second)))
-        except ValueError as exc:
-            raise DataError(f"bad pair column {token!r}") from exc
+        pairs.append(parse_pair(token))
         if pairs.count(pairs[-1]) > 1:
             raise DataError(f"pair column {token!r} appears twice")
     expected = named_form_labels()

@@ -39,14 +39,13 @@ sampled numbers differ from theirs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .encoding import encode_matrix
-from .errors import ConfigError, is_number
+from .errors import ConfigError, check_number
 # The batch_* kernels are unused here; perfbench/tracer.py looks them up on this module.
 from .simulator import (  # noqa: F401
     batch_cswap,
@@ -82,11 +81,7 @@ class BatchConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("max_circuits_per_job", 1), ("shots_per_circuit", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_number(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be >= {low}")
+            check_number(name, getattr(self, name), low)
         if self.shots_per_circuit > 2**53:
             # the sampler counts in float64, which holds every integer up to 2**53
             raise ConfigError("shots_per_circuit must be <= 2**53")

@@ -1,13 +1,19 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy and the input rules shared across the toolkit.
 
 ``ConfigError`` marks unusable configuration (bad values, missing files,
 malformed JSON); ``DataError`` marks invalid data content (malformed rows,
-duplicate keys, non-finite values, mismatched inputs).  The CLI maps them
-to distinct exit codes.  ``is_number`` is the one type check that config
-values pass before their range is checked.
+duplicate keys, non-finite values, mismatched inputs).  Both are
+``ValueError``s; the CLI maps them to exit codes 1 and 2.  Each shared
+input rule has one owner here: ``check_number`` (run parameters),
+``read_lines`` (UTF-8 data files) and ``parse_pair`` (``a-b`` tokens).
 """
 
 from __future__ import annotations
+
+import numbers
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -18,7 +24,33 @@ class DataError(ValueError):
     """Data content failed validation."""
 
 
-def is_number(value, kind: type) -> bool:
-    """``value`` is a ``kind`` (numbers.Real or numbers.Integral) and not a bool,
-    so config values are checked, never coerced from strings or floats."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def check_number(name: str, value, low=None, *, integral: bool = True) -> None:
+    """Raise ConfigError unless ``value`` is an integer (with ``integral=False``,
+    a real that converts to a finite float64), not a bool, and ``>= low``.
+    Values are checked, never coerced from strings, floats or bools."""
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a finite number")
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+        integral or abs(value) <= sys.float_info.max  # False for nan, inf and huge ints
+    ):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+
+
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file; DataError if it does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+@lru_cache(maxsize=1024)  # a shot table repeats a few pair tokens on every row
+def parse_pair(token: str) -> tuple[int, int]:
+    """(a, b) from a pair token ``a-b`` of two ASCII-digit runs; DataError
+    otherwise, so ``int``'s signs, spaces, underscores and non-ASCII digits
+    never reach a pair."""
+    first, sep, second = token.partition("-")
+    if not (sep and first.isdigit() and second.isdigit() and token.isascii()):
+        raise DataError(f"malformed pair {token!r}: expected <digits>-<digits>")
+    return int(first), int(second)

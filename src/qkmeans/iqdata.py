@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
-from .errors import ConfigError, DataError, is_number
+from .errors import ConfigError, DataError, check_number, parse_pair, read_lines
 from .simulator import derive_seed
 
 SCHEDULES = ("00", "01", "10", "11")
@@ -52,18 +51,6 @@ _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
 _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
 # IQShotTable columns, in CSV field order (the "pair" field holds the first two)
 _COLUMNS = ("pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")
-
-
-def _is_finite_real(value) -> bool:
-    """A real number (not a bool) that converts to a finite float; an int
-    beyond the float64 range makes ``math.isfinite`` raise, so it counts
-    as not finite."""
-    if not is_number(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -77,12 +64,10 @@ class QubitReadoutSpec:
     def __post_init__(self) -> None:
         for name in ("ground_center", "excited_center", "cluster_stddev"):
             value = getattr(self, name)
-            if not (
-                isinstance(value, (list, tuple))
-                and len(value) == 2
-                and all(_is_finite_real(v) for v in value)
-            ):
+            if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError(f"malformed {name} {value!r}: expected two finite numbers")
+            for v in value:
+                check_number(f"malformed {name} {value!r}: each entry", v, integral=False)
             object.__setattr__(self, name, tuple(float(v) for v in value))
         if any(v <= 0 for v in self.cluster_stddev):
             raise ConfigError("cluster_stddev entries must be positive")
@@ -93,6 +78,7 @@ class ReadoutModel:
     """Per-qubit readout response plus ordered pairwise coupling strengths.
 
     ``crosstalk[(i, j)]`` perturbs qubit i when neighbor j is excited.
+    ``device`` must read back from a saved shot table's ``# device:`` line.
     """
 
     device: str
@@ -100,6 +86,9 @@ class ReadoutModel:
     crosstalk: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.device, str) and self.device == self.device.strip()
+                and len(self.device.splitlines()) <= 1):
+            raise ConfigError(f"device must be a single-line string, not padded, got {self.device!r}")
         for (victim, aggressor), kappa in self.crosstalk.items():
             if victim == aggressor:
                 raise ConfigError("crosstalk pairs must involve two distinct qubits")
@@ -118,9 +107,11 @@ class CouplingMap:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.device, str):
+            raise ConfigError(f"device must be a string, got {self.device!r}")
         for edge in self.edges:
-            if not all(is_number(v, numbers.Integral) for v in edge):
-                raise ConfigError(f"malformed coupling edge {edge!r}: qubit indices must be integers")
+            for v in edge:
+                check_number(f"malformed coupling edge {edge!r}: each qubit index", v)
         edges = tuple((int(a), int(b)) for a, b in self.edges)
         for a, b in edges:
             if a == b:
@@ -266,8 +257,8 @@ def synthesize(
     seed: int = 0,
 ) -> IQShotTable:
     """Generate the full shot table for every coupled pair; pure in ``seed``."""
-    if shots_per_schedule < 1:
-        raise ConfigError("shots_per_schedule must be >= 1")
+    check_number("shots_per_schedule", shots_per_schedule, 1)
+    check_number("seed", seed, 0)
     for a, b in coupling.edges:
         if a not in model.qubits or b not in model.qubits:
             raise ConfigError(f"readout model does not cover coupling ({a}, {b})")
@@ -360,15 +351,10 @@ def save_table(table: IQShotTable, path) -> None:
 
 
 def load_table(path) -> IQShotTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     device = ""
     rows: dict[str, list] = {k: [] for k in _COLUMNS}
     header_seen = False
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         text = line.strip()
         if not text:
             continue
@@ -386,9 +372,9 @@ def load_table(path) -> IQShotTable:
         if len(parts) != 6:
             raise DataError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         try:
-            pair_a, _, pair_b = parts[0].partition("-")
-            rows["pair_first"].append(int(pair_a))
-            rows["pair_second"].append(int(pair_b))
+            first, second = parse_pair(parts[0])
+            rows["pair_first"].append(first)
+            rows["pair_second"].append(second)
             rows["qubit"].append(int(parts[1]))
             rows["schedule"].append(parts[2])
             rows["shot"].append(int(parts[3]))
@@ -453,12 +439,10 @@ def model_from_dict(payload: dict) -> ReadoutModel:
         }
         crosstalk = {}
         for key, kappa in payload.get("crosstalk", {}).items():
-            victim, _, aggressor = key.partition("-")
-            if not is_number(kappa, numbers.Real):
-                raise ConfigError(f"malformed crosstalk strength {kappa!r} for {key!r}: expected a number")
-            crosstalk[(int(victim), int(aggressor))] = float(kappa)
+            check_number(f"crosstalk strength for {key!r}", kappa, integral=False)
+            crosstalk[parse_pair(key)] = float(kappa)
         return ReadoutModel(
-            device=str(payload.get("device", "")), qubits=qubits, crosstalk=crosstalk
+            device=payload.get("device", ""), qubits=qubits, crosstalk=crosstalk
         )
     except ConfigError:
         raise
@@ -469,7 +453,7 @@ def model_from_dict(payload: dict) -> ReadoutModel:
 def coupling_from_dict(payload: dict) -> CouplingMap:
     try:
         return CouplingMap(
-            device=str(payload.get("device", "")),
+            device=payload.get("device", ""),
             edges=tuple(tuple(edge) for edge in payload["edges"]),
         )
     except ConfigError:

@@ -28,7 +28,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import clustering
 from .dataset import DataSet
-from .errors import DataError
+from .errors import DataError, check_number
 from .simulator import derive_seed
 
 METRIC_NAMES = {"fidelity": "AssignmentFidelity", "fm": "FowlkesMallows"}
@@ -121,8 +121,8 @@ def score_labels(metric: str, predicted, truth) -> float:
 def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.ndarray]:
     """Shuffled per-class round-robin split; returns test-index arrays."""
     labels = _as_label_array(labels, "labels")
-    if n_splits < 2:
-        raise ValueError("n_splits must be >= 2")
+    check_number("n_splits", n_splits, 2)
+    check_number("seed", seed, 0)
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(n_splits)]
     for offset, value in enumerate(np.unique(labels)):

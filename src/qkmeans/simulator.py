@@ -33,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import check_number
+
 NORM_ATOL = 1e-9
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -43,9 +45,11 @@ def derive_seed(base: int, *indices: int) -> int:
 
     Derivation goes through ``numpy.random.SeedSequence`` so it is
     deterministic across processes and platforms (unlike builtin hash()).
+    Every entry must be an integer >= 0; none is coerced.
     """
-    entropy = [int(base), *(int(i) for i in indices)]
-    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+    for value in (base, *indices):
+        check_number("seed", value, 0)
+    return int(np.random.SeedSequence([base, *indices]).generate_state(1, dtype=np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------

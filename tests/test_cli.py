@@ -146,6 +146,35 @@ class TestSynth:
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         assert_error_exit(capsys, ["synth", "--seed", "-1", "--out", str(tmp_path)], 1)
 
+    @pytest.mark.parametrize("device", [None, [1, 2], "a\nb", "a\u2028b", " padded ", "chip\n"])
+    def test_device_that_would_not_read_back_is_config_error(self, device, tmp_path, capsys):
+        # save_table writes the device verbatim into the "# device:" line
+        model = dict(MODEL, device=device)
+        out = tmp_path / "out"
+        assert_error_exit(capsys, [
+            "synth", "--model", write_json(tmp_path / "m.json", model),
+            "--coupling", write_json(tmp_path / "c.json", COUPLING), "--out", str(out),
+        ], 1)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("device", [None, [1, 2], 3])
+    def test_non_string_coupling_device_is_config_error(self, device, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert_error_exit(capsys, [
+            "synth", "--coupling", write_json(tmp_path / "c.json", dict(COUPLING, device=device)),
+            "--out", str(out),
+        ], 1)
+        assert not out.exists()
+
+    def test_device_round_trips(self, tmp_path):
+        model = dict(MODEL, device="lab chip #2: 5q")
+        assert main([
+            "synth", "--model", write_json(tmp_path / "m.json", model),
+            "--coupling", write_json(tmp_path / "c.json", COUPLING), "--shots", "2",
+            "--out", str(tmp_path),
+        ]) == 0
+        assert load_table(tmp_path / "iq_shots.csv").device == "lab chip #2: 5q"
+
 
 @pytest.fixture(scope="module")
 def shot_table_dir(tmp_path_factory):
@@ -363,6 +392,37 @@ class TestCrosstalkCommand:
         ])
         assert code == 0
         assert (out / "flags.txt").exists()
+
+    @pytest.mark.parametrize("mean, message", [
+        ("nan", "fidelity mean nan is not in"),
+        ("7.5", "fidelity mean 7.5 is not in"),
+        ("-0.0001", "fidelity mean -0.0001 is not in"),
+        (None, "second AssignmentFidelity row"),  # the first row, repeated
+    ])
+    def test_bad_score_rows_are_data_errors(self, mean, message, shot_table_dir, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main([
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--algo", "kmeans", "--splits", "2", "--out", str(bench),
+        ]) == 0
+        rows = (bench / "scores.csv").read_text().splitlines()
+        first = next(i for i, row in enumerate(rows) if ",AssignmentFidelity," in row)
+        if mean is None:
+            rows.append(rows[first])
+        else:
+            fields = rows[first].split(",")
+            fields[8] = mean
+            rows[first] = ",".join(fields)
+        bad = tmp_path / "scores.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert_error_exit(capsys, [
+            "crosstalk", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--scores", str(bad), "--out", str(out),
+        ], 2)
+        with pytest.raises(DataError, match=rf"line \d+: {message}"):
+            read_score_table(bad)
+        assert not out.exists()
 
     def test_requires_exactly_one_input(self, tmp_path):
         assert main(["crosstalk", "--out", str(tmp_path)]) == 1

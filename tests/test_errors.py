@@ -1,0 +1,142 @@
+"""The shared input rules: every library entry point checks its own run
+parameters with ``check_number``, and every pair-token parser goes through
+``parse_pair``."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from qkmeans.cli import read_score_table
+from qkmeans.clustering import FitConfig
+from qkmeans.complexity import ComplexityParams, cost_curve, sweep_values
+from qkmeans.crosstalk import flag_crosstalk, named_form_labels, parse_named_block
+from qkmeans.distance import BatchConfig
+from qkmeans.errors import ConfigError, DataError, check_number, parse_pair, read_lines
+from qkmeans.iqdata import (
+    default_coupling_map,
+    default_readout_model,
+    load_table,
+    model_from_dict,
+    synthesize,
+)
+from qkmeans.metrics import stratified_folds
+from qkmeans.simulator import derive_seed
+
+PARAMS = ComplexityParams(N=10, K=2, F=2, I=1)
+LABELS = np.array([0, 0, 1, 1])
+
+# (parameter, call with the value, lowest accepted value, integer-valued)
+ENTRY_POINTS = [
+    ("BatchConfig.max_circuits_per_job", lambda v: BatchConfig(max_circuits_per_job=v), 1, True),
+    ("BatchConfig.shots_per_circuit", lambda v: BatchConfig(shots_per_circuit=v), 1, True),
+    ("BatchConfig.seed", lambda v: BatchConfig(seed=v), 0, True),
+    ("FitConfig.n_clusters", lambda v: FitConfig(n_clusters=v), 1, True),
+    ("FitConfig.max_iter", lambda v: FitConfig(2, max_iter=v), 1, True),
+    ("FitConfig.seed", lambda v: FitConfig(2, seed=v), 0, True),
+    ("FitConfig.tol", lambda v: FitConfig(2, tol=v), 0.0, False),
+    *[
+        (f"ComplexityParams.{name}", lambda v, name=name: ComplexityParams(
+            **{"N": 1, "K": 1, "F": 1, "I": 1, "C": 1, name: v}), 1, True)
+        for name in ("N", "K", "F", "I", "C")
+    ],
+    ("sweep_values.start", lambda v: sweep_values(v, 10, 3), 1, True),
+    ("sweep_values.stop", lambda v: sweep_values(2, v, 3), 2, True),
+    ("sweep_values.count", lambda v: sweep_values(2, 10, v), 2, True),
+    ("cost_curve.values", lambda v: cost_curve(PARAMS, "samples", [v]), 1, True),
+    ("synthesize.shots_per_schedule", lambda v: synthesize(
+        default_readout_model(), default_coupling_map(), shots_per_schedule=v), 1, True),
+    ("synthesize.seed", lambda v: synthesize(
+        default_readout_model(), default_coupling_map(), 2, seed=v), 0, True),
+    ("stratified_folds.n_splits", lambda v: stratified_folds(LABELS, v, 0), 2, True),
+    ("stratified_folds.seed", lambda v: stratified_folds(LABELS, 2, v), 0, True),
+    ("derive_seed.base", lambda v: derive_seed(v, 1), 0, True),
+    ("derive_seed.index", lambda v: derive_seed(1, 2, v), 0, True),
+    ("flag_crosstalk.threshold", lambda v: flag_crosstalk([], threshold=v), 0.0, False),
+    ("flag_crosstalk.fidelity_gap", lambda v: flag_crosstalk([], fidelity_gap=v), 0.0, False),
+]
+
+
+def _rejected_values(low, integral):
+    if integral:
+        return [True, 2.5, "1", low - 1]
+    return [True, "1", low - 0.1, math.nan, math.inf]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(call, value) for _, call, low, integral in ENTRY_POINTS
+     for value in _rejected_values(low, integral)],
+    ids=[f"{name}={value!r}" for name, _, low, integral in ENTRY_POINTS
+         for value in _rejected_values(low, integral)],
+)
+def test_entry_point_rejects_bad_parameter(call, value):
+    with pytest.raises(ConfigError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, low", [(call, low) for _, call, low, _ in ENTRY_POINTS],
+                         ids=[name for name, *_ in ENTRY_POINTS])
+def test_entry_point_accepts_its_bound(call, low):
+    call(low)
+
+
+def test_derive_seed_does_not_coerce():
+    # int() once turned derive_seed(1.5) into derive_seed(1)
+    assert derive_seed(np.int64(3), np.uint64(4)) == derive_seed(3, 4)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        derive_seed(1.5)
+
+
+def test_check_number_messages_name_the_parameter():
+    with pytest.raises(ConfigError, match=r"^n_splits must be >= 2, got 1$"):
+        check_number("n_splits", 1, 2)
+    with pytest.raises(ConfigError, match=r"^tol must be a finite number, got inf$"):
+        check_number("tol", math.inf, 0.0, integral=False)
+    with pytest.raises(ConfigError, match="finite"):
+        check_number("tol", 10**400, integral=False)  # beyond the float64 range
+    assert issubclass(ConfigError, ValueError) and issubclass(DataError, ValueError)
+
+
+def test_read_lines_rejects_non_utf8(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"a\r\nb\n\xff")
+    with pytest.raises(DataError, match="not UTF-8"):
+        read_lines(path)
+    path.write_bytes(b"a\r\nb\n")
+    assert read_lines(path) == ["a", "b"]
+
+
+BAD_PAIR_TOKENS = ["1_0-2", "+1-2", " 1-2", "١-٢", "1- 2", "1-", "-1-2", "1-2-3"]
+_SHOT_HEADER = "pair,qubit,schedule,shot,i,q"
+_SCORES_HEADER = "pair,qubit,kind,algo,mode,metric,splits,half_width_kind,mean,half_width,per_fold"
+
+
+def test_parse_pair_accepts_ascii_digits():
+    assert parse_pair("0-1") == (0, 1)
+    assert parse_pair("12-007") == (12, 7)
+
+
+@pytest.mark.parametrize("token", BAD_PAIR_TOKENS)
+def test_every_pair_parser_rejects_non_ascii_digit_tokens(token, tmp_path):
+    with pytest.raises(DataError, match="malformed pair"):
+        parse_pair(token)
+    rows = [f'"{label}",0.0' for label in named_form_labels()]
+    with pytest.raises(DataError, match="malformed pair"):
+        parse_named_block([f"form,{token}", *rows])
+    spec = {"ground_center": [0.0, 0.0], "excited_center": [1.0, 1.0]}
+    with pytest.raises(ConfigError, match="malformed pair"):
+        model_from_dict({"qubits": {"1": spec, "2": spec}, "crosstalk": {token: 0.1}})
+    scores = tmp_path / "scores.csv"
+    scores.write_text(
+        f"{_SCORES_HEADER}\n{token},1,single,kmeans,exact,AssignmentFidelity,2,std,0.9,0.0,0.9;0.9\n"
+    )
+    with pytest.raises(DataError, match="line 2"):
+        read_score_table(scores)
+    if token != " 1-2":  # load_table strips each line, so a leading space is indentation
+        shots = tmp_path / "shots.csv"
+        shots.write_text(f"{_SHOT_HEADER}\n{token},1,00,0,1.0,2.0\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_table(shots)
