@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__, clustering, complexity, crosstalk, iqdata, metrics
 from .distance import BatchConfig
-from .errors import ConfigError, DataError, parse_pair, read_lines
+from .errors import ConfigError, DataError, parse_index, parse_pair, read_lines
 from .simulator import derive_seed
 
 _PRESETS = ("default", "crosstalk")
@@ -179,7 +179,7 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
         if parts[5] != "AssignmentFidelity":
             continue
         try:
-            key = (parse_pair(parts[0]), int(parts[1]), parts[2])
+            key = (parse_pair(parts[0]), parse_index(parts[1]), parts[2])
             mean = float(parts[8])
         except ValueError as exc:
             raise DataError(f"{path} line {lineno}: malformed row ({exc})") from exc

@@ -44,6 +44,11 @@ from .simulator import derive_seed
 DISTANCE_MODES = ("quantum_exact", "quantum_sampled", "classical_euclidean")
 
 
+def _check_mode(distance_mode: str) -> None:
+    if distance_mode not in DISTANCE_MODES:
+        raise ConfigError(f"distance_mode must be one of {DISTANCE_MODES}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     n_clusters: int
@@ -57,8 +62,7 @@ class FitConfig:
         for name, low in (("n_clusters", 1), ("max_iter", 1), ("seed", 0)):
             check_number(name, getattr(self, name), low)
         check_number("tol", self.tol, 0.0, integral=False)
-        if self.distance_mode not in DISTANCE_MODES:
-            raise ConfigError(f"distance_mode must be one of {DISTANCE_MODES}")
+        _check_mode(self.distance_mode)
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,12 @@ def qkmeans_plusplus_init(
     batch: BatchConfig | None = None,
 ) -> np.ndarray:
     """Greedy farthest-point seeding; returns a (K, F) center matrix."""
-    if distance_mode not in DISTANCE_MODES:
-        raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
+    _check_mode(distance_mode)
+    check_number("n_clusters", n_clusters, 1)
+    check_number("seed", seed, 0)
     n = X.n_points
-    if n_clusters < 1 or n < n_clusters:
-        raise ValueError("need 1 <= n_clusters <= number of points")
+    if n < n_clusters:
+        raise ValueError(f"need at least n_clusters={n_clusters} points, got {n}")
     batch = batch or BatchConfig()
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
@@ -204,8 +209,7 @@ def predict(
     seed: int = 0,
 ) -> np.ndarray:
     """Assign each point of ``X`` to its nearest fitted center."""
-    if distance_mode not in DISTANCE_MODES:
-        raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
+    _check_mode(distance_mode)
     if X.n_features != model.cluster_centers.shape[1]:
         raise ValueError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()

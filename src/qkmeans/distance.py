@@ -6,9 +6,9 @@ H(0), CSWAP(0, 1+i, 1+m+i) for each register position, H(0), the ancilla
 measures 0 with probability  1/2 + |<x|y>|^2 / 2  (Buhrman et al., PRL 87,
 167902, 2001).  The executor computes that closed form, not the 2**(2m+1)
 amplitudes that ``simulator`` keeps as the reference: <x|y> is the dot
-product of the real encoded rows, summed over F by ``row_sums``' fixed
-tree rather than BLAS, so no value depends on job size, request count or
-thread count.
+product of the unit rows from ``encode_matrix``, summed over F by
+``row_sums``' fixed tree rather than BLAS, so no value depends on job
+size, request count or thread count.
 
 From an (estimated or exact) ancilla-zero probability p0:
 
@@ -32,9 +32,7 @@ vectorized steps per job, keyed by request index:
   stepping k on the regularized incomplete beta function.
 
 Request i's estimate therefore depends only on (seed, i, p1_i): job size,
-grouping and appended requests never change it.  Request 0's stream is
-not the ``derive_seed(seed, 0)`` generator of earlier versions, so
-sampled numbers differ from theirs.
+grouping and appended requests never change it.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoding import encode_matrix
 from .errors import ConfigError, check_number
 # The batch_* kernels are unused here; perfbench/tracer.py looks them up on this module.
 from .simulator import (  # noqa: F401
@@ -95,6 +92,23 @@ class BatchStats:
     circuits_executed: int
 
 
+def encode_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Each row of ``matrix`` divided by its norm: the real amplitudes that
+    PREPARE loads into a register, less the zeros that pad a row out to
+    2**m.  Zeros add nothing to an overlap, and ``row_sums`` pads each odd
+    level of its tree with a trailing zero, so overlaps summed over the F
+    columns equal the padded register's bit for bit."""
+    mat = np.asarray(matrix, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ValueError("expected a 2-D matrix of row vectors")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("amplitude encoding needs nonzero finite vectors")
+    norms = np.sqrt(row_sums(mat * mat))
+    if np.any(norms == 0.0):
+        raise ValueError("amplitude encoding needs nonzero finite vectors")
+    return mat / norms[:, None]
+
+
 def distance_from_p0(p0):
     """Distance implied by an ancilla-zero probability; the overlap
     |<x|y>|^2 = 2*p0 - 1 is clipped into [0, 1] first."""
@@ -112,8 +126,7 @@ def quantum_distance(
     ``shots=None`` reads the exact ancilla marginal; an integer samples it
     as request 0 of the batch: output 0 of the SplitMix64 stream keyed by
     ``derive_seed(seed)`` gives a uniform u, and the count of ones is the
-    exact Bin(shots, p1) quantile at u.  That is not the
-    ``derive_seed(seed, 0)`` generator of earlier versions.
+    exact Bin(shots, p1) quantile at u.
     """
     if shots is None:
         config = BatchConfig(seed=seed)

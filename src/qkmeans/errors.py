@@ -5,13 +5,15 @@ malformed JSON); ``DataError`` marks invalid data content (malformed rows,
 duplicate keys, non-finite values, mismatched inputs).  Both are
 ``ValueError``s; the CLI maps them to exit codes 1 and 2.  Each shared
 input rule has one owner here: ``check_number`` (run parameters),
-``read_lines`` (UTF-8 data files) and ``parse_pair`` (``a-b`` tokens).
+``read_lines`` (UTF-8 data files), ``parse_index`` (qubit and shot
+tokens) and ``parse_pair`` (``a-b`` tokens).
 """
 
 from __future__ import annotations
 
 import numbers
 import sys
+from contextlib import suppress
 from functools import lru_cache
 from pathlib import Path
 
@@ -45,12 +47,21 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def parse_index(token: str) -> int:
+    """The integer of a token of ASCII digits; DataError otherwise, so
+    ``int``'s signs, spaces, underscores and non-ASCII digits never reach
+    an index."""
+    if not (token.isdigit() and token.isascii()):
+        raise DataError(f"malformed index {token!r}: expected ASCII digits")
+    return int(token)
+
+
 @lru_cache(maxsize=1024)  # a shot table repeats a few pair tokens on every row
 def parse_pair(token: str) -> tuple[int, int]:
-    """(a, b) from a pair token ``a-b`` of two ASCII-digit runs; DataError
-    otherwise, so ``int``'s signs, spaces, underscores and non-ASCII digits
-    never reach a pair."""
+    """(a, b) from a pair token ``a-b`` of two ``parse_index`` tokens;
+    DataError otherwise."""
     first, sep, second = token.partition("-")
-    if not (sep and first.isdigit() and second.isdigit() and token.isascii()):
-        raise DataError(f"malformed pair {token!r}: expected <digits>-<digits>")
-    return int(first), int(second)
+    if sep:
+        with suppress(DataError):
+            return parse_index(first), parse_index(second)
+    raise DataError(f"malformed pair {token!r}: expected <digits>-<digits>")

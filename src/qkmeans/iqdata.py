@@ -40,7 +40,7 @@ from importlib import resources
 import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
-from .errors import ConfigError, DataError, check_number, parse_pair, read_lines
+from .errors import ConfigError, DataError, check_number, parse_index, parse_pair, read_lines
 from .simulator import derive_seed
 
 SCHEDULES = ("00", "01", "10", "11")
@@ -375,9 +375,9 @@ def load_table(path) -> IQShotTable:
             first, second = parse_pair(parts[0])
             rows["pair_first"].append(first)
             rows["pair_second"].append(second)
-            rows["qubit"].append(int(parts[1]))
+            rows["qubit"].append(parse_index(parts[1]))
             rows["schedule"].append(parts[2])
-            rows["shot"].append(int(parts[3]))
+            rows["shot"].append(parse_index(parts[3]))
             rows["i_value"].append(float(parts[4]))
             rows["q_value"].append(float(parts[5]))
         except ValueError as exc:
@@ -430,7 +430,7 @@ _MALFORMED = (KeyError, TypeError, AttributeError, ValueError, OverflowError)
 def model_from_dict(payload: dict) -> ReadoutModel:
     try:
         qubits = {
-            int(q): QubitReadoutSpec(
+            parse_index(q): QubitReadoutSpec(
                 ground_center=spec["ground_center"],
                 excited_center=spec["excited_center"],
                 cluster_stddev=spec.get("cluster_stddev", (1.0, 1.0)),

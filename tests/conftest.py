@@ -14,6 +14,7 @@ from hypothesis import settings
 
 from qkmeans import clustering, complexity
 from qkmeans.dataset import DataSet, fit_readout_frame
+from qkmeans.distance import encode_matrix
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -76,3 +77,20 @@ def overlap_pair(rng: np.random.Generator, overlap_sq: float, dim: int = 4):
     c = np.sqrt(overlap_sq)
     s = np.sqrt(1.0 - overlap_sq)
     return u, c * u + s * v
+
+
+def padded_dimension(num_features: int) -> int:
+    """Smallest power of two >= max(num_features, 2): the amplitude count of
+    the ceil(log2(max(F, 2)))-qubit register a feature row is prepared in."""
+    if num_features < 1:
+        raise ValueError("need at least one feature")
+    return 1 << max(1, (num_features - 1).bit_length())
+
+
+def register_amplitudes(matrix) -> np.ndarray:
+    """The unit rows of ``matrix`` zero-padded to ``padded_dimension``
+    columns: the register amplitudes the gate-level reference PREPAREs."""
+    rows = encode_matrix(matrix)
+    out = np.zeros((rows.shape[0], padded_dimension(rows.shape[1])), dtype=np.float64)
+    out[:, : rows.shape[1]] = rows
+    return out

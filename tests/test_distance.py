@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from conftest import register_amplitudes
 from qkmeans.distance import (
     BatchConfig,
     BatchStats,
@@ -22,7 +23,6 @@ from qkmeans.distance import (
     estimate_distances,
     quantum_distance,
 )
-from qkmeans.encoding import encode_matrix
 from qkmeans.errors import ConfigError
 from qkmeans.simulator import (
     batch_cswap,
@@ -52,7 +52,7 @@ def reference_swap_test(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """The documented SwapTest layout run gate by gate on the simulator's
     batch kernels: ancilla 0, left on 1..m, right on m+1..2m.  Returns the
     final (1, 2**n) state and n."""
-    enc = encode_matrix(np.stack([x, y]))
+    enc = register_amplitudes(np.stack([x, y]))
     m = enc.shape[1].bit_length() - 1
     n = 1 + 2 * m
     amps = batch_ground(1, n)

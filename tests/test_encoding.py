@@ -1,4 +1,6 @@
-"""Feature-vector encoding tests."""
+"""Feature-vector encoding tests: the executor's unit rows
+(``qkmeans.distance.encode_matrix``) and the register padding that the
+gate-level reference adds to them."""
 
 from __future__ import annotations
 
@@ -6,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qkmeans.encoding import encode_matrix, padded_dimension
-from qkmeans.simulator import batch_ground, batch_prepare
+from conftest import padded_dimension, register_amplitudes
+from qkmeans.distance import encode_matrix
+from qkmeans.simulator import batch_ground, batch_prepare, row_sums
 
 finite_features = st.lists(
     st.floats(-100.0, 100.0).filter(lambda v: abs(v) > 1e-6),
@@ -20,6 +23,10 @@ def encode_row(vector) -> np.ndarray:
     return encode_matrix(np.asarray(vector, dtype=np.float64)[None, :])[0]
 
 
+def register_row(vector) -> np.ndarray:
+    return register_amplitudes(np.asarray(vector, dtype=np.float64)[None, :])[0]
+
+
 class TestPadding:
     @pytest.mark.parametrize(
         "n_features, expected",
@@ -29,8 +36,22 @@ class TestPadding:
         assert padded_dimension(n_features) == expected
 
     def test_register_width_is_log2(self):
-        assert encode_matrix(np.ones((1, 5))).shape[1] == 2**3
-        assert encode_matrix(np.ones((1, 2))).shape[1] == 2**1
+        assert register_amplitudes(np.ones((1, 5))).shape[1] == 2**3
+        assert register_amplitudes(np.ones((1, 2))).shape[1] == 2**1
+        assert encode_matrix(np.ones((1, 5))).shape[1] == 5
+
+    @given(st.data())
+    def test_row_sums_ignore_zero_padding(self, data):
+        # The executor sums overlaps over F columns, not over the 2**m
+        # register amplitudes; this equality is why that is bit-identical.
+        features = data.draw(st.integers(1, 40))
+        product = np.array(data.draw(st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=features, max_size=features),
+            min_size=1, max_size=4,
+        )))
+        padded = np.zeros((product.shape[0], 1 << (features - 1).bit_length()))
+        padded[:, :features] = product
+        assert row_sums(product).tobytes() == row_sums(padded).tobytes()
 
 
 class TestAmplitude:
@@ -38,12 +59,13 @@ class TestAmplitude:
         np.testing.assert_allclose(encode_row([3.0, 4.0]), [0.6, 0.8])
 
     def test_pads_with_zeros(self):
+        np.testing.assert_allclose(encode_row([1.0, 1.0, 1.0]), [1 / np.sqrt(3)] * 3, atol=1e-15)
         np.testing.assert_allclose(
-            encode_row([1.0, 1.0, 1.0]), [1 / np.sqrt(3)] * 3 + [0.0], atol=1e-15
+            register_row([1.0, 1.0, 1.0]), [1 / np.sqrt(3)] * 3 + [0.0], atol=1e-15
         )
 
     def test_single_feature_pads_to_one_qubit(self):
-        np.testing.assert_allclose(encode_row([-2.0]), [-1.0, 0.0])
+        np.testing.assert_allclose(register_row([-2.0]), [-1.0, 0.0])
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
@@ -66,7 +88,7 @@ class TestAmplitude:
 
 class TestPrepOps:
     def test_prep_ops_target_upper_register(self):
-        vec = encode_matrix(np.array([[1.0, 2.0, 2.0]]))
+        vec = register_amplitudes(np.array([[1.0, 2.0, 2.0]]))
         state = batch_prepare(batch_ground(1, 4), 4, (2, 3), vec)
         # qubits 2,3 hold the state; qubits 0,1 stay |0>
         expected = np.zeros(16, dtype=np.complex128)
@@ -74,7 +96,7 @@ class TestPrepOps:
         np.testing.assert_allclose(state[0], expected, atol=1e-12)
 
     def test_prep_ops_checks_register_size(self):
-        vec = encode_matrix(np.array([[1.0, 2.0, 2.0]]))
+        vec = register_amplitudes(np.array([[1.0, 2.0, 2.0]]))
         with pytest.raises(ValueError):
             batch_prepare(batch_ground(1, 4), 4, (0,), vec)
 

@@ -1,6 +1,6 @@
 """The shared input rules: every library entry point checks its own run
-parameters with ``check_number``, and every pair-token parser goes through
-``parse_pair``."""
+parameters with ``check_number``, every qubit and shot field goes through
+``parse_index`` and every pair-token parser through ``parse_pair``."""
 
 from __future__ import annotations
 
@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from qkmeans.cli import read_score_table
-from qkmeans.clustering import FitConfig
+from qkmeans.clustering import FitConfig, fit, predict, qkmeans_plusplus_init
 from qkmeans.complexity import ComplexityParams, cost_curve, sweep_values
 from qkmeans.crosstalk import flag_crosstalk, named_form_labels, parse_named_block
+from qkmeans.dataset import DataSet
 from qkmeans.distance import BatchConfig
-from qkmeans.errors import ConfigError, DataError, check_number, parse_pair, read_lines
+from qkmeans.errors import (
+    ConfigError,
+    DataError,
+    check_number,
+    parse_index,
+    parse_pair,
+    read_lines,
+)
 from qkmeans.iqdata import (
     default_coupling_map,
     default_readout_model,
@@ -27,6 +35,7 @@ from qkmeans.simulator import derive_seed
 
 PARAMS = ComplexityParams(N=10, K=2, F=2, I=1)
 LABELS = np.array([0, 0, 1, 1])
+POINTS = DataSet(np.array([[1.0, 0.0], [0.9, 0.1], [0.1, 0.9], [0.0, 1.0]]), LABELS)
 
 # (parameter, call with the value, lowest accepted value, integer-valued)
 ENTRY_POINTS = [
@@ -37,6 +46,8 @@ ENTRY_POINTS = [
     ("FitConfig.max_iter", lambda v: FitConfig(2, max_iter=v), 1, True),
     ("FitConfig.seed", lambda v: FitConfig(2, seed=v), 0, True),
     ("FitConfig.tol", lambda v: FitConfig(2, tol=v), 0.0, False),
+    ("qkmeans_plusplus_init.n_clusters", lambda v: qkmeans_plusplus_init(POINTS, v), 1, True),
+    ("qkmeans_plusplus_init.seed", lambda v: qkmeans_plusplus_init(POINTS, 2, seed=v), 0, True),
     *[
         (f"ComplexityParams.{name}", lambda v, name=name: ComplexityParams(
             **{"N": 1, "K": 1, "F": 1, "I": 1, "C": 1, name: v}), 1, True)
@@ -81,6 +92,17 @@ def test_entry_point_rejects_bad_parameter(call, value):
                          ids=[name for name, *_ in ENTRY_POINTS])
 def test_entry_point_accepts_its_bound(call, low):
     call(low)
+
+
+def test_every_distance_mode_check_is_a_config_error():
+    model = fit(POINTS, FitConfig(2, distance_mode="classical_euclidean"))
+    for call in (
+        lambda mode: FitConfig(2, distance_mode=mode),
+        lambda mode: qkmeans_plusplus_init(POINTS, 2, distance_mode=mode),
+        lambda mode: predict(model, POINTS, distance_mode=mode),
+    ):
+        with pytest.raises(ConfigError, match="distance_mode must be one of"):
+            call("euclidean")
 
 
 def test_derive_seed_does_not_coerce():
@@ -140,3 +162,30 @@ def test_every_pair_parser_rejects_non_ascii_digit_tokens(token, tmp_path):
         shots.write_text(f"{_SHOT_HEADER}\n{token},1,00,0,1.0,2.0\n")
         with pytest.raises(DataError, match="line 2"):
             load_table(shots)
+
+
+BAD_INDEX_TOKENS = ["1_0", "+3", " 1", "١", "-1", "", "1.0", "³"]
+
+
+def test_parse_index_accepts_ascii_digits():
+    assert parse_index("0") == 0
+    assert parse_index("007") == 7
+
+
+@pytest.mark.parametrize("token", BAD_INDEX_TOKENS)
+def test_every_index_parser_rejects_non_ascii_digit_tokens(token, tmp_path):
+    with pytest.raises(DataError, match="malformed index"):
+        parse_index(token)
+    shots = tmp_path / "shots.csv"
+    for row in (f"0-1,{token},00,0,1.0,2.0", f"0-1,1,00,{token},1.0,2.0"):  # qubit, shot
+        shots.write_text(f"{_SHOT_HEADER}\n{row}\n")
+        with pytest.raises(DataError, match=r"line 2: malformed row \(malformed index"):
+            load_table(shots)
+    scores = tmp_path / "scores.csv"
+    row = f"0-1,{token},single,kmeans,exact,AssignmentFidelity,2,std,0.9,0.0,0.9;0.9"
+    scores.write_text(f"{_SCORES_HEADER}\n{row}\n")
+    with pytest.raises(DataError, match=r"line 2: malformed row \(malformed index"):
+        read_score_table(scores)
+    spec = {"ground_center": [0.0, 0.0], "excited_center": [1.0, 1.0]}
+    with pytest.raises(ConfigError, match="malformed index"):
+        model_from_dict({"qubits": {token: spec}})

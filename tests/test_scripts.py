@@ -1,18 +1,23 @@
-"""Smoke tests for scripts/, so an API change cannot break them silently."""
+"""Smoke tests for scripts/ and the benchmark tracer's lookup sites, so an
+API change cannot break them silently."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name: str):
+    return load_module(ROOT / "scripts" / f"{name}.py")
 
 
 def test_sweep_shot_budget_runs(capsys):
@@ -26,3 +31,15 @@ def test_sweep_shot_budget_runs(capsys):
 def test_run_full_benchmark_imports():
     # Its --quick run takes seconds; acceptance test_09 runs the same CLI steps.
     assert callable(load_script("run_full_benchmark").main)
+
+
+def test_tracer_lookup_sites_resolve():
+    # perfbench/tracer.py rebinds each (module, attribute) of _SITES for a
+    # traced pass; a site the package no longer has fails only there.
+    tracer = load_module(ROOT / "perfbench" / "tracer.py")
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr, _ in tracer._SITES
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
