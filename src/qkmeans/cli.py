@@ -13,9 +13,10 @@ directory) plus a ``<command>_manifest.json`` recording seed, configs,
 arguments, outputs, version, and timestamp.  With fixed seeds all
 artifacts except the manifest timestamp are byte-identical across runs.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data validation
-error.  The library checks every run parameter; this module checks only
-the shape of the command line and maps exceptions to exit codes.
+Exit codes: 0 success, 1 usage, configuration, I/O or out-of-memory
+error, 2 data validation error.  The library checks every run parameter;
+this module checks only the shape of the command line and maps
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -359,14 +360,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -65,15 +65,20 @@ def verify_job_counts(history: Iterable[BatchStats], p: ComplexityParams) -> boo
 
 
 def sweep_values(start: int, stop: int, count: int) -> tuple[int, ...]:
-    """Geometrically spaced integer sweep, deduplicated, ends included."""
+    """Geometrically spaced integer sweep, deduplicated, ends included;
+    ``stop`` is at most 2**53 and ``count`` at most 2**20."""
     check_number("start", start, 1)
     check_number("stop", stop, start)
     check_number("count", count, 1 if start == stop else 2)
+    if stop > 2**53:
+        # geomspace works in float64, which holds every integer up to 2**53
+        raise ConfigError(f"stop must be <= 2**53, got {stop!r}")
+    if count > 2**20:
+        raise ConfigError(f"count must be <= 2**20, got {count!r}")
     if start == stop:
         return (start,)
-    points = np.geomspace(start, stop, count)
-    values = sorted({int(round(v)) for v in points} | {start, stop})
-    return tuple(values)
+    points = np.rint(np.geomspace(start, stop, count)).astype(np.int64)
+    return tuple(sorted({*points.tolist(), start, stop}))
 
 
 def cost_curve(

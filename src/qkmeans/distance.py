@@ -17,11 +17,11 @@ From an (estimated or exact) ancilla-zero probability p0:
 
 Requests are grouped by feature length and cut into jobs of at most C =
 ``max_circuits_per_job`` circuits; a job holds C*F*8-byte blocks of
-encoded rows.  ``quantum_distance`` is a one-request call into this
-executor.
+encoded rows and plays no part in sampling.  ``quantum_distance`` is a
+one-request call into this executor.
 
 Sampled mode draws each request's count of ancilla ones in two
-vectorized steps per job, keyed by request index:
+vectorized steps per executor call, keyed by request index:
 
 * **Uniform.**  ``derive_seed(config.seed)`` folds the seed into a 64-bit
   key once per call; request i takes output i of a SplitMix64 stream
@@ -194,33 +194,35 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def _run_group(
+def _overlaps(
     enc_left: np.ndarray,
     enc_right: np.ndarray,
     left_rows: np.ndarray,
     right_rows: np.ndarray,
     config: BatchConfig,
-    sampled: bool,
-    request_indices: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """p0 of each pair (enc_left[left_rows[r]], enc_right[right_rows[r]]),
-    job by job; returns (p0 estimates, jobs)."""
-    total = request_indices.size
-    p0_hat = np.empty(total, dtype=np.float64)
-    key = derive_seed(config.seed) if sampled else 0
-    shots = config.shots_per_circuit
+    """<x|y> of each pair (enc_left[left_rows[r]], enc_right[right_rows[r]]),
+    gathered job by job, at most C pairs a job; returns (overlaps, jobs)."""
+    overlap = np.empty(left_rows.size, dtype=np.float64)
     jobs = 0
-    for start in range(0, total, config.max_circuits_per_job):
-        stop = min(start + config.max_circuits_per_job, total)
+    for start in range(0, left_rows.size, config.max_circuits_per_job):
+        job = slice(start, start + config.max_circuits_per_job)
+        overlap[job] = row_sums(enc_left[left_rows[job]] * enc_right[right_rows[job]])
         jobs += 1
-        overlap = row_sums(enc_left[left_rows[start:stop]] * enc_right[right_rows[start:stop]])
-        if sampled:
-            p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
-            ones = _binomial_quantile(shots, p1, _request_uniforms(key, request_indices[start:stop]))
-            p0_hat[start:stop] = (shots - ones) / shots
-        else:
-            p0_hat[start:stop] = 0.5 + 0.5 * overlap**2
-    return p0_hat, jobs
+    return overlap, jobs
+
+
+def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.ndarray:
+    """Distances from one executor call's overlaps, request i at index i: the
+    exact p0 = 1/2 + <x|y>**2/2, or one sampler pass over every request."""
+    if sampled:
+        shots = config.shots_per_circuit
+        p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
+        u = _request_uniforms(derive_seed(config.seed), np.arange(overlap.size))
+        p0 = (shots - _binomial_quantile(shots, p1, u)) / shots
+    else:
+        p0 = 0.5 + 0.5 * overlap**2
+    return distance_from_p0(p0)
 
 
 def estimate_distances(
@@ -235,24 +237,23 @@ def estimate_distances(
     only on request i (and config), never on its neighbours.
     """
     config = config or BatchConfig()
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     for i, req in enumerate(requests):
         left = np.asarray(req.left, dtype=np.float64)
         right = np.asarray(req.right, dtype=np.float64)
         if left.ndim != 1 or left.shape != right.shape:
             raise ValueError(f"request {i}: left/right must be 1-D vectors of equal length")
-        groups.setdefault(left.size, []).append(i)
-    out = np.empty(len(requests), dtype=np.float64)
+        groups.setdefault(left.size, []).append((i, left, right))
+    overlap = np.empty(len(requests), dtype=np.float64)
     jobs = 0
-    for idx_list in groups.values():
-        idx = np.asarray(idx_list)
-        left_mat = np.stack([np.asarray(requests[i].left, dtype=np.float64) for i in idx_list])
-        right_mat = np.stack([np.asarray(requests[i].right, dtype=np.float64) for i in idx_list])
-        enc_left, enc_right, rows = encode_matrix(left_mat), encode_matrix(right_mat), np.arange(idx.size)
-        p0, group_jobs = _run_group(enc_left, enc_right, rows, rows, config, sampled, idx)
-        out[idx] = distance_from_p0(p0)
+    for members in groups.values():
+        idx, lefts, rights = zip(*members)
+        enc_left, enc_right = encode_matrix(np.stack(lefts)), encode_matrix(np.stack(rights))
+        rows = np.arange(len(idx))
+        overlap[list(idx)], group_jobs = _overlaps(enc_left, enc_right, rows, rows, config)
         jobs += group_jobs
-    return out, BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
+    stats = BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
+    return _distances(overlap, config, sampled), stats
 
 
 def distance_matrix(
@@ -274,9 +275,7 @@ def distance_matrix(
     if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
         raise ValueError("points and centers must be 2-D with matching feature counts")
     n_pts, k = pts.shape[0], ctr.shape[0]
-    requests = np.arange(n_pts * k)
-    pt_rows, ctr_rows = np.divmod(requests, k)
-    enc_pts, enc_ctr = encode_matrix(pts), encode_matrix(ctr)
-    p0, jobs = _run_group(enc_pts, enc_ctr, pt_rows, ctr_rows, config, sampled, requests)
+    pt_rows, ctr_rows = np.divmod(np.arange(n_pts * k), k)
+    overlap, jobs = _overlaps(encode_matrix(pts), encode_matrix(ctr), pt_rows, ctr_rows, config)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=n_pts * k)
-    return distance_from_p0(p0).reshape(n_pts, k), stats
+    return _distances(overlap, config, sampled).reshape(n_pts, k), stats

@@ -123,15 +123,15 @@ def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.nd
     labels = _as_label_array(labels, "labels")
     check_number("n_splits", n_splits, 2)
     check_number("seed", seed, 0)
+    classes, counts = np.unique(labels, return_counts=True)
+    # checked before any bucket exists, so a huge n_splits costs no memory
+    for value, size in zip(classes, counts):
+        if size < n_splits:
+            raise DataError(f"class {value} has {size} samples; need >= n_splits={n_splits}")
     rng = np.random.default_rng(seed)
     buckets: list[list[int]] = [[] for _ in range(n_splits)]
-    for offset, value in enumerate(np.unique(labels)):
-        members = np.flatnonzero(labels == value)
-        if members.size < n_splits:
-            raise DataError(
-                f"class {value} has {members.size} samples; need >= n_splits={n_splits}"
-            )
-        shuffled = rng.permutation(members)
+    for offset, value in enumerate(classes):
+        shuffled = rng.permutation(np.flatnonzero(labels == value))
         for i, idx in enumerate(shuffled):
             buckets[(i + offset) % n_splits].append(int(idx))
     return [np.sort(np.asarray(bucket, dtype=np.int64)) for bucket in buckets]

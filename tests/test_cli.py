@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkmeans import iqdata
 from qkmeans.cli import main, read_score_table
 from qkmeans.errors import DataError
 from qkmeans.iqdata import load_table
@@ -166,6 +167,17 @@ class TestSynth:
         ], 1)
         assert not out.exists()
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # stands in for np.arange failing on --shots 1000000000000; nothing
+        # is allocated here
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(iqdata, "synthesize", exhausted)
+        out = tmp_path / "out"
+        assert_error_exit(capsys, ["synth", "--shots", "1000000000000", "--out", str(out)], 1)
+        assert not out.exists()
+
     def test_device_round_trips(self, tmp_path):
         model = dict(MODEL, device="lab chip #2: 5q")
         assert main([
@@ -284,6 +296,15 @@ class TestBenchmark:
             "--splits", "500", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_huge_splits_fail_before_allocating(self, shot_table_dir, tmp_path, capsys):
+        # each class is checked against --splits before any fold is built
+        out = tmp_path / "out"
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--splits", "100000000", "--out", str(out),
+        ], 2)
+        assert not out.exists()
 
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
@@ -498,6 +519,15 @@ class TestComplexityCommand:
         lines = (tmp_path / "both_vs_samples.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("50,")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--n-range", "10:100000000000000000000:3"),  # stop beyond 2**53
+        ("--f-range", "2:1000000000:100000000000"),  # count beyond 2**20
+    ])
+    def test_sweep_beyond_its_bounds_is_config_error(self, tmp_path, capsys, flag, text):
+        out = tmp_path / "out"
+        assert_error_exit(capsys, ["complexity", flag, text, "--out", str(out)], 1)
+        assert not out.exists()
 
     def test_bad_range_is_config_error(self, tmp_path):
         assert main(["complexity", "--n-range", "abc", "--out", str(tmp_path)]) == 1

@@ -123,6 +123,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_values(2, 10, 1)
 
+    @given(st.integers(1, 2**53), st.integers(1, 2**53), st.integers(2, 64))
+    def test_values_stay_within_the_range(self, a, b, count):
+        # float64 holds every integer up to 2**53, so geomspace never rounds
+        # an end past the range
+        start, stop = min(a, b), max(a, b)
+        values = sweep_values(start, stop, count)
+        assert values[0] == start and values[-1] == stop
+        assert all(start <= v <= stop for v in values)
+
     def test_deduplicates_small_ranges(self):
         values = sweep_values(2, 8, 20)
         assert values[0] == 2 and values[-1] == 8

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from conftest import register_amplitudes
@@ -38,6 +38,22 @@ vectors = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+@st.composite
+def mixed_requests(draw):
+    """(rng seed, feature lengths in 1..9, job size C in 1..R+1) for a list
+    of R requests of mixed feature lengths."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=40))
+    return draw(st.integers(0, 2**32 - 1)), lengths, draw(st.integers(1, len(lengths) + 1))
+
+
+@st.composite
+def matrix_shapes(draw):
+    """(rng seed, N, K, F in 1..9, job size C in 1..N*K+1) for a
+    ``distance_matrix`` call."""
+    n, k, f = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    return draw(st.integers(0, 2**32 - 1)), n, k, f, draw(st.integers(1, n * k + 1))
 
 
 def oracle_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -201,19 +217,23 @@ class TestBatchedExecutor:
         large, _ = estimate_distances(requests, BatchConfig(max_circuits_per_job=900))
         np.testing.assert_array_equal(small, large)
 
-    def test_results_independent_of_job_size_sampled(self):
-        rng = np.random.default_rng(5)
-        requests = [
-            DistanceRequest(rng.normal(size=2), rng.normal(size=2))
-            for _ in range(20)
-        ]
-        a, _ = estimate_distances(
-            requests, BatchConfig(max_circuits_per_job=3, seed=7), sampled=True
+    @given(mixed_requests(), st.integers(1, 4096), st.integers(0, 2**63 - 1))
+    @example(case=(5, [2] * 20, 3), shots=1024, seed=7)
+    @example(case=(5, [2] * 20, 19), shots=1024, seed=7)
+    def test_results_independent_of_job_size_sampled(self, case, shots, seed):
+        rng_seed, lengths, c = case
+        rng = np.random.default_rng(rng_seed)
+        requests = [DistanceRequest(rng.normal(size=f), rng.normal(size=f)) for f in lengths]
+        a, stats = estimate_distances(
+            requests, BatchConfig(max_circuits_per_job=c, shots_per_circuit=shots, seed=seed),
+            sampled=True,
         )
-        b, _ = estimate_distances(
-            requests, BatchConfig(max_circuits_per_job=19, seed=7), sampled=True
-        )
+        one_job = BatchConfig(max_circuits_per_job=len(lengths), shots_per_circuit=shots, seed=seed)
+        b, _ = estimate_distances(requests, one_job, sampled=True)
         np.testing.assert_array_equal(a, b)
+        groups = np.unique(lengths, return_counts=True)[1]
+        assert stats.jobs_submitted == sum(-(-int(g) // c) for g in groups)
+        assert stats.circuits_executed == len(lengths)
 
     def test_mixed_groups_keep_request_order(self):
         rng = np.random.default_rng(6)
@@ -347,18 +367,23 @@ class TestShotSampler:
 
 
 class TestDistanceMatrix:
-    def test_matches_request_list(self):
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(6, 3))
-        ctr = rng.normal(size=(2, 3))
-        config = BatchConfig(max_circuits_per_job=5, seed=13)
+    @given(matrix_shapes(), st.integers(1, 4096), st.integers(0, 2**63 - 1))
+    @example(case=(9, 6, 2, 3, 5), shots=1024, seed=13)
+    def test_matches_request_list(self, case, shots, seed):
+        rng_seed, n, k, f, c = case
+        rng = np.random.default_rng(rng_seed)
+        pts = rng.normal(size=(n, f))
+        ctr = rng.normal(size=(k, f))
+        config = BatchConfig(max_circuits_per_job=c, shots_per_circuit=shots, seed=seed)
         mat, mat_stats = distance_matrix(pts, ctr, config=config, sampled=True)
         requests = [
-            DistanceRequest(pts[i], ctr[k]) for i in range(6) for k in range(2)
+            DistanceRequest(pts[i], ctr[j]) for i in range(n) for j in range(k)
         ]
         flat, flat_stats = estimate_distances(requests, config, sampled=True)
         np.testing.assert_array_equal(mat.ravel(), flat)
-        assert mat_stats == flat_stats == BatchStats(3, 12)
+        assert mat_stats == flat_stats == BatchStats(-(-n * k // c), n * k)
+        one_job = BatchConfig(max_circuits_per_job=n * k, shots_per_circuit=shots, seed=seed)
+        np.testing.assert_array_equal(mat, distance_matrix(pts, ctr, one_job, sampled=True)[0])
 
     def test_exact_matrix_matches_oracle(self):
         rng = np.random.default_rng(10)

@@ -94,6 +94,22 @@ def test_entry_point_accepts_its_bound(call, low):
     call(low)
 
 
+# (parameter, call with the value, highest accepted value)
+UPPER_BOUNDS = [
+    ("BatchConfig.shots_per_circuit", lambda v: BatchConfig(shots_per_circuit=v), 2**53),
+    ("sweep_values.stop", lambda v: sweep_values(2, v, 3), 2**53),
+    ("sweep_values.count", lambda v: sweep_values(2, 10, v), 2**20),
+]
+
+
+@pytest.mark.parametrize("call, high", [(call, high) for _, call, high in UPPER_BOUNDS],
+                         ids=[name for name, *_ in UPPER_BOUNDS])
+def test_entry_point_rejects_past_its_upper_bound(call, high):
+    with pytest.raises(ConfigError, match=r"must be <= 2\*\*"):
+        call(high + 1)
+    call(high)
+
+
 def test_every_distance_mode_check_is_a_config_error():
     model = fit(POINTS, FitConfig(2, distance_mode="classical_euclidean"))
     for call in (

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qkmeans.clustering import FitConfig
 from qkmeans.dataset import DataSet
 from qkmeans.distance import BatchConfig
+from qkmeans.errors import DataError
 from qkmeans.metrics import (
     HALF_WIDTH_KINDS,
     METRIC_NAMES,
@@ -207,6 +209,24 @@ class TestStratifiedFolds:
     def test_requires_two_splits(self):
         with pytest.raises(ValueError):
             stratified_folds(np.array([0, 1, 0, 1]), 1, seed=0)
+
+    def test_names_first_short_class_in_sorted_order(self):
+        labels = np.repeat([3, 2, 1, 0], [1, 2, 5, 5])
+        with pytest.raises(DataError, match=r"^class 2 has 2 samples; need >= n_splits=3$"):
+            stratified_folds(labels, 3, seed=0)
+
+    def test_huge_split_count_fails_before_allocating(self):
+        # one empty bucket per split made before the class check would
+        # take ~6 MB here; the check runs first and needs almost nothing
+        labels = np.repeat([0, 1, 2, 3], 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="need >= n_splits=100000"):
+                stratified_folds(labels, 10**5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestScoreReport:
