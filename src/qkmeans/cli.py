@@ -200,12 +200,16 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
 def cmd_crosstalk(args) -> int:
     if (args.data is None) == (args.named_values is None):
         raise ConfigError("provide exactly one of --data or --named-values")
+    heatmaps: dict[str, list[str]] = {}
     if args.data is not None:
         table = iqdata.load_table(args.data)
         pairs = table.pairs()
         if not pairs:
             raise DataError(f"no shot rows found in {args.data}")
         reports = [crosstalk.analyze_pair(table, pair) for pair in pairs]
+        heatmaps = {
+            f"heatmap_{a}-{b}.csv": crosstalk.heatmap_lines(table, (a, b)) for a, b in pairs
+        }
     else:
         reports = crosstalk.parse_named_block(read_lines(args.named_values))
     fidelities = read_score_table(args.scores) if args.scores else None
@@ -213,17 +217,14 @@ def cmd_crosstalk(args) -> int:
         reports, fidelities, threshold=args.threshold, fidelity_gap=args.fidelity_gap
     )
     out_dir = _output_dir(args)
-    outputs = ["named_coefficients.csv", "flags.txt"]
+    outputs = ["named_coefficients.csv", "flags.txt", *heatmaps]
     _write_lines(out_dir / "named_coefficients.csv", crosstalk.named_block_lines(reports))
     flag_lines = [
         f"pair {fl.pair[0]}-{fl.pair[1]}: " + "; ".join(fl.evidence) for fl in flags
     ] or ["no pairs flagged"]
     _write_lines(out_dir / "flags.txt", flag_lines)
-    for report in reports:
-        if report.matrix is not None:
-            name = f"heatmap_{report.pair[0]}-{report.pair[1]}.csv"
-            _write_lines(out_dir / name, crosstalk.heatmap_lines(report))
-            outputs.append(name)
+    for name, lines in heatmaps.items():
+        _write_lines(out_dir / name, lines)
     _write_manifest(
         out_dir, "crosstalk", None,
         {"data": args.data, "named_values": args.named_values, "scores": args.scores},
@@ -319,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--metric", choices=("fidelity", "fm"), default="fidelity")
     p_bench.add_argument("--splits", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--shots", type=int, default=1024,
+    p_bench.add_argument("--shots", type=int, default=BatchConfig.shots_per_circuit,
                          help="shots per circuit in sampled mode, 1 to 2**53")
-    p_bench.add_argument("--max-circuits", type=int, default=900,
+    p_bench.add_argument("--max-circuits", type=int, default=BatchConfig.max_circuits_per_job,
                          help="circuits per batched job")
     p_bench.add_argument("--half-width", choices=metrics.HALF_WIDTH_KINDS, default="std")
     p_bench.add_argument("--out", help="output directory")
@@ -342,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--f-range", default="2:256:8", help="features sweep start:stop:count")
     p_cx.add_argument("--k", type=int, default=2, help="clusters")
     p_cx.add_argument("--i", dest="iterations", type=int, default=10, help="iterations")
-    p_cx.add_argument("--c", type=int, default=900, help="circuits per job")
+    p_cx.add_argument("--c", type=int, default=BatchConfig.max_circuits_per_job,
+                      help="circuits per job")
     p_cx.add_argument("--n", type=int, default=1000, help="fixed N for the features sweep")
     p_cx.add_argument("--f", type=int, default=2, help="fixed F for the samples sweep")
     p_cx.add_argument("--out", help="output directory")

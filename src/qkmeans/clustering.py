@@ -67,15 +67,14 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Fitted model. ``inertia_history`` holds the per-iteration L1 center
+    """Fitted model. ``center_shifts`` holds the per-iteration L1 center
     shift (Algorithm-style convergence values), one entry per executed
     iteration; ``batch_history`` holds the per-iteration backend stats for
     quantum modes (initialization circuits are not included)."""
 
     cluster_centers: np.ndarray
     labels: np.ndarray
-    inertia_history: tuple[float, ...]
-    n_iter: int
+    center_shifts: tuple[float, ...]
     converged: bool
     batch_history: tuple[BatchStats, ...] = ()
 
@@ -86,10 +85,12 @@ class ClusterModel:
             raise ValueError("cluster centers must be finite")
         if labels.size and (labels.min() < 0 or labels.max() >= centers.shape[0]):
             raise ValueError("labels must lie in [0, n_clusters)")
-        if len(self.inertia_history) != self.n_iter:
-            raise ValueError("inertia_history must have one entry per iteration")
         object.__setattr__(self, "cluster_centers", centers)
         object.__setattr__(self, "labels", labels)
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.center_shifts)
 
 
 def _pairwise(
@@ -169,7 +170,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     centers = qkmeans_plusplus_init(X, k, config.distance_mode, config.seed, config.batch)
 
     labels = np.zeros(n, dtype=np.int64)
-    history: list[float] = []
+    shifts: list[float] = []
     batch_history: list[BatchStats] = []
     converged = False
     for iteration in range(config.max_iter):
@@ -186,7 +187,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
             if np.any(members):
                 new_centers[c] = X.features[members].mean(axis=0)
         shift = float(np.sum(np.abs(new_centers - centers)))
-        history.append(shift)
+        shifts.append(shift)
         centers = new_centers
         if shift < config.tol:
             converged = True
@@ -194,8 +195,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     return ClusterModel(
         cluster_centers=centers,
         labels=labels,
-        inertia_history=tuple(history),
-        n_iter=len(history),
+        center_shifts=tuple(shifts),
         converged=converged,
         batch_history=tuple(batch_history),
     )
@@ -217,19 +217,7 @@ def predict(
     return np.argmin(dists, axis=1).astype(np.int64)
 
 
-def classical_kmeans_oracle(
-    X: DataSet,
-    n_clusters: int,
-    seed: int = 0,
-    max_iter: int = 30,
-    tol: float = 1e-4,
-) -> ClusterModel:
+def classical_kmeans_oracle(X: DataSet, n_clusters: int, seed: int = 0) -> ClusterModel:
     """Euclidean baseline sharing every rule (init, ties, update) with fit."""
-    config = FitConfig(
-        n_clusters=n_clusters,
-        max_iter=max_iter,
-        tol=tol,
-        distance_mode="classical_euclidean",
-        seed=seed,
-    )
+    config = FitConfig(n_clusters=n_clusters, distance_mode="classical_euclidean", seed=seed)
     return fit(X, config)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distance import BatchStats
+from .distance import BatchConfig, BatchStats
 from .errors import ConfigError, check_number
 
 
@@ -34,7 +34,7 @@ class ComplexityParams:
     K: int
     F: int
     I: int
-    C: int = 900
+    C: int = BatchConfig.max_circuits_per_job
 
     def __post_init__(self) -> None:
         for name in ("N", "K", "F", "I", "C"):

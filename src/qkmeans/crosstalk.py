@@ -8,7 +8,8 @@ For a coupled pair (a, b) the analysis builds 8 signal arrays — own
 state {0, 1} x qubit {a, b} x feature {real, imag} — each the
 concatenation of the neighbor-ground schedule followed by the
 neighbor-excited schedule, labeled ``{state}_{qubit}_{real|imag}``.
-Their full 8x8 correlation matrix is the heatmap grid.
+``heatmap_lines`` computes their full 8x8 correlation matrix, the
+heatmap grid.
 
 The 8 *named* coefficients correlate, for each pair qubit q and each own
 state j, q's feature X in the schedule where its neighbor is excited
@@ -82,35 +83,15 @@ class CrosstalkFlag:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Per-pair analysis output.
-
-    ``matrix`` is the 8x8 heatmap grid over ``array_labels`` (None when a
-    report was reconstructed from a named-coefficient block alone);
-    ``named_coefficients`` holds the 8 values in ``named_form_labels()``
-    order.
-    """
+    """Per-pair analysis output: the 8 named coefficients in
+    ``named_form_labels()`` order."""
 
     pair: tuple[int, int]
-    array_labels: tuple[str, ...]
-    matrix: np.ndarray | None
     named_coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if len(self.named_coefficients) != len(_NAMED_FORMS):
             raise ValueError(f"a report holds {len(_NAMED_FORMS)} named coefficients")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=np.float64)
-            if m.shape != (8, 8) or len(self.array_labels) != 8:
-                raise ValueError("heatmap matrix must be 8x8 with 8 labels")
-            if not np.array_equal(m, m.T, equal_nan=True):
-                raise ValueError("heatmap matrix must be exactly symmetric")
-            finite = m[np.isfinite(m)]
-            if finite.size and (finite.min() < -1.0 or finite.max() > 1.0):
-                raise ValueError("correlations must lie in [-1, 1]")
-            if not np.allclose(np.diag(m)[np.isfinite(np.diag(m))], 1.0, atol=1e-12):
-                raise ValueError("heatmap diagonal must be 1")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
 
     def max_named_abs(self) -> float:
         """Largest finite |named coefficient|; NaN if none are finite."""
@@ -127,8 +108,8 @@ def named_form_labels() -> tuple[str, ...]:
     )
 
 
-def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport:
-    """Heatmap matrix and named coefficients for one coupled pair."""
+def _checked_pair(table: IQShotTable, pair: tuple[int, int]) -> tuple[int, int]:
+    """``pair`` as ints once its schedules hold equal counts of >= 2 shots."""
     pair = (int(pair[0]), int(pair[1]))
     table.require_schedules(pair)
     counts = {(q, s): table.values(pair, q, s, "i").size for q in pair for s in SCHEDULES}
@@ -136,36 +117,19 @@ def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport
         raise DataError(f"pair {pair} has unequal shot counts across schedules: {counts}")
     if min(counts.values()) < 2:
         raise DataError(f"pair {pair} needs at least 2 shots per schedule for correlations")
+    return pair
 
-    arrays: list[np.ndarray] = []
-    labels: list[str] = []
-    for own_state in (0, 1):
-        for pos, qubit in enumerate(pair):
-            for feature in ("i", "q"):
-                ground = table.values(pair, qubit, schedule_name(pos, own_state, 0), feature)
-                excited = table.values(pair, qubit, schedule_name(pos, own_state, 1), feature)
-                arrays.append(np.concatenate([ground, excited]))
-                labels.append(f"{own_state}_{qubit}_{FEATURE_NAMES[feature]}")
 
-    matrix = np.eye(8)
-    for r in range(8):
-        for c in range(r + 1, 8):
-            value = pearson(arrays[r], arrays[c])
-            matrix[r, c] = value
-            matrix[c, r] = value
-
+def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport:
+    """Named coefficients for one coupled pair."""
+    pair = _checked_pair(table, pair)
     named = []
     for slot, own_state, es_feat, gs_feat in _NAMED_FORMS:
         pos = "ab".index(slot)
         es = table.values(pair, pair[pos], schedule_name(pos, own_state, 1), es_feat)
         gs = table.values(pair, pair[pos], schedule_name(pos, own_state, 0), gs_feat)
         named.append(pearson(es, gs))
-    return CorrelationReport(
-        pair=pair,
-        array_labels=tuple(labels),
-        matrix=matrix,
-        named_coefficients=tuple(named),
-    )
+    return CorrelationReport(pair=pair, named_coefficients=tuple(named))
 
 
 def flag_crosstalk(
@@ -218,12 +182,28 @@ def flag_crosstalk(
 # ---------------------------------------------------------------------------
 
 
-def heatmap_lines(report: CorrelationReport) -> list[str]:
-    """Delimited 8x8 grid with axis labels, one header + 8 rows."""
-    if report.matrix is None:
-        raise ValueError("report has no heatmap matrix")
-    lines = ["label," + ",".join(report.array_labels)]
-    for label, row in zip(report.array_labels, report.matrix):
+def heatmap_lines(table: IQShotTable, pair: tuple[int, int]) -> list[str]:
+    """The pair's delimited 8x8 grid with axis labels, one header + 8 rows."""
+    pair = _checked_pair(table, pair)
+    arrays: list[np.ndarray] = []
+    labels: list[str] = []
+    for own_state in (0, 1):
+        for pos, qubit in enumerate(pair):
+            for feature in ("i", "q"):
+                ground = table.values(pair, qubit, schedule_name(pos, own_state, 0), feature)
+                excited = table.values(pair, qubit, schedule_name(pos, own_state, 1), feature)
+                arrays.append(np.concatenate([ground, excited]))
+                labels.append(f"{own_state}_{qubit}_{FEATURE_NAMES[feature]}")
+
+    matrix = np.eye(8)
+    for r in range(8):
+        for c in range(r + 1, 8):
+            value = pearson(arrays[r], arrays[c])
+            matrix[r, c] = value
+            matrix[c, r] = value
+
+    lines = ["label," + ",".join(labels)]
+    for label, row in zip(labels, matrix):
         lines.append(label + "," + ",".join(repr(float(v)) for v in row))
     return lines
 
@@ -239,7 +219,7 @@ def named_block_lines(reports: Sequence[CorrelationReport]) -> list[str]:
 
 
 def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
-    """Rebuild named-only reports (matrix=None) from a coefficient block."""
+    """Rebuild reports from a coefficient block."""
     rows = [line.strip() for line in lines if line.strip() and not line.startswith("#")]
     if not rows:
         raise DataError("named-coefficient block is empty")
@@ -268,9 +248,6 @@ def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
         except ValueError as exc:
             raise DataError(f"row {r + 1}: malformed value ({exc})") from exc
     return [
-        CorrelationReport(
-            pair=pair, array_labels=(), matrix=None,
-            named_coefficients=tuple(float(v) for v in values[:, c]),
-        )
+        CorrelationReport(pair=pair, named_coefficients=tuple(float(v) for v in values[:, c]))
         for c, pair in enumerate(pairs)
     ]

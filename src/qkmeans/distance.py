@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_number
+from .errors import ConfigError, DataError, check_number
 # The batch_* kernels are unused here; perfbench/tracer.py looks them up on this module.
 from .simulator import (  # noqa: F401
     batch_cswap,
@@ -102,10 +102,10 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("amplitude encoding needs nonzero finite vectors")
+        raise DataError("amplitude encoding needs nonzero finite vectors")
     norms = np.sqrt(row_sums(mat * mat))
     if np.any(norms == 0.0):
-        raise ValueError("amplitude encoding needs nonzero finite vectors")
+        raise DataError("amplitude encoding needs nonzero finite vectors")
     return mat / norms[:, None]
 
 

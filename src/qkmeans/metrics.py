@@ -37,12 +37,11 @@ HALF_WIDTH_KINDS = ("std", "sem95")
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Cross-validation outcome for one dataset and metric."""
+    """Cross-validation outcome for one dataset and metric; ``mean`` and
+    ``half_width`` are computed from ``per_fold``."""
 
     metric: str
     per_fold: tuple[float, ...]
-    mean: float
-    half_width: float
     half_width_kind: str = "std"
 
     def __post_init__(self) -> None:
@@ -52,10 +51,18 @@ class ScoreReport:
             raise ValueError("per_fold must not be empty")
         if any(not 0.0 <= v <= 1.0 for v in self.per_fold):
             raise ValueError("per-fold scores must lie in [0, 1]")
-        if abs(self.mean - sum(self.per_fold) / len(self.per_fold)) > 1e-12:
-            raise ValueError("mean must equal the arithmetic mean of per_fold")
         if self.half_width_kind not in HALF_WIDTH_KINDS:
             raise ValueError(f"half_width_kind must be one of {HALF_WIDTH_KINDS}")
+
+    @property
+    def mean(self) -> float:
+        return sum(self.per_fold) / len(self.per_fold)
+
+    @property
+    def half_width(self) -> float:
+        n = len(self.per_fold)
+        std = float(np.std(self.per_fold, ddof=1)) if n > 1 else 0.0
+        return std if self.half_width_kind == "std" else float(1.96 * std / np.sqrt(n))
 
 
 def table_row(label: str, kind: str, report: ScoreReport) -> str:
@@ -177,14 +184,8 @@ def cross_validate(
             seed=derive_seed(base, 2),
         )
         scores.append(score_labels(metric, predicted, test.labels))
-    per_fold = tuple(float(s) for s in scores)
-    mean = sum(per_fold) / len(per_fold)
-    std = float(np.std(per_fold, ddof=1)) if len(per_fold) > 1 else 0.0
-    width = std if half_width == "std" else 1.96 * std / np.sqrt(len(per_fold))
     return ScoreReport(
         metric=METRIC_NAMES[metric],
-        per_fold=per_fold,
-        mean=float(mean),
-        half_width=float(width),
+        per_fold=tuple(float(s) for s in scores),
         half_width_kind=half_width,
     )

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from qkmeans import iqdata
-from qkmeans.cli import main, read_score_table
+from qkmeans.cli import build_parser, main, read_score_table
+from qkmeans.complexity import ComplexityParams
+from qkmeans.distance import BatchConfig
 from qkmeans.errors import DataError
 from qkmeans.iqdata import load_table
 
@@ -306,6 +308,22 @@ class TestBenchmark:
         ], 2)
         assert not out.exists()
 
+    def test_cloud_framed_onto_the_origin_is_data_error(self, tmp_path, capsys):
+        # every qubit-0 shot sits at one point, which the readout frame maps
+        # onto the origin: Euclidean k-means runs, amplitude encoding cannot
+        rows = [
+            f"0-1,{q},{sched},{shot},"
+            + ("1.0,2.0" if q == 0 else f"{shot + 0.5 * int(sched[0])!r},{1.0 - 0.25 * shot!r}")
+            for q in (0, 1) for sched in ("00", "01", "10", "11") for shot in range(4)
+        ]
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(["pair,qubit,schedule,shot,i,q", *rows]) + "\n")
+        base = ["benchmark", "--data", str(data), "--splits", "2"]
+        assert main([*base, "--algo", "kmeans", "--out", str(tmp_path / "kmeans")]) == 0
+        out = tmp_path / "qkmeans"
+        assert_error_exit(capsys, [*base, "--algo", "qkmeans", "--out", str(out)], 2)
+        assert not out.exists()
+
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
         bad.write_bytes(b"\xff\xfe")
@@ -397,7 +415,7 @@ class TestCrosstalkCommand:
         assert code == 0
         flags = (tmp_path / "flags.txt").read_text().splitlines()
         assert [line.split(":")[0] for line in flags] == ["pair 1-2", "pair 2-3"]
-        # no matrices available from a named block, so no heatmap files
+        # a named block holds no shots, so no heatmap files
         assert not list(tmp_path.glob("heatmap_*.csv"))
 
     def test_scores_feed_gap_rule(self, shot_table_dir, tmp_path):
@@ -536,6 +554,15 @@ class TestComplexityCommand:
 
 
 class TestEntryPoint:
+    def test_executor_defaults_follow_batch_config(self):
+        defaults = BatchConfig()
+        parser = build_parser()
+        bench = parser.parse_args(["benchmark", "--data", "x.csv"])
+        assert bench.max_circuits == defaults.max_circuits_per_job
+        assert bench.shots == defaults.shots_per_circuit
+        assert parser.parse_args(["complexity"]).c == defaults.max_circuits_per_job
+        assert ComplexityParams(N=1, K=1, F=1, I=1).C == defaults.max_circuits_per_job
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "qkmeans" in capsys.readouterr().out

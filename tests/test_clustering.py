@@ -152,8 +152,7 @@ class TestFitMechanics:
         model = ClusterModel(
             cluster_centers=np.array([[1.0, 1.0], [2.0, 2.0]]),
             labels=np.array([], dtype=np.int64),
-            inertia_history=(),
-            n_iter=0,
+            center_shifts=(),
             converged=True,
         )
         pts = unlabeled([[3.0, 3.0], [0.5, 2.0], [9.0, 1.0]])
@@ -164,8 +163,7 @@ class TestFitMechanics:
             ClusterModel(
                 cluster_centers=np.array([[0.0], [2.0]]),
                 labels=np.array([], dtype=np.int64),
-                inertia_history=(),
-                n_iter=0,
+                center_shifts=(),
                 converged=True,
             ),
             unlabeled([[1.0]]),
@@ -176,9 +174,9 @@ class TestFitMechanics:
     def test_inertia_history_matches_iterations(self):
         X = make_blobs(4, n=50)
         model = classical_kmeans_oracle(X, 2, seed=0)
-        assert len(model.inertia_history) == model.n_iter
-        assert model.inertia_history[-1] < 1e-4
-        assert all(v >= 0.0 for v in model.inertia_history)
+        assert model.n_iter == len(model.center_shifts) > 0
+        assert model.center_shifts[-1] < 1e-4
+        assert all(v >= 0.0 for v in model.center_shifts)
 
     def test_max_iter_stops_without_convergence(self):
         rng = np.random.default_rng(12)
@@ -220,7 +218,7 @@ class TestFitMechanics:
         b = clustering.fit(X, config)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.cluster_centers, b.cluster_centers)
-        assert a.inertia_history == b.inertia_history
+        assert a.center_shifts == b.center_shifts
 
     def test_validates_dataset_size(self):
         X = unlabeled([[1.0, 0.0], [0.0, 1.0]])
@@ -240,16 +238,7 @@ class TestFitMechanics:
             ClusterModel(
                 cluster_centers=np.ones((2, 2)),
                 labels=np.array([0, 5]),
-                inertia_history=(0.0,),
-                n_iter=1,
-                converged=True,
-            )
-        with pytest.raises(ValueError):
-            ClusterModel(
-                cluster_centers=np.ones((2, 2)),
-                labels=np.array([0, 1]),
-                inertia_history=(0.0, 0.0),
-                n_iter=1,
+                center_shifts=(0.0,),
                 converged=True,
             )
 
@@ -328,10 +317,12 @@ class TestModelInvariants:
         )
         assert model.labels.shape == (X.n_points,)
         assert model.labels.min() >= 0 and model.labels.max() < k
-        assert len(model.inertia_history) == model.n_iter
+        max_iter = FitConfig(n_clusters=k).max_iter
+        assert 1 <= model.n_iter <= max_iter
+        assert model.converged or model.n_iter == max_iter
         assert np.all(np.isfinite(model.cluster_centers))
         if model.converged:
-            assert model.inertia_history[-1] < 1e-4
+            assert model.center_shifts[-1] < 1e-4
         # every cluster ends non-empty when possible (repair guarantee)
         assert np.unique(model.labels).size == min(k, X.n_points)
 

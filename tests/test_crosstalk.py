@@ -28,6 +28,7 @@ from qkmeans.iqdata import (
     crosstalk_demo_model,
     default_coupling_map,
     default_readout_model,
+    schedule_name,
     synthesize,
 )
 
@@ -112,13 +113,23 @@ class TestPearson:
 TOY_COUPLING = CouplingMap(device="synthetic-5q-chain", edges=((1, 2),))
 
 
+def parse_grid(lines):
+    """(axis labels, 8x8 matrix) of a ``heatmap_lines`` grid."""
+    header = lines[0].split(",")
+    assert header[0] == "label"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == header[1:]
+    return tuple(header[1:]), np.array([[float(v) for v in row[1:]] for row in rows])
+
+
 class TestAnalyzePair:
     def test_labels_and_shape(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 128, seed=0)
         report = analyze_pair(table, (1, 2))
         assert report.pair == (1, 2)
-        assert report.matrix.shape == (8, 8)
-        assert report.array_labels == (
+        labels, matrix = parse_grid(heatmap_lines(table, (1, 2)))
+        assert matrix.shape == (8, 8)
+        assert labels == (
             "0_1_real", "0_1_imag", "0_2_real", "0_2_imag",
             "1_1_real", "1_1_imag", "1_2_real", "1_2_imag",
         )
@@ -127,10 +138,10 @@ class TestAnalyzePair:
 
     def test_matrix_is_exactly_symmetric_with_unit_diagonal(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 96, seed=1)
-        report = analyze_pair(table, (1, 2))
-        np.testing.assert_array_equal(report.matrix, report.matrix.T)
-        np.testing.assert_array_equal(np.diag(report.matrix), np.ones(8))
-        assert np.all(np.abs(report.matrix) <= 1.0)
+        _, matrix = parse_grid(heatmap_lines(table, (1, 2)))
+        np.testing.assert_array_equal(matrix, matrix.T)
+        np.testing.assert_array_equal(np.diag(matrix), np.ones(8))
+        assert np.all(np.abs(matrix) <= 1.0)
 
     def test_coupled_pair_named_values_hit_latent_sharing_exactly(self):
         # every sample is stddev * (eps + lam * latent) around its center,
@@ -181,8 +192,9 @@ class TestAnalyzePair:
             i_value=table.i_value[keep],
             q_value=table.q_value[keep],
         )
-        with pytest.raises(DataError, match="missing schedules"):
-            analyze_pair(partial, (1, 2))
+        for analysis in (analyze_pair, heatmap_lines):
+            with pytest.raises(DataError, match="missing schedules"):
+                analysis(partial, (1, 2))
 
     def test_unequal_shot_counts_rejected(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 16, seed=0)
@@ -197,13 +209,15 @@ class TestAnalyzePair:
             i_value=table.i_value[~drop],
             q_value=table.q_value[~drop],
         )
-        with pytest.raises(DataError, match="unequal shot counts"):
-            analyze_pair(uneven, (1, 2))
+        for analysis in (analyze_pair, heatmap_lines):
+            with pytest.raises(DataError, match="unequal shot counts"):
+                analysis(uneven, (1, 2))
 
     def test_single_shot_per_schedule_rejected(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 1, seed=0)
-        with pytest.raises(DataError, match="at least 2 shots"):
-            analyze_pair(table, (1, 2))
+        for analysis in (analyze_pair, heatmap_lines):
+            with pytest.raises(DataError, match="at least 2 shots"):
+                analysis(table, (1, 2))
 
 
 class TestFlagging:
@@ -252,32 +266,41 @@ class TestFlagging:
             flag_crosstalk(reports, fidelities)
 
     def test_all_nan_report_never_flags(self):
-        report = CorrelationReport(
-            pair=(0, 1), array_labels=(), matrix=None,
-            named_coefficients=(float("nan"),) * 8,
-        )
+        report = CorrelationReport(pair=(0, 1), named_coefficients=(float("nan"),) * 8)
         assert np.isnan(report.max_named_abs())
         assert flag_crosstalk([report]) == ()
+
+    def test_parsed_block_flags_the_same_pairs(self):
+        reports = self._reports()
+        parsed = parse_named_block(named_block_lines(reports))
+        for threshold in (0.1, 0.5):
+            assert flag_crosstalk(parsed, threshold=threshold) == flag_crosstalk(
+                reports, threshold=threshold
+            )
+        assert [f.pair for f in flag_crosstalk(parsed)] == [(1, 2), (2, 3)]
 
 
 class TestSerialization:
     def test_heatmap_lines_round_trip_values(self):
         table = synthesize(default_readout_model(), TOY_COUPLING, 64, seed=6)
-        report = analyze_pair(table, (1, 2))
-        lines = heatmap_lines(report)
+        lines = heatmap_lines(table, (1, 2))
         assert len(lines) == 9
-        header = lines[0].split(",")
-        assert header[0] == "label"
-        assert tuple(header[1:]) == report.array_labels
-        for r, line in enumerate(lines[1:]):
-            parts = line.split(",")
-            values = [float(p) for p in parts[1:]]
-            np.testing.assert_array_equal(values, report.matrix[r])
-
-    def test_heatmap_requires_matrix(self):
-        reports = parse_named_block(FIXTURE.read_text().splitlines())
-        with pytest.raises(ValueError):
-            heatmap_lines(reports[0])
+        labels, matrix = parse_grid(lines)
+        # repr() round trip is exact: each off-diagonal cell is the Pearson r
+        # of two labeled signals, each its ground schedule then its excited one
+        signals = []
+        for label in labels:
+            own_state, qubit, feature = label.split("_")
+            pos = (1, 2).index(int(qubit))
+            signals.append(np.concatenate([
+                table.values((1, 2), int(qubit), schedule_name(pos, int(own_state), neighbor),
+                             {"real": "i", "imag": "q"}[feature])
+                for neighbor in (0, 1)
+            ]))
+        for r in range(8):
+            for c in range(8):
+                expected = 1.0 if r == c else pearson(signals[r], signals[c])
+                assert matrix[r, c] == expected
 
     def test_named_block_round_trip(self):
         model = crosstalk_demo_model()
@@ -288,7 +311,6 @@ class TestSerialization:
         assert len(parsed) == len(reports)
         for before, after in zip(reports, parsed):
             assert after.pair == before.pair
-            assert after.matrix is None
             # repr() round trip is exact
             assert after.named_coefficients == before.named_coefficients
 
@@ -332,50 +354,29 @@ class TestReportValidation:
     def test_named_coefficient_count_checked(self):
         for named in ((), ZEROS[:7], ZEROS + (0.0,)):
             with pytest.raises(ValueError, match="8 named coefficients"):
-                CorrelationReport(
-                    pair=(0, 1), array_labels=(), matrix=None, named_coefficients=named
-                )
-
-    def test_asymmetric_matrix_rejected(self):
-        m = np.eye(8)
-        m[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            CorrelationReport(
-                pair=(0, 1),
-                array_labels=tuple(str(i) for i in range(8)),
-                matrix=m,
-                named_coefficients=ZEROS,
-            )
-
-    def test_out_of_range_rejected(self):
-        m = np.eye(8)
-        m[0, 1] = m[1, 0] = 1.5
-        with pytest.raises(ValueError):
-            CorrelationReport(
-                pair=(0, 1),
-                array_labels=tuple(str(i) for i in range(8)),
-                matrix=m,
-                named_coefficients=ZEROS,
-            )
-
-    def test_bad_diagonal_rejected(self):
-        m = np.eye(8)
-        m[3, 3] = 0.9
-        with pytest.raises(ValueError):
-            CorrelationReport(
-                pair=(0, 1),
-                array_labels=tuple(str(i) for i in range(8)),
-                matrix=m,
-                named_coefficients=ZEROS,
-            )
+                CorrelationReport(pair=(0, 1), named_coefficients=named)
 
     def test_nan_entries_allowed_when_symmetric(self):
-        m = np.eye(8)
-        m[0, 1] = m[1, 0] = np.nan
-        report = CorrelationReport(
-            pair=(0, 1),
-            array_labels=tuple(str(i) for i in range(8)),
-            matrix=m,
-            named_coefficients=ZEROS,
+        # qubit 1's I values are constant, so every correlation with its two
+        # real-part signals is nan, on both sides of the diagonal
+        table = synthesize(default_readout_model(), TOY_COUPLING, 32, seed=8)
+        flat = IQShotTable(
+            device=table.device,
+            pair_first=table.pair_first,
+            pair_second=table.pair_second,
+            qubit=table.qubit,
+            schedule=table.schedule,
+            shot=table.shot,
+            i_value=np.where(table.qubit == 1, 0.25, table.i_value),
+            q_value=table.q_value,
         )
-        assert np.isnan(report.matrix[0, 1])
+        labels, matrix = parse_grid(heatmap_lines(flat, (1, 2)))
+        np.testing.assert_array_equal(matrix, matrix.T)
+        np.testing.assert_array_equal(np.diag(matrix), np.ones(8))
+        flat_rows = [k for k, label in enumerate(labels) if label.endswith("_1_real")]
+        assert flat_rows == [0, 4]
+        off_diagonal = ~np.eye(8, dtype=bool)
+        for k in flat_rows:
+            assert np.all(np.isnan(matrix[k][off_diagonal[k]]))
+        others = [k for k in range(8) if k not in flat_rows]
+        assert np.all(np.isfinite(matrix[np.ix_(others, others)]))

@@ -230,46 +230,41 @@ class TestStratifiedFolds:
 
 
 class TestScoreReport:
-    def test_mean_must_match(self):
-        with pytest.raises(ValueError):
-            ScoreReport(
-                metric="AssignmentFidelity",
-                per_fold=(0.5, 1.0),
-                mean=0.9,
-                half_width=0.1,
-            )
-
     def test_range_checked(self):
         with pytest.raises(ValueError):
-            ScoreReport(
-                metric="FowlkesMallows",
-                per_fold=(1.5,),
-                mean=1.5,
-                half_width=0.0,
-            )
+            ScoreReport(metric="FowlkesMallows", per_fold=(1.5,))
 
     def test_metric_name_checked(self):
         with pytest.raises(ValueError):
-            ScoreReport(metric="fidelity", per_fold=(1.0,), mean=1.0, half_width=0.0)
+            ScoreReport(metric="fidelity", per_fold=(1.0,))
 
     def test_half_width_kind_checked(self):
         with pytest.raises(ValueError):
-            ScoreReport(
-                metric="AssignmentFidelity",
-                per_fold=(1.0,),
-                mean=1.0,
-                half_width=0.0,
-                half_width_kind="iqr",
-            )
+            ScoreReport(metric="AssignmentFidelity", per_fold=(1.0,), half_width_kind="iqr")
+
+    @pytest.mark.parametrize(
+        ("per_fold", "kind", "mean", "half_width"),
+        [
+            # one fold has no spread
+            ((0.75,), "std", 0.75, 0.0),
+            ((0.75,), "sem95", 0.75, 0.0),
+            # two folds: sample std |a - b| / sqrt(2) = 0.25 / sqrt(2)
+            ((0.5, 0.75), "std", 0.625, 0.25 / np.sqrt(2.0)),
+            ((0.5, 0.75), "sem95", 0.625, 1.96 * 0.25 / 2.0),
+        ],
+    )
+    def test_mean_and_half_width_follow_per_fold(self, per_fold, kind, mean, half_width):
+        report = ScoreReport(
+            metric="AssignmentFidelity", per_fold=per_fold, half_width_kind=kind
+        )
+        assert report.mean == mean
+        assert report.half_width == pytest.approx(half_width, rel=1e-15)
+        assert type(report.mean) is float and type(report.half_width) is float
 
     def test_table_row_format(self):
-        report = ScoreReport(
-            metric="AssignmentFidelity",
-            per_fold=(0.97, 0.98),
-            mean=0.975,
-            half_width=0.00456,
-        )
-        assert table_row("q0", "single", report) == "q0, single, 0.975 ±0.0046"
+        report = ScoreReport(metric="AssignmentFidelity", per_fold=(0.97, 0.98))
+        # mean 0.975, half-width 0.01 / sqrt(2) = 0.00707...
+        assert table_row("q0", "single", report) == "q0, single, 0.975 ±0.0071"
 
 
 class TestCrossValidate:
