@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
+
 _HALF_SQRT2 = np.sqrt(0.5)
 # Row basis sending PCA coordinates to the plane: principal axis to the
 # 135-degree diagonal, second axis to its +90-degree rotation.
@@ -54,7 +56,7 @@ def fit_readout_frame(features: np.ndarray) -> ReadoutFrame:
     if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 2:
         raise ValueError("need an (n, 2) array with n >= 2 to fit a frame")
     if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
+        raise DataError("features must be finite")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / (x.shape[0] - 1)
@@ -90,7 +92,7 @@ class DataSet:
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must be one integer per feature row")
         if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
+            raise DataError("features must be finite")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 

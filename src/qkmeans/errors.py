@@ -5,8 +5,15 @@ malformed JSON); ``DataError`` marks invalid data content (malformed rows,
 duplicate keys, non-finite values, mismatched inputs).  Both are
 ``ValueError``s; the CLI maps them to exit codes 1 and 2.  Each shared
 input rule has one owner here: ``check_number`` (run parameters),
-``read_lines`` (UTF-8 data files), ``parse_index`` (qubit and shot
-tokens) and ``parse_pair`` (``a-b`` tokens).
+``read_lines`` (UTF-8 data files), ``parse_index`` and its column form
+``all_indices`` (qubit and shot tokens) and ``parse_pair`` (``a-b``
+tokens).
+
+The numeric-range rule lives with the shot table: ``iqdata.IQShotTable``
+raises DataError for an i or q value that is not finite or exceeds 2**400
+in magnitude, so every later sum over a table stays finite, and
+``dataset.DataSet`` and ``dataset.fit_readout_frame`` raise DataError for
+non-finite features.
 """
 
 from __future__ import annotations
@@ -47,13 +54,25 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
+def _ascii_digits(text: str) -> bool:
+    """The index rule: ``text`` is one or more ASCII digits."""
+    return text.isdigit() and text.isascii()
+
+
 def parse_index(token: str) -> int:
     """The integer of a token of ASCII digits; DataError otherwise, so
     ``int``'s signs, spaces, underscores and non-ASCII digits never reach
     an index."""
-    if not (token.isdigit() and token.isascii()):
+    if not _ascii_digits(token):
         raise DataError(f"malformed index {token!r}: expected ASCII digits")
     return int(token)
+
+
+def all_indices(tokens: list[str]) -> bool:
+    """Whether every token would pass ``parse_index``: the column form of
+    its rule, one test on the concatenation, which is ASCII digits exactly
+    when every token is and none is empty."""
+    return not tokens or (all(tokens) and _ascii_digits("".join(tokens)))
 
 
 @lru_cache(maxsize=1024)  # a shot table repeats a few pair tokens on every row

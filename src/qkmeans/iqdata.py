@@ -40,7 +40,9 @@ from importlib import resources
 import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
-from .errors import ConfigError, DataError, check_number, parse_index, parse_pair, read_lines
+from .errors import (
+    ConfigError, DataError, all_indices, check_number, parse_index, parse_pair, read_lines,
+)
 from .simulator import derive_seed
 
 SCHEDULES = ("00", "01", "10", "11")
@@ -49,6 +51,12 @@ EXCITED_SHIFT_FRACTION = 0.25
 _ORTHOGONALIZE_MIN_SHOTS = 32
 _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
 _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
+# Largest |i| or |q| a shot table holds.  Within it a deviation from a mean
+# is at most 2**401, so a product of two is at most 2**802, and a sum of
+# fewer than 2**200 such products (a readout frame's covariance, a Pearson
+# coefficient's moments) stays below 2**1002, far from the float64 limit
+# near 2**1024: no table that fits in memory can overflow those sums.
+_MAX_IQ_MAGNITUDE = 2.0**400
 # IQShotTable columns, in CSV field order (the "pair" field holds the first two)
 _COLUMNS = ("pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")
 
@@ -140,8 +148,9 @@ class IQShotTable:
     Keyed by (pair_first, pair_second, qubit, schedule, shot); a qubit
     belonging to two couplings appears once per pair, which is why the
     pair columns are part of the key.  A row's qubit is one of its pair's
-    two distinct qubits.  Each (pair, qubit, schedule) run of the sorted
-    rows is one slice, indexed once here.
+    two distinct qubits.  Its i and q values are finite and at most 2**400
+    in magnitude (``_MAX_IQ_MAGNITUDE``).  Each (pair, qubit, schedule) run
+    of the sorted rows is one slice, indexed once here.
     """
 
     device: str
@@ -177,6 +186,15 @@ class IQShotTable:
         if n:
             if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
                 raise DataError("i/q values must be finite")
+            large = np.flatnonzero(
+                (np.abs(i_val) > _MAX_IQ_MAGNITUDE) | (np.abs(q_val) > _MAX_IQ_MAGNITUDE)
+            )
+            if large.size:
+                j = large[0]
+                raise DataError(
+                    "|i| and |q| must be at most 2**400 (about 2.6e120), "
+                    f"got i={float(i_val[j])!r}, q={float(q_val[j])!r}"
+                )
             if min(pf.min(), ps.min(), qb.min(), shot.min()) < 0:
                 raise DataError("pair, qubit and shot indices must be >= 0")
             bad = np.flatnonzero((pf == ps) | ((qb != pf) & (qb != ps)))
@@ -336,60 +354,141 @@ def assemble_datasets(
 # ---------------------------------------------------------------------------
 
 _HEADER = "pair,qubit,schedule,shot,i,q"
+# Rows formatted or parsed per step.  Speed is flat from 256 to 4,096 rows;
+# at 1,024 a block's strings take a few hundred KB, so a table of a few
+# blocks peaks below the per-row lists a row-by-row reader holds, and a
+# table's token list is never built whole.
+_BLOCK_ROWS = 1024
+_DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
+
+
+def _key_texts(table: IQShotTable, rows: slice) -> list[str]:
+    """The ``pair,qubit,schedule`` text of each row in ``rows``, formatted
+    once per run of rows that share it (one slice of a sorted table)."""
+    keys = [table.pair_first[rows], table.pair_second[rows], table.qubit[rows], table.schedule[rows]]
+    starts = np.flatnonzero(np.any([key[1:] != key[:-1] for key in keys], axis=0)) + 1
+    bounds = [0, *starts.tolist(), len(keys[0])]
+    texts: list[str] = []
+    for a, b in zip(bounds, bounds[1:]):
+        first, second, qubit, schedule = (key[a] for key in keys)
+        texts += [f"{first}-{second},{qubit},{schedule}"] * (b - a)
+    return texts
 
 
 def save_table(table: IQShotTable, path) -> None:
-    lines = [f"# device: {table.device}", _HEADER]
-    for row in range(len(table)):
-        lines.append(
-            f"{table.pair_first[row]}-{table.pair_second[row]},"
-            f"{table.qubit[row]},{table.schedule[row]},{table.shot[row]},"
-            f"{repr(float(table.i_value[row]))},{repr(float(table.q_value[row]))}"
-        )
+    """Write ``table`` as CSV, ``_BLOCK_ROWS`` rows per write.  Floats are
+    written with ``repr``, so ``load_table`` reads them back bit-exact."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# device: {table.device}\n{_HEADER}\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            fields = zip(
+                _key_texts(table, rows), map(str, table.shot[rows].tolist()),
+                map(repr, table.i_value[rows].tolist()), map(repr, table.q_value[rows].tolist()),
+            )
+            fh.write("\n".join(map(",".join, fields)) + "\n")
 
 
-def load_table(path) -> IQShotTable:
-    device = ""
-    rows: dict[str, list] = {k: [] for k in _COLUMNS}
-    header_seen = False
-    for lineno, line in enumerate(read_lines(path), start=1):
-        text = line.strip()
+def _device_line(text: str, device: str) -> str:
+    """The device named by comment line ``text``, else ``device``."""
+    body = text.lstrip("#").strip()
+    return body[len("device:"):].strip() if body.startswith("device:") else device
+
+
+def _read_rows(texts: list[str], first_lineno: int, device: str) -> tuple[list, str]:
+    """Columns of the stripped lines ``texts``, the first numbered
+    ``first_lineno``, read row by row; DataError naming the line of the
+    first bad row.  Returns the columns and the device after the block's
+    comment lines."""
+    rows = []
+    for lineno, text in enumerate(texts, start=first_lineno):
         if not text:
             continue
         if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if body.startswith("device:"):
-                device = body[len("device:"):].strip()
-            continue
-        if not header_seen:
-            if text != _HEADER:
-                raise DataError(f"line {lineno}: expected header {_HEADER!r}, got {text!r}")
-            header_seen = True
+            device = _device_line(text, device)
             continue
         parts = text.split(",")
         if len(parts) != 6:
             raise DataError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         try:
-            first, second = parse_pair(parts[0])
-            rows["pair_first"].append(first)
-            rows["pair_second"].append(second)
-            rows["qubit"].append(parse_index(parts[1]))
-            rows["schedule"].append(parts[2])
-            rows["shot"].append(parse_index(parts[3]))
-            rows["i_value"].append(float(parts[4]))
-            rows["q_value"].append(float(parts[5]))
+            row = (*parse_pair(parts[0]), parse_index(parts[1]), parts[2],
+                   parse_index(parts[3]), float(parts[4]), float(parts[5]))
         except ValueError as exc:
             raise DataError(f"line {lineno}: malformed row ({exc})") from exc
-        if not (math.isfinite(rows["i_value"][-1]) and math.isfinite(rows["q_value"][-1])):
+        if not (math.isfinite(row[5]) and math.isfinite(row[6])):
             raise DataError(f"line {lineno}: non-finite i/q value")
-        if rows["schedule"][-1] not in SCHEDULES:
-            raise DataError(f"line {lineno}: invalid schedule {rows['schedule'][-1]!r}")
+        if row[3] not in SCHEDULES:
+            raise DataError(f"line {lineno}: invalid schedule {row[3]!r}")
+        rows.append(row)
+    return list(zip(*rows)) or [()] * len(_COLUMNS), device
+
+
+def _parse_block(texts: list[str]):
+    """Columns of the stripped lines ``texts`` when every one is a valid data
+    row, checked one column at a time; None when any check fails."""
+    if set(map(str.count, texts, [","] * len(texts))) != {5}:  # 6 fields on every line
+        return None
+    tokens = ",".join(texts).split(",")
+    pair, qubit, schedule, shot, i_value, q_value = (tokens[k::6] for k in range(6))
+    if not (all_indices(qubit) and all_indices(shot) and set(schedule) <= set(SCHEDULES)):
+        return None
+    n = len(texts)
     try:
-        return IQShotTable(device=device, **rows)
-    except OverflowError as exc:
-        raise DataError(f"pair, qubit or shot index outside the int64 range ({exc})") from exc
+        firsts, seconds = zip(*map(parse_pair, pair))
+        qubit = np.fromiter(map(int, qubit), np.int64, n)
+        shot = np.fromiter(map(int, shot), np.int64, n)
+        i_value = np.fromiter(map(float, i_value), np.float64, n)
+        q_value = np.fromiter(map(float, q_value), np.float64, n)
+    except (ValueError, OverflowError):  # OverflowError: an index of 2**63 or more
+        return None
+    if not (np.isfinite(i_value).all() and np.isfinite(q_value).all()):
+        return None
+    return [firsts, seconds, qubit, schedule, shot, i_value, q_value]
+
+
+def load_table(path) -> IQShotTable:
+    """Read a shot table written by ``save_table``.
+
+    Lines are stripped and blank ones skipped.  Comment lines may appear
+    anywhere, and the last ``# device:`` line names the device.  The header
+    is the first other line.  Rows are checked and converted
+    ``_BLOCK_ROWS`` lines at a time; a block that fails a check is read
+    again row by row, so each DataError names the line of the first bad row.
+    """
+    lines = read_lines(path)
+    device, start = "", len(lines)
+    for index, line in enumerate(lines):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            device = _device_line(text, device)
+            continue
+        if text != _HEADER:
+            raise DataError(f"line {index + 1}: expected header {_HEADER!r}, got {text!r}")
+        start = index + 1
+        break
+    columns = [np.empty(len(lines) - start, dtype) for dtype in _DTYPES]
+    count, overflow = 0, None
+    for first in range(start, len(lines), _BLOCK_ROWS):
+        texts = list(map(str.strip, lines[first:first + _BLOCK_ROWS]))
+        block = _parse_block(texts)
+        if block is None:
+            block, device = _read_rows(texts, first + 1, device)
+        stop = count + len(block[0])
+        try:
+            for column, values in zip(columns, block):
+                column[count:stop] = values
+        except OverflowError as exc:  # a later bad row still names its line first
+            overflow = overflow or exc
+        count = stop
+    if overflow is not None:
+        raise DataError(
+            f"pair, qubit or shot index outside the int64 range ({overflow})"
+        ) from overflow
+    return IQShotTable(
+        device=device, **{name: column[:count] for name, column in zip(_COLUMNS, columns)}
+    )
 
 
 # ---------------------------------------------------------------------------

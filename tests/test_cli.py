@@ -324,6 +324,21 @@ class TestBenchmark:
         assert_error_exit(capsys, [*base, "--algo", "qkmeans", "--out", str(out)], 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", ["kmeans", "qkmeans"])
+    def test_values_whose_frame_would_overflow_are_data_errors(self, algo, tmp_path, capsys):
+        # clouds near 1e160 overflow the frame's covariance; the table rejects them first
+        rng = np.random.default_rng(0)
+        rows = [f"0-1,{q},{sched},{shot},{1e160 * rng.standard_normal()!r},"
+                f"{1e160 * rng.standard_normal()!r}"
+                for q in (0, 1) for sched in ("00", "01", "10", "11") for shot in range(8)]
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(["pair,qubit,schedule,shot,i,q", *rows]) + "\n")
+        out = tmp_path / "out"
+        assert_error_exit(capsys, [
+            "benchmark", "--data", str(data), "--algo", algo, "--splits", "2", "--out", str(out),
+        ], 2)
+        assert not out.exists()
+
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
         bad.write_bytes(b"\xff\xfe")
@@ -392,6 +407,16 @@ class TestCrosstalkCommand:
         assert_error_exit(capsys, [
             "crosstalk", "--data", str(tmp_path / "iq_shots.csv"), "--out", str(tmp_path),
         ], 2)
+
+    def test_values_whose_moments_would_overflow_are_data_errors(self, tmp_path, capsys):
+        # at +-1e308 every Pearson mean overflows, which once read as "no pairs flagged"
+        rows = [f"0-1,{q},{sched},{shot},{(-1) ** shot * 1e308!r},{1e308!r}"
+                for q in (0, 1) for sched in ("00", "01", "10", "11") for shot in range(4)]
+        data = tmp_path / "x.csv"
+        data.write_text("\n".join(["pair,qubit,schedule,shot,i,q", *rows]) + "\n")
+        out = tmp_path / "out"
+        assert_error_exit(capsys, ["crosstalk", "--data", str(data), "--out", str(out)], 2)
+        assert not out.exists()
 
     def test_flags_coupled_pairs(self, tmp_path):
         data_dir = tmp_path / "data"

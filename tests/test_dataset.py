@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkmeans.dataset import DataSet, fit_readout_frame
+from qkmeans.errors import DataError
 
 DIAG_135 = np.array([-1.0, 1.0]) / np.sqrt(2.0)
 
@@ -121,6 +122,14 @@ class TestDataSet:
         feats[1, 1] = np.inf
         with pytest.raises(ValueError):
             DataSet(feats, np.array([0, 1]))
+
+    def test_non_finite_features_are_data_errors(self):
+        feats = np.ones((2, 2))
+        feats[0, 0] = np.nan
+        with pytest.raises(DataError, match="finite"):
+            DataSet(feats, np.array([0, 1]))
+        with pytest.raises(DataError, match="finite"):
+            fit_readout_frame(feats)
 
     def test_rejects_1d_features(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qkmeans.cli import read_score_table
 from qkmeans.clustering import FitConfig, fit, predict, qkmeans_plusplus_init
@@ -18,6 +19,7 @@ from qkmeans.distance import BatchConfig
 from qkmeans.errors import (
     ConfigError,
     DataError,
+    all_indices,
     check_number,
     parse_index,
     parse_pair,
@@ -186,6 +188,20 @@ BAD_INDEX_TOKENS = ["1_0", "+3", " 1", "١", "-1", "", "1.0", "³"]
 def test_parse_index_accepts_ascii_digits():
     assert parse_index("0") == 0
     assert parse_index("007") == 7
+    assert all_indices(["0", "007", "12"])
+    assert all_indices([])
+
+
+@given(st.lists(st.sampled_from(["0", "17", "007"]) | st.sampled_from(BAD_INDEX_TOKENS)
+                | st.text(max_size=3), max_size=5))
+def test_all_indices_is_parse_index_on_every_token(tokens):
+    def passes(token):
+        try:
+            parse_index(token)
+        except DataError:
+            return False
+        return True
+    assert all_indices(tokens) == all(map(passes, tokens))
 
 
 @pytest.mark.parametrize("token", BAD_INDEX_TOKENS)

@@ -321,6 +321,16 @@ class TestTableContainer:
                 q_value=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("column", ["i_value", "q_value"])
+    def test_values_beyond_the_magnitude_bound_rejected(self, column):
+        columns = dict(pair_first=[0, 0], pair_second=[1, 1], qubit=[0, 0], schedule=["00", "00"],
+                       shot=[0, 1], i_value=[2.0**400, -(2.0**400)], q_value=[1.0, 2.0])
+        assert len(IQShotTable(device="toy", **columns)) == 2  # the bound itself is in range
+        for value in (np.nextafter(2.0**400, np.inf), -1e308):
+            columns[column] = [1.0, value]
+            with pytest.raises(DataError, match=r"at most 2\*\*400"):
+                IQShotTable(device="toy", **columns)
+
     @pytest.mark.parametrize("column", ["pair_first", "qubit", "shot"])
     def test_negative_index_rejected(self, column):
         columns = dict(pair_first=[0], pair_second=[1], qubit=[0], shot=[0])
