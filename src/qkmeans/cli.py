@@ -213,6 +213,8 @@ def cmd_crosstalk(args) -> int:
     else:
         reports = crosstalk.parse_named_block(read_lines(args.named_values))
     fidelities = read_score_table(args.scores) if args.scores else None
+    if fidelities == {}:
+        raise DataError(f"{args.scores} has no AssignmentFidelity rows for the fidelity-gap rule")
     flags = crosstalk.flag_crosstalk(
         reports, fidelities, threshold=args.threshold, fidelity_gap=args.fidelity_gap
     )

@@ -140,8 +140,9 @@ def flag_crosstalk(
 ) -> tuple[CrosstalkFlag, ...]:
     """Flag pairs by correlation magnitude or single-vs-both fidelity gap.
 
-    ``fidelities`` maps (pair, qubit, "single"|"both") to a mean fidelity;
-    pass None (or {}) to flag on correlations alone.
+    ``fidelities`` maps (pair, qubit, "single"|"both") to a mean fidelity,
+    with both kinds for every qubit of every pair; pass None (or {}) to
+    flag on correlations alone.
     """
     check_number("threshold", threshold, 0.0, integral=False)
     check_number("fidelity_gap", fidelity_gap, 0.0, integral=False)
@@ -165,7 +166,8 @@ def flag_crosstalk(
                 single = fidelities.get((report.pair, qubit, "single"))
                 both = fidelities.get((report.pair, qubit, "both"))
                 if single is None or both is None:
-                    continue
+                    raise DataError(f"fidelity tables lack qubit {qubit}'s single or both row "
+                                    f"for pair {report.pair}")
                 gap = abs(single - both)
                 if gap >= fidelity_gap:
                     evidence.append(

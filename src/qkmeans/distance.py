@@ -15,10 +15,13 @@ From an (estimated or exact) ancilla-zero probability p0:
     overlap_sq = clip(2*p0 - 1, 0, 1)
     distance   = sqrt(2 - 2*sqrt(overlap_sq))        in [0, sqrt(2)]
 
-Requests are grouped by feature length and cut into jobs of at most C =
-``max_circuits_per_job`` circuits; a job holds C*F*8-byte blocks of
-encoded rows and plays no part in sampling.  ``quantum_distance`` is a
-one-request call into this executor.
+A job holds at most C = ``max_circuits_per_job`` circuits, and a call
+of R requests of one feature length counts ceil(R/C) jobs.  A job is an
+accounting unit, as on a device queue, and plays no part in computing
+or sampling: ``distance_matrix`` forms its overlaps in blocks of
+consecutive points capped at ``_BLOCK_PRODUCTS`` float64 products,
+whatever C is.  ``quantum_distance`` is a one-request call into this
+executor.
 
 Sampled mode draws each request's count of ancilla ones in two
 vectorized steps per executor call, keyed by request index:
@@ -58,6 +61,8 @@ from .simulator import (  # noqa: F401
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# float64 products (512 KiB) in one distance_matrix block of points
+_BLOCK_PRODUCTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,9 @@ class DistanceRequest:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Execution budget for the batched backend."""
+    """Execution budget for the batched backend.  ``max_circuits_per_job``
+    is the device's per-job limit C: it sets how many jobs a call counts,
+    not how the overlaps are computed."""
 
     max_circuits_per_job: int = 900
     shots_per_circuit: int = 1024
@@ -194,24 +201,6 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return k
 
 
-def _overlaps(
-    enc_left: np.ndarray,
-    enc_right: np.ndarray,
-    left_rows: np.ndarray,
-    right_rows: np.ndarray,
-    config: BatchConfig,
-) -> tuple[np.ndarray, int]:
-    """<x|y> of each pair (enc_left[left_rows[r]], enc_right[right_rows[r]]),
-    gathered job by job, at most C pairs a job; returns (overlaps, jobs)."""
-    overlap = np.empty(left_rows.size, dtype=np.float64)
-    jobs = 0
-    for start in range(0, left_rows.size, config.max_circuits_per_job):
-        job = slice(start, start + config.max_circuits_per_job)
-        overlap[job] = row_sums(enc_left[left_rows[job]] * enc_right[right_rows[job]])
-        jobs += 1
-    return overlap, jobs
-
-
 def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.ndarray:
     """Distances from one executor call's overlaps, request i at index i: the
     exact p0 = 1/2 + <x|y>**2/2, or one sampler pass over every request."""
@@ -232,9 +221,9 @@ def estimate_distances(
 ) -> tuple[np.ndarray, BatchStats]:
     """Run every request through the batched backend.
 
-    Requests are grouped by feature length; each group is cut into jobs
-    of at most ``config.max_circuits_per_job`` circuits.  Result i depends
-    only on request i (and config), never on its neighbours.
+    Requests are grouped by feature length; a group of g requests counts
+    ceil(g / ``config.max_circuits_per_job``) jobs.  Result i depends only
+    on request i (and config), never on its neighbours.
     """
     config = config or BatchConfig()
     groups: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
@@ -249,9 +238,8 @@ def estimate_distances(
     for members in groups.values():
         idx, lefts, rights = zip(*members)
         enc_left, enc_right = encode_matrix(np.stack(lefts)), encode_matrix(np.stack(rights))
-        rows = np.arange(len(idx))
-        overlap[list(idx)], group_jobs = _overlaps(enc_left, enc_right, rows, rows, config)
-        jobs += group_jobs
+        overlap[list(idx)] = row_sums(enc_left * enc_right)
+        jobs += -(-len(idx) // config.max_circuits_per_job)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
     return _distances(overlap, config, sampled), stats
 
@@ -266,16 +254,22 @@ def distance_matrix(
 
     Equivalent to ``estimate_distances`` over the row-major list of
     (point i, center k) requests — including per-request sampling streams —
-    but encodes each point and each center once and gathers the pairs
-    job by job instead of materialising N*K request rows.
+    but encodes each point and each center once and multiplies them in
+    capped blocks of points instead of materialising N*K request rows.
     """
     config = config or BatchConfig()
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
         raise ValueError("points and centers must be 2-D with matching feature counts")
-    n_pts, k = pts.shape[0], ctr.shape[0]
-    pt_rows, ctr_rows = np.divmod(np.arange(n_pts * k), k)
-    overlap, jobs = _overlaps(encode_matrix(pts), encode_matrix(ctr), pt_rows, ctr_rows, config)
+    (n_pts, f), k = pts.shape, ctr.shape[0]
+    enc_pts, enc_ctr = encode_matrix(pts), encode_matrix(ctr)
+    overlap = np.empty((n_pts, k), dtype=np.float64)
+    step = max(1, _BLOCK_PRODUCTS // max(1, k * f))
+    for start in range(0, n_pts, step):
+        rows = slice(start, start + step)
+        block = enc_pts[rows, None, :] * enc_ctr
+        overlap[rows] = row_sums(block.reshape(-1, f)).reshape(block.shape[:2])
+    jobs = -(-n_pts * k // config.max_circuits_per_job)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=n_pts * k)
-    return _distances(overlap, config, sampled).reshape(n_pts, k), stats
+    return _distances(overlap.ravel(), config, sampled).reshape(n_pts, k), stats

@@ -37,6 +37,7 @@ def assert_error_exit(capsys, argv, code):
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 def manifest_without_timestamp(path: Path) -> dict:
@@ -224,6 +225,18 @@ class TestBenchmark:
         assert code == 0
         scores = read_score_table(tmp_path / "scores.csv")
         assert len(scores) == 16  # 4 pairs x 2 qubits x 2 kinds
+
+    @pytest.mark.parametrize("mode", [["--mode", "exact"], ["--mode", "sampled", "--shots", "16"]])
+    def test_scores_independent_of_max_circuits(self, mode, shot_table_dir, tmp_path):
+        bodies = []
+        for budget in ([], ["--max-circuits", "7"], ["--max-circuits", "1"]):
+            out = tmp_path / f"c{len(bodies)}"
+            assert main([
+                "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+                "--algo", "qkmeans", *mode, *budget, "--splits", "2", "--out", str(out),
+            ]) == 0
+            bodies.append((out / "scores.csv").read_bytes())
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
 
     def test_fm_metric_rows_are_skipped_by_score_reader(
         self, shot_table_dir, tmp_path
@@ -456,6 +469,21 @@ class TestCrosstalkCommand:
         ])
         assert code == 0
         assert (out / "flags.txt").exists()
+
+    def test_scores_without_fidelity_rows_are_data_error(self, shot_table_dir, tmp_path, capsys):
+        # an fm score table would otherwise switch the fidelity-gap rule off unseen
+        bench = tmp_path / "bench"
+        assert main([
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--algo", "kmeans", "--metric", "fm", "--splits", "2", "--out", str(bench),
+        ]) == 0
+        out = tmp_path / "out"
+        err = assert_error_exit(capsys, [
+            "crosstalk", "--data", str(shot_table_dir / "iq_shots.csv"),
+            "--scores", str(bench / "scores.csv"), "--fidelity-gap", "0", "--out", str(out),
+        ], 2)
+        assert "no AssignmentFidelity rows" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mean, message", [
         ("nan", "fidelity mean nan is not in"),

@@ -259,6 +259,16 @@ class TestFlagging:
         flags = flag_crosstalk(reports, fidelities, threshold=0.99)
         assert flags == ()
 
+    def test_qubit_missing_a_fidelity_kind_rejected(self):
+        reports = self._reports()
+        fidelities = {
+            (report.pair, qubit, kind): 0.99
+            for report in reports for qubit in report.pair for kind in ("single", "both")
+        }
+        del fidelities[((1, 2), 2, "both")]
+        with pytest.raises(DataError, match=r"qubit 2's single or both row for pair \(1, 2\)"):
+            flag_crosstalk(reports, fidelities)
+
     def test_pair_mismatch_rejected(self):
         reports = self._reports()
         fidelities = {((9, 10), 9, "single"): 0.5}

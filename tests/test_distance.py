@@ -403,7 +403,7 @@ class TestDistanceMatrix:
     def test_exact_job_memory_does_not_grow_with_f_squared(self):
         # A 2**(2m+1)-amplitude statevector per circuit would need ~130 MB
         # here (64 circuits x 2 * 256**2 x 16 B); the closed form needs
-        # O((N + K + C) * F) bytes.
+        # O((N + K) * F) bytes plus one capped block of products.
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(32, 256))
         ctr = rng.normal(size=(2, 256))
@@ -416,6 +416,23 @@ class TestDistanceMatrix:
         assert peak < 16 * 2**20
         assert stats == BatchStats(1, 64)
         assert mat[5, 1] == pytest.approx(oracle_distance(pts[5], ctr[1]), abs=1e-9)
+
+
+    def test_memory_stays_near_inputs_at_large_k_times_f(self):
+        # One (N, K, F) product would be ~65 MB here; blocks of points keep
+        # the peak a small multiple of the ~4 MB of inputs.
+        rng = np.random.default_rng(15)
+        pts = rng.normal(size=(2000, 256))
+        ctr = rng.normal(size=(16, 256))
+        tracemalloc.start()
+        try:
+            mat, stats = distance_matrix(pts, ctr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (pts.nbytes + ctr.nbytes)
+        assert stats == BatchStats(-(-32000 // 900), 32000)
+        assert mat[1999, 15] == pytest.approx(oracle_distance(pts[1999], ctr[15]), abs=1e-9)
 
 
 class TestBatchConfig:

@@ -66,9 +66,11 @@ def long_rows(tmp_path_factory):
 
 
 def _field(index, edit):
+    # a row that an earlier edit cut short keeps its missing field missing
     def apply(fields):
         fields = list(fields)
-        fields[index] = edit(fields[index])
+        if index < len(fields):
+            fields[index] = edit(fields[index])
         return fields
     return apply
 
@@ -112,6 +114,7 @@ EXTRA_LINES = ["", "   ", "# note", "# device: a", "#device:  b ", "  # device: 
 )
 @example(edits=[(_BLOCK_ROWS - 1, FIELD_EDITS[0])], extras=[])
 @example(edits=[(_BLOCK_ROWS, _field(2, lambda token: "02"))], extras=[(3, "# device: early")])
+@example(edits=[(7, FIELD_EDITS[0]), (7, _field(5, lambda token: "x"))], extras=[])
 @example(  # an index past int64 loses to a later malformed row, as in the reference
     edits=[(5, _field(1, lambda token: str(2**63))), (2 * _BLOCK_ROWS + 1, _field(5, lambda token: "x"))],
     extras=[],
