@@ -33,6 +33,8 @@ reproducible and init/iteration streams never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -98,15 +100,17 @@ def _pairwise(
     centers: np.ndarray,
     distance_mode: str,
     batch: BatchConfig,
-    seed_tag: int,
+    shot_seed: Callable[[], int],
 ) -> tuple[np.ndarray, BatchStats | None]:
-    """(N, K) distances under the given mode; stats only for quantum modes."""
+    """(N, K) distances under the given mode; stats only for quantum modes.
+    ``shot_seed()`` gives the shot-noise seed; only sampled mode calls it."""
     if distance_mode == "classical_euclidean":
         diff = points[:, None, :] - centers[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=2)), None
     sampled = distance_mode == "quantum_sampled"
-    cfg = replace(batch, seed=seed_tag)
-    return distance_matrix(points, centers, config=cfg, sampled=sampled)
+    if sampled:
+        batch = replace(batch, seed=shot_seed())
+    return distance_matrix(points, centers, config=batch, sampled=sampled)
 
 
 def qkmeans_plusplus_init(
@@ -130,7 +134,8 @@ def qkmeans_plusplus_init(
     for round_idx in range(1, n_clusters):
         newest = X.features[chosen[-1]][None, :]
         dist, _ = _pairwise(
-            X.features, newest, distance_mode, batch, derive_seed(batch.seed, 0, round_idx)
+            X.features, newest, distance_mode, batch,
+            partial(derive_seed, batch.seed, 0, round_idx),
         )
         dist = dist[:, 0]
         min_dist = dist if min_dist is None else np.minimum(min_dist, dist)
@@ -176,7 +181,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     for iteration in range(config.max_iter):
         dists, stats = _pairwise(
             X.features, centers, config.distance_mode, config.batch,
-            derive_seed(config.batch.seed, 1, iteration),
+            partial(derive_seed, config.batch.seed, 1, iteration),
         )
         if stats is not None:
             batch_history.append(stats)
@@ -213,7 +218,7 @@ def predict(
     if X.n_features != model.cluster_centers.shape[1]:
         raise ValueError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    dists, _ = _pairwise(X.features, model.cluster_centers, distance_mode, batch, seed)
+    dists, _ = _pairwise(X.features, model.cluster_centers, distance_mode, batch, lambda: seed)
     return np.argmin(dists, axis=1).astype(np.int64)
 
 

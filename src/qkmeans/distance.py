@@ -167,8 +167,8 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     Cornish-Fisher guess, k steps up or down on the still-unsettled
     entries only, so each entry's result depends on its own (p, u) alone.
     """
-    # scipy.special is already loaded with scipy.optimize; importing it here
-    # keeps it off the import path of callers that never sample.
+    # Local, as metrics.assignment_fidelity's scipy.optimize import is: a
+    # process that never samples a distance never loads scipy.special.
     from scipy.special import betainc, ndtri
 
     n = float(shots)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import clustering
 from .dataset import DataSet
@@ -95,6 +94,10 @@ def contingency_table(predicted, truth) -> np.ndarray:
 
 def assignment_fidelity(predicted, truth) -> float:
     """Best accuracy over all cluster-to-class relabelings, in [0, 1]."""
+    # scipy.optimize is most of a cold import; a process that never scores
+    # fidelity never loads it.
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_table(predicted, truth)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum() / table.sum())
@@ -136,12 +139,14 @@ def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.nd
         if size < n_splits:
             raise DataError(f"class {value} has {size} samples; need >= n_splits={n_splits}")
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(n_splits)]
-    for offset, value in enumerate(classes):
-        shuffled = rng.permutation(np.flatnonzero(labels == value))
-        for i, idx in enumerate(shuffled):
-            buckets[(i + offset) % n_splits].append(int(idx))
-    return [np.sort(np.asarray(bucket, dtype=np.int64)) for bucket in buckets]
+    shuffled = [rng.permutation(np.flatnonzero(labels == value)) for value in classes]
+    # member i of class number `offset` goes to fold (i + offset) % n_splits
+    fold = np.concatenate(
+        [(np.arange(m.size) + offset) % n_splits for offset, m in enumerate(shuffled)]
+    )
+    members = np.concatenate(shuffled).astype(np.int64)
+    ordered = members[np.lexsort((members, fold))]
+    return np.split(ordered, np.cumsum(np.bincount(fold, minlength=n_splits))[:-1])
 
 
 def cross_validate(

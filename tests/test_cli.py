@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkmeans
 from qkmeans import iqdata
 from qkmeans.cli import build_parser, main, read_score_table
 from qkmeans.complexity import ComplexityParams
@@ -628,3 +632,51 @@ class TestEntryPoint:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["synth", "--bogus"]) == 1
+
+
+# Runs in a fresh interpreter; records the scipy modules loaded after each step.
+COLD_START = """\
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = Path(sys.argv[1])
+loaded = {}
+import qkmeans
+loaded["import qkmeans"] = scipy_modules()
+from qkmeans import cli
+loaded["import qkmeans.cli"] = scipy_modules()
+shots = str(out / "synth" / "iq_shots.csv")
+for name, argv in (
+    ("synth", ["synth", "--shots", "8", "--seed", "1", "--out", str(out / "synth")]),
+    ("complexity", ["complexity", "--out", str(out / "complexity")]),
+    ("crosstalk", ["crosstalk", "--data", shots, "--out", str(out / "crosstalk")]),
+    ("benchmark", ["benchmark", "--data", shots, "--algo", "kmeans", "--splits", "2",
+                   "--out", str(out / "benchmark")]),
+):
+    loaded[name] = [cli.main(argv), scipy_modules()]
+(out / "loaded.json").write_text(json.dumps(loaded))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_on_the_first_fidelity_score(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(qkmeans.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads((tmp_path / "loaded.json").read_text())
+        assert loaded["import qkmeans"] == []
+        assert loaded["import qkmeans.cli"] == []
+        for command in ("synth", "complexity", "crosstalk"):
+            assert loaded[command] == [0, []], command
+        code, modules = loaded["benchmark"]
+        assert code == 0 and "scipy.optimize" in modules
+        scores = read_score_table(tmp_path / "benchmark" / "scores.csv")
+        assert scores and all(0.0 <= v <= 1.0 for v in scores.values())

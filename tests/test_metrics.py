@@ -60,6 +60,23 @@ def oracle_fm(pred, truth) -> float:
 label_lists = st.lists(st.integers(0, 4), min_size=2, max_size=25)
 
 
+def reference_stratified_folds(labels, n_splits: int, seed: int) -> list[np.ndarray]:
+    """The per-index loop that ``stratified_folds`` replaced, kept verbatim
+    after its argument checks as the reference its folds must equal."""
+    labels = np.asarray(labels, dtype=np.int64)
+    classes, counts = np.unique(labels, return_counts=True)
+    for value, size in zip(classes, counts):
+        if size < n_splits:
+            raise DataError(f"class {value} has {size} samples; need >= n_splits={n_splits}")
+    rng = np.random.default_rng(seed)
+    buckets: list[list[int]] = [[] for _ in range(n_splits)]
+    for offset, value in enumerate(classes):
+        shuffled = rng.permutation(np.flatnonzero(labels == value))
+        for i, idx in enumerate(shuffled):
+            buckets[(i + offset) % n_splits].append(int(idx))
+    return [np.sort(np.asarray(bucket, dtype=np.int64)) for bucket in buckets]
+
+
 class TestContingency:
     def test_known_table(self):
         table = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
@@ -214,6 +231,28 @@ class TestStratifiedFolds:
         labels = np.repeat([3, 2, 1, 0], [1, 2, 5, 5])
         with pytest.raises(DataError, match=r"^class 2 has 2 samples; need >= n_splits=3$"):
             stratified_folds(labels, 3, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_splits=st.integers(2, 8), seed=st.integers(0, 2**64 - 1))
+    def test_matches_reference_loop(self, data, n_splits, seed):
+        # class sizes from one short of n_splits up, so some cases take the error path
+        values = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+        sizes = data.draw(
+            st.lists(st.integers(n_splits - 1, 40), min_size=len(values), max_size=len(values))
+        )
+        labels = np.asarray(data.draw(st.permutations(np.repeat(values, sizes).tolist())))
+        try:
+            expected = reference_stratified_folds(labels, n_splits, seed)
+        except DataError as err:
+            with pytest.raises(DataError) as caught:
+                stratified_folds(labels, n_splits, seed)
+            assert str(caught.value) == str(err)
+            return
+        folds = stratified_folds(labels, n_splits, seed)
+        assert len(folds) == len(expected)
+        for got, want in zip(folds, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_huge_split_count_fails_before_allocating(self):
         # one empty bucket per split made before the class check would
