@@ -4,12 +4,11 @@
 all-four-schedules check; the analysis also needs at least 2 shots per
 schedule, equally many in each.
 
-For a coupled pair (a, b) the analysis builds 8 signal arrays — own
-state {0, 1} x qubit {a, b} x feature {real, imag} — each the
-concatenation of the neighbor-ground schedule followed by the
-neighbor-excited schedule, labeled ``{state}_{qubit}_{real|imag}``.
-``heatmap_lines`` computes their full 8x8 correlation matrix, the
-heatmap grid.
+For a coupled pair (a, b) one gather after those checks yields 8 signals
+— own state {0, 1} x qubit {a, b} x feature {real, imag} — each the
+neighbor-ground then the neighbor-excited schedule, labeled
+``{state}_{qubit}_{real|imag}``; ``analyze_pair`` and ``heatmap_lines``
+both read it.  The heatmap grid is their full 8x8 correlation matrix.
 
 The 8 *named* coefficients correlate, for each pair qubit q and each own
 state j, q's feature X in the schedule where its neighbor is excited
@@ -40,11 +39,6 @@ from .errors import DataError, check_number, parse_pair
 from .iqdata import SCHEDULES, IQShotTable, schedule_name
 
 FEATURE_NAMES = {"i": "real", "q": "imag"}
-# pearson rescales deviations outside this range to unit size first: their
-# squares, or the product of the two variances, would lose bits in the
-# subnormal range or overflow.  IQ data stays far inside it, so its
-# correlations keep the unscaled formula's exact bits.
-_SAFE_SPREAD = (1e-60, 1e60)
 # (pair slot, own state, ES feature, GS feature) of each named coefficient,
 # in row order.
 _NAMED_FORMS = tuple(
@@ -56,20 +50,21 @@ _NAMED_FORMS = tuple(
 
 
 def pearson(a, b) -> float:
-    """Sample Pearson correlation; NaN when either array has zero variance."""
+    """Sample Pearson correlation; NaN when either array has zero spread (all
+    values equal).  Deviations are scaled by a power of two into [0.5, 1),
+    which is exact: the unscaled formula's bits wherever that loses none."""
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("pearson needs two equal-length 1-D arrays")
     if x.size < 2:
         raise ValueError("pearson needs at least two samples")
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx, sy = float(np.max(np.abs(dx))), float(np.max(np.abs(dy)))
-    if sx == 0.0 or sy == 0.0:
-        return float("nan")
-    if not (_SAFE_SPREAD[0] <= min(sx, sy) and max(sx, sy) <= _SAFE_SPREAD[1]):
-        dx, dy = dx / sx, dy / sy
+    dx = np.ldexp(dx, -np.frexp(np.max(np.abs(dx)))[1])
+    dy = np.ldexp(dy, -np.frexp(np.max(np.abs(dy)))[1])
     vx = float(np.sum(dx * dx))
     vy = float(np.sum(dy * dy))
     return float(np.clip(np.sum(dx * dy) / np.sqrt(vx * vy), -1.0, 1.0))
@@ -108,8 +103,10 @@ def named_form_labels() -> tuple[str, ...]:
     )
 
 
-def _checked_pair(table: IQShotTable, pair: tuple[int, int]) -> tuple[int, int]:
-    """``pair`` as ints once its schedules hold equal counts of >= 2 shots."""
+def _signals(table: IQShotTable, pair: tuple[int, int]) -> tuple[tuple[int, int], dict]:
+    """``pair`` as ints and its 8 signals, ``{(own_state, pos, feature):
+    (neighbor-ground, neighbor-excited)}`` in heatmap order, once its
+    schedules hold equal counts of >= 2 shots."""
     pair = (int(pair[0]), int(pair[1]))
     table.require_schedules(pair)
     counts = {(q, s): table.values(pair, q, s, "i").size for q in pair for s in SCHEDULES}
@@ -117,19 +114,24 @@ def _checked_pair(table: IQShotTable, pair: tuple[int, int]) -> tuple[int, int]:
         raise DataError(f"pair {pair} has unequal shot counts across schedules: {counts}")
     if min(counts.values()) < 2:
         raise DataError(f"pair {pair} needs at least 2 shots per schedule for correlations")
-    return pair
+    return pair, {
+        (own_state, pos, feature): tuple(
+            table.values(pair, pair[pos], schedule_name(pos, own_state, neighbor), feature)
+            for neighbor in (0, 1)
+        )
+        for own_state in (0, 1) for pos in (0, 1) for feature in ("i", "q")
+    }
 
 
 def analyze_pair(table: IQShotTable, pair: tuple[int, int]) -> CorrelationReport:
     """Named coefficients for one coupled pair."""
-    pair = _checked_pair(table, pair)
-    named = []
-    for slot, own_state, es_feat, gs_feat in _NAMED_FORMS:
-        pos = "ab".index(slot)
-        es = table.values(pair, pair[pos], schedule_name(pos, own_state, 1), es_feat)
-        gs = table.values(pair, pair[pos], schedule_name(pos, own_state, 0), gs_feat)
-        named.append(pearson(es, gs))
-    return CorrelationReport(pair=pair, named_coefficients=tuple(named))
+    pair, signals = _signals(table, pair)
+    named = tuple(
+        pearson(signals[own_state, "ab".index(slot), es_feat][1],
+                signals[own_state, "ab".index(slot), gs_feat][0])
+        for slot, own_state, es_feat, gs_feat in _NAMED_FORMS
+    )
+    return CorrelationReport(pair=pair, named_coefficients=named)
 
 
 def flag_crosstalk(
@@ -142,7 +144,9 @@ def flag_crosstalk(
 
     ``fidelities`` maps (pair, qubit, "single"|"both") to a mean fidelity,
     with both kinds for every qubit of every pair; pass None (or {}) to
-    flag on correlations alone.
+    flag on correlations alone.  A zero-spread signal's NaN coefficients
+    (a symmetric NaN in the heatmap) are skipped by ``max_named_abs``, so
+    such a pair can be flagged only by the fidelity-gap rule.
     """
     check_number("threshold", threshold, 0.0, integral=False)
     check_number("fidelity_gap", fidelity_gap, 0.0, integral=False)
@@ -186,16 +190,9 @@ def flag_crosstalk(
 
 def heatmap_lines(table: IQShotTable, pair: tuple[int, int]) -> list[str]:
     """The pair's delimited 8x8 grid with axis labels, one header + 8 rows."""
-    pair = _checked_pair(table, pair)
-    arrays: list[np.ndarray] = []
-    labels: list[str] = []
-    for own_state in (0, 1):
-        for pos, qubit in enumerate(pair):
-            for feature in ("i", "q"):
-                ground = table.values(pair, qubit, schedule_name(pos, own_state, 0), feature)
-                excited = table.values(pair, qubit, schedule_name(pos, own_state, 1), feature)
-                arrays.append(np.concatenate([ground, excited]))
-                labels.append(f"{own_state}_{qubit}_{FEATURE_NAMES[feature]}")
+    pair, signals = _signals(table, pair)
+    arrays = [np.concatenate(halves) for halves in signals.values()]
+    labels = [f"{state}_{pair[pos]}_{FEATURE_NAMES[feature]}" for state, pos, feature in signals]
 
     matrix = np.eye(8)
     for r in range(8):
@@ -222,7 +219,7 @@ def named_block_lines(reports: Sequence[CorrelationReport]) -> list[str]:
 
 def parse_named_block(lines: Sequence[str]) -> list[CorrelationReport]:
     """Rebuild reports from a coefficient block."""
-    rows = [line.strip() for line in lines if line.strip() and not line.startswith("#")]
+    rows = [text for text in map(str.strip, lines) if text and not text.startswith("#")]
     if not rows:
         raise DataError("named-coefficient block is empty")
     header = rows[0].split(",")

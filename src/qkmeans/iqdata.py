@@ -362,31 +362,21 @@ _BLOCK_ROWS = 1024
 _DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
 
 
-def _key_texts(table: IQShotTable, rows: slice) -> list[str]:
-    """The ``pair,qubit,schedule`` text of each row in ``rows``, formatted
-    once per run of rows that share it (one slice of a sorted table)."""
-    keys = [table.pair_first[rows], table.pair_second[rows], table.qubit[rows], table.schedule[rows]]
-    starts = np.flatnonzero(np.any([key[1:] != key[:-1] for key in keys], axis=0)) + 1
-    bounds = [0, *starts.tolist(), len(keys[0])]
-    texts: list[str] = []
-    for a, b in zip(bounds, bounds[1:]):
-        first, second, qubit, schedule = (key[a] for key in keys)
-        texts += [f"{first}-{second},{qubit},{schedule}"] * (b - a)
-    return texts
-
-
 def save_table(table: IQShotTable, path) -> None:
-    """Write ``table`` as CSV, ``_BLOCK_ROWS`` rows per write.  Floats are
-    written with ``repr``, so ``load_table`` reads them back bit-exact."""
+    """Write ``table`` as CSV, slice by slice through its index: each
+    slice's ``pair,qubit,schedule`` text is formatted once, and at most
+    ``_BLOCK_ROWS`` rows go to one write.  Floats are written with
+    ``repr``, so ``load_table`` reads them back bit-exact."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# device: {table.device}\n{_HEADER}\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            fields = zip(
-                _key_texts(table, rows), map(str, table.shot[rows].tolist()),
-                map(repr, table.i_value[rows].tolist()), map(repr, table.q_value[rows].tolist()),
-            )
-            fh.write("\n".join(map(",".join, fields)) + "\n")
+        for (first, second, qubit, schedule), rows in table._slices.items():
+            key = f"{first}-{second},{qubit},{schedule},"
+            for start in range(rows.start, rows.stop, _BLOCK_ROWS):
+                block = slice(start, min(start + _BLOCK_ROWS, rows.stop))
+                fields = zip(map(str, table.shot[block].tolist()),
+                             map(repr, table.i_value[block].tolist()),
+                             map(repr, table.q_value[block].tolist()))
+                fh.write(key + ("\n" + key).join(map(",".join, fields)) + "\n")
 
 
 def _device_line(text: str, device: str) -> str:

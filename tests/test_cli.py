@@ -6,18 +6,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import qkmeans
 from qkmeans import iqdata
 from qkmeans.cli import build_parser, main, read_score_table
 from qkmeans.complexity import ComplexityParams
+from qkmeans.crosstalk import named_form_labels
 from qkmeans.distance import BatchConfig
 from qkmeans.errors import DataError
-from qkmeans.iqdata import load_table
+from qkmeans.iqdata import SCHEDULES, load_table, schedule_name
 
 FIXTURE = Path(__file__).parent / "data" / "reference_named_coefficients.csv"
 
@@ -48,6 +51,30 @@ def manifest_without_timestamp(path: Path) -> dict:
     payload = json.loads(path.read_text())
     payload.pop("timestamp")
     return payload
+
+
+def write_pair_table(path: Path, columns) -> Path:
+    """A pair 0-1 shot table from 16 equal-length columns, in (qubit, schedule,
+    feature) order: column 8 * q + 2 * SCHEDULES.index(schedule) + (feature == "q")."""
+    rows = [
+        f"0-1,{q},{sched},{shot},{float(columns[8 * q + 2 * s][shot])!r},"
+        f"{float(columns[8 * q + 2 * s + 1][shot])!r}"
+        for q in (0, 1) for s, sched in enumerate(SCHEDULES) for shot in range(len(columns[0]))
+    ]
+    path.write_text("\n".join(["pair,qubit,schedule,shot,i,q", *rows]) + "\n")
+    return path
+
+
+def read_grid(path: Path):
+    """(axis labels, matrix) of a heatmap file."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header[1:], np.array([[float(v) for v in row[1:]] for row in rows])
+
+
+def read_named(path: Path) -> dict[str, float]:
+    """Form label -> value of a one-pair named-coefficient file."""
+    rows = [line.split('",') for line in path.read_text().splitlines()[1:]]
+    return {label.lstrip('"'): float(value) for label, value in rows}
 
 
 class TestSynth:
@@ -435,6 +462,23 @@ class TestCrosstalkCommand:
         assert_error_exit(capsys, ["crosstalk", "--data", str(data), "--out", str(out)], 2)
         assert not out.exists()
 
+    def test_constant_signal_gives_symmetric_nan_cells(self, tmp_path):
+        # qubit 0's I is 0.1 in both schedules of its ground-state signal
+        # (the mean of 0.1s rounds, so its deviations are not exactly zero)
+        columns = np.random.default_rng(5).normal(size=(16, 6))
+        columns[0] = columns[4] = 0.1  # (q0, "00", i) and (q0, "10", i)
+        data = write_pair_table(tmp_path / "x.csv", columns)
+        assert main(["crosstalk", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+        labels, matrix = read_grid(tmp_path / "out" / "heatmap_0-1.csv")
+        assert labels[0] == "0_0_real"
+        nan_cells = np.isnan(matrix)
+        np.testing.assert_array_equal(nan_cells, nan_cells.T)
+        assert set(zip(*np.nonzero(nan_cells))) == {(0, c) for c in range(1, 8)} | {
+            (r, 0) for r in range(1, 8)}
+        named = read_named(tmp_path / "out" / "named_coefficients.csv")
+        assert [label for label, value in named.items() if np.isnan(value)] == [
+            "r0(ES_a_I, GS_a_Q)", "r0(ES_a_Q, GS_a_I)"]
+
     def test_flags_coupled_pairs(self, tmp_path):
         data_dir = tmp_path / "data"
         assert main([
@@ -680,3 +724,88 @@ class TestColdStart:
         assert code == 0 and "scipy.optimize" in modules
         scores = read_score_table(tmp_path / "benchmark" / "scores.csv")
         assert scores and all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+# values a shot table must survive: zero, subnormal, tiny, huge but inside
+# the 2**400 bound, and ordinary ones; 1e121 is above the bound
+EDGE_IQ = [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160, -1e-160, 2.0**399, -(2.0**399)]
+iq_values = st.sampled_from(EDGE_IQ) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def pair_columns(draw):
+    """16 columns of 2 to 8 shots for ``write_pair_table``; each column is
+    fresh, constant, or a duplicate or multiple of an earlier column."""
+    n = draw(st.integers(2, 8))
+    columns: list[list[float]] = []
+    for _ in range(16):
+        kind = draw(st.sampled_from(("fresh", "constant", "duplicate", "collinear")[:4 if columns else 2]))
+        if kind == "fresh":
+            column = draw(st.lists(iq_values, min_size=n, max_size=n))
+        elif kind == "constant":
+            column = [draw(iq_values)] * n
+        else:
+            factor = 1.0 if kind == "duplicate" else draw(st.sampled_from([-1.0, 0.5, 2.0]))
+            column = [factor * v for v in draw(st.sampled_from(columns))]
+        columns.append(column)
+    if draw(st.integers(0, 9)) == 0:  # one value above the bound, in one table of ten
+        columns[draw(st.integers(0, 15))][draw(st.integers(0, n - 1))] = 1e121
+    return columns
+
+
+def signal_columns(columns, own_state: int, pos: int, feature: str):
+    """The (neighbor-ground, neighbor-excited) columns of one crosstalk signal."""
+    offset = 8 * pos + (feature == "q")
+    return tuple(columns[offset + 2 * SCHEDULES.index(schedule_name(pos, own_state, neighbor))]
+                 for neighbor in (0, 1))
+
+
+def constant(values) -> bool:
+    return min(values) == max(values)
+
+
+class TestFiniteTables:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(pair_columns())
+    def test_every_command_exits_cleanly_and_nan_means_zero_spread(self, capsys, columns):
+        with tempfile.TemporaryDirectory() as work:
+            data = write_pair_table(Path(work) / "x.csv", columns)
+            for name, argv in (
+                ("kmeans", ["benchmark", "--algo", "kmeans", "--splits", "2"]),
+                ("exact", ["benchmark", "--algo", "qkmeans", "--mode", "exact", "--splits", "2"]),
+                ("crosstalk", ["crosstalk"]),
+            ):
+                out = Path(work) / name
+                code = main([*argv, "--data", str(data), "--out", str(out)])
+                err = capsys.readouterr().err
+                event(f"{name} exit {code}")
+                assert code in (0, 2), (name, err)
+                assert "Traceback" not in err
+                assert sum(line.startswith("error:") for line in err.splitlines()) <= code // 2
+                if code:
+                    assert not out.exists()
+                    continue
+                heatmap = out / "heatmap_0-1.csv"
+                for path in out.iterdir():
+                    if path not in (heatmap, out / "named_coefficients.csv"):
+                        assert "nan" not in path.read_text(), path.name
+            if code:  # crosstalk failed
+                return
+            # a cell is nan exactly when one of its signals has zero spread
+            labels, matrix = read_grid(heatmap)
+            keys = [(int(s), pos, f) for s in "01" for pos in (0, 1) for f in "iq"]
+            assert labels == [f"{s}_{pos}_{'real' if f == 'i' else 'imag'}" for s, pos, f in keys]
+            flat = [constant([*ground, *excited])
+                    for ground, excited in (signal_columns(columns, *key) for key in keys)]
+            for r in range(8):
+                for c in range(8):
+                    assert np.isnan(matrix[r, c]) == (r != c and (flat[r] or flat[c])), (r, c)
+            named = read_named(out / "named_coefficients.csv")
+            assert list(named) == list(named_form_labels())
+            for label, value in named.items():
+                state, slot = int(label[1]), label[6]
+                pos, es_feat, gs_feat = "ab".index(slot), label[8].lower(), label[-2].lower()
+                es = signal_columns(columns, state, pos, es_feat)[1]
+                gs = signal_columns(columns, state, pos, gs_feat)[0]
+                assert np.isnan(value) == (constant(es) or constant(gs)), label

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qkmeans.crosstalk import (
     CorrelationReport,
@@ -37,6 +40,47 @@ FIXTURE = Path(__file__).parent / "data" / "reference_named_coefficients.csv"
 float_arrays = st.lists(
     st.floats(-1000.0, 1000.0), min_size=3, max_size=40
 ).filter(lambda xs: max(xs) > min(xs))
+
+# pearson rescales deviations outside this range to unit size first: their
+# squares, or the product of the two variances, would lose bits in the
+# subnormal range or overflow.  IQ data stays far inside it, so its
+# correlations keep the unscaled formula's exact bits.
+_SAFE_SPREAD = (1e-60, 1e60)
+
+
+def reference_pearson(a, b) -> float:
+    """The ``pearson`` that divided deviations outside ``_SAFE_SPREAD`` by
+    their spread, kept verbatim as the reference its power-of-two scaling
+    must match bit for bit wherever the unscaled formula loses no bits."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("pearson needs two equal-length 1-D arrays")
+    if x.size < 2:
+        raise ValueError("pearson needs at least two samples")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx, sy = float(np.max(np.abs(dx))), float(np.max(np.abs(dy)))
+    if sx == 0.0 or sy == 0.0:
+        return float("nan")
+    if not (_SAFE_SPREAD[0] <= min(sx, sy) and max(sx, sy) <= _SAFE_SPREAD[1]):
+        dx, dy = dx / sx, dy / sy
+    vx = float(np.sum(dx * dx))
+    vy = float(np.sum(dy * dy))
+    return float(np.clip(np.sum(dx * dy) / np.sqrt(vx * vy), -1.0, 1.0))
+
+
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def signal_pairs(draw, values=st.floats(-1000.0, 1000.0), exponents=st.integers(-60, 57)):
+    """Two equal-length signals of 2 to 300 values, each scaled by its own
+    power of ten."""
+    n = draw(st.integers(2, 300))
+    return tuple(draw(arrays(np.float64, n, elements=values)) * 10.0 ** draw(exponents)
+                 for _ in range(2))
 
 
 class TestPearson:
@@ -82,6 +126,53 @@ class TestPearson:
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             pearson(np.ones((2, 2)), np.ones((2, 2)))
+
+    @given(signal_pairs())
+    @settings(max_examples=150)
+    def test_matches_reference_inside_its_safe_range(self, signals):
+        # inside _SAFE_SPREAD the reference is the unscaled formula, which
+        # loses bits when a product of two deviations is subnormal; with every
+        # nonzero deviation at least 1e-90, no product in either version is
+        for signal in signals:
+            deviations = np.abs(signal - signal.mean())
+            assume(_SAFE_SPREAD[0] <= deviations.max() <= _SAFE_SPREAD[1])
+            assume(np.all((deviations == 0) | (deviations >= 1e-90)))
+            assume(signal.min() < signal.max())
+        assert bits(pearson(*signals)) == bits(reference_pearson(*signals))
+
+    def test_keeps_bits_the_unscaled_formula_loses(self):
+        # each signal's spread is inside _SAFE_SPREAD, but the reference's
+        # products near 1e-320 are subnormal and keep only ~11 bits
+        x = np.array([1.3e-60, 1.3e-60, -1.3e-60, -1.3e-60])
+        y = np.array([1.0, -1.0, 1.37e-260, 0.0])
+        dx, dy = ([Fraction(v) for v in s - s.mean()] for s in (x, y))
+        den = math.sqrt(float(sum(a * a for a in dx) * sum(b * b for b in dy)))
+        exact = float(sum(a * b for a, b in zip(dx, dy)) / Fraction(den))
+        assert reference_pearson(x, y) != pytest.approx(exact, rel=1e-6, abs=0)
+        assert pearson(x, y) == pytest.approx(exact, rel=1e-12, abs=0)
+        assert pearson(x * 2.0**300, y * 2.0**-100) == pearson(x, y)
+
+    @given(
+        signal_pairs(
+            values=st.floats(-1e100, 1e100).map(lambda v: v if abs(v) >= 1e-100 else 0.0),
+            exponents=st.just(0),
+        ),
+        st.integers(-200, 200),
+        st.integers(-200, 200),
+    )
+    @settings(max_examples=80)
+    def test_exact_under_power_of_two_scaling(self, signals, a, b):
+        # values of 0 or 1e-100..1e100 in magnitude keep every mean and
+        # deviation normal after scaling by 2**-200..2**200, so they scale exactly
+        x, y = signals
+        assert bits(pearson(x * 2.0**a, y * 2.0**b)) == bits(pearson(x, y))
+
+    def test_constant_signal_is_nan_even_when_its_mean_rounds(self):
+        # the mean of three 0.1s is 0.1 + 2**-56, so the reference's
+        # deviations are not zero and it returned 0.0
+        assert reference_pearson([0.1] * 3, [1.0, 2.0, 3.0]) == 0.0
+        assert np.isnan(pearson([0.1] * 3, [1.0, 2.0, 3.0]))
+        assert np.isnan(pearson([1.0, 2.0, 4.0], [0.1] * 3))
 
     @given(float_arrays, float_arrays)
     @settings(max_examples=50)
@@ -329,6 +420,11 @@ class TestSerialization:
         assert [r.pair for r in reports] == [(0, 1), (1, 2), (2, 3), (3, 4)]
         flags = flag_crosstalk(reports)
         assert [f.pair for f in flags] == [(1, 2), (2, 3)]
+
+    def test_indented_comment_lines_are_skipped(self):
+        lines = FIXTURE.read_text().splitlines()
+        commented = ["  # note", lines[0], "\t# another", *lines[1:], "   #"]
+        assert parse_named_block(commented) == parse_named_block(lines)
 
     def test_parse_rejects_bad_header(self):
         with pytest.raises(DataError):

@@ -173,12 +173,26 @@ def test_writer_matches_reference_and_round_trips_bit_exact(tmp_path, table):
     assert outcome(load_table, path) == contents(table)
 
 
+def test_writer_splits_a_long_slice_into_blocks_like_reference(tmp_path):
+    """One (pair, qubit, schedule) slice of a little over two blocks."""
+    n = 2 * _BLOCK_ROWS + 5
+    values = np.random.default_rng(4).normal(size=(2, n))
+    table = IQShotTable(device="chip", pair_first=[2] * n, pair_second=[7] * n, qubit=[7] * n,
+                        schedule=["10"] * n, shot=np.arange(n)[::-1], i_value=values[0],
+                        q_value=values[1])
+    path, old = tmp_path / "shots.csv", tmp_path / "reference.csv"
+    save_table(table, path)
+    reference.save_table(table, old)
+    assert path.read_bytes() == old.read_bytes()
+
+
 class _Unbounded:
-    """The columns both writers read, with no bound on the values, so the
-    format is checked over the whole finite float range."""
+    """The columns and slice index the writers read, with no bound on the
+    values, so the format is checked over the whole finite float range."""
 
     def __init__(self, table, i_value, q_value):
-        self.__dict__.update({name: getattr(table, name) for name in _COLUMNS}, device=table.device)
+        names = (*_COLUMNS, "device", "_slices")
+        self.__dict__.update({name: getattr(table, name) for name in names})
         self.i_value, self.q_value = np.array(i_value), np.array(q_value)
 
     def __len__(self):
