@@ -32,7 +32,12 @@ vectorized steps per executor call, keyed by request index:
   ``((bits >> 12) + 0.5) * 2**-52``, strictly inside (0, 1).
 * **Count.**  Exact binomial inversion: the smallest k in [0, shots] with
   P(Bin(shots, p1) <= k) >= u, found from a Cornish-Fisher guess by
-  stepping k on the regularized incomplete beta function.
+  stepping k on the regularized incomplete beta function.  ``betainc``
+  runs once per request, at the guess; the step to k - 1 is screened with
+  a ``gammaln`` pmf and a per-request error bound, and only requests that
+  the bound leaves undecided, and every further step, evaluate it again.
+  The counts are those of evaluating every step; from about 2**46 shots
+  the bound is too wide and every step is evaluated.
 
 Request i's estimate therefore depends only on (seed, i, p1_i): job size,
 grouping and appended requests never change it.
@@ -166,34 +171,88 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     which moves p by at most 2**-54.  Starting from a continuity-corrected
     Cornish-Fisher guess, k steps up or down on the still-unsettled
     entries only, so each entry's result depends on its own (p, u) alone.
+
+    Each entry evaluates ``betainc`` once, at the guess k.  The step to
+    k - 1, which the guess passes for all but a few entries, is screened
+    without a second one.  The tail at k - 1 is the tail t at k minus
+    (lower) or plus (upper) pmf(k), so its slack against the threshold (u,
+    or 1 - u from 1/2) is the slack at k minus pmf(k), taken as exp of a
+    ``gammaln`` log-pmf at the tail's own argument x (p, or 1 - p below
+    1/2).  Where that estimate lies more than
+
+        margin = 3 * (a * (t + pmf) + e)
+
+    from 0, ``betainc`` at k - 1 falls on the same side of the threshold,
+    and the screen takes or refuses the step itself.  The other entries,
+    and every later step, run the exact loop, so each count is bit for bit
+    the one that evaluating every step gives.  In the margin:
+
+    * ``a = 2**-32 + n 2**-48`` is the relative error allowed each
+      ``betainc`` tail at n shots.  It is an allowance, not a proof.
+      Against 50-digit pmf values, the difference of two neighbouring
+      tails from SciPy 1.17 missed pmf(k) by at most a/70 times the larger
+      tail, over 2.3 million random (n, p, u) with n in [2, 2**46] (the
+      worst at n = 6.9e7, p = 4.8e-7, k = 33).  In eps = 2**-52, the worst
+      of ~30,000 draws was 3 at 7 shots, 1.7e2 at 2**10, 1.4e3 at 2**13,
+      2e5 at 2**20 and 2.4e8 at 2**53.
+    * ``e = pmf * expm1(8 eps (2 gammaln(n + 1) - log pmf + 4))`` bounds
+      the pmf's own error.  2 gammaln(n + 1) - log pmf is the sum M of the
+      magnitudes of the log-pmf's five terms.  Each ``gammaln`` errs by at
+      most 2 eps max(1, value) (1.3 eps measured), each x log y term by
+      1.5 eps of its magnitude, each of the four sums by eps/2 of at most
+      M, and ``exp`` by one rounding: 4 eps (M + 2) in all, doubled here.
+    * The factor 3 covers both tails' errors (the tail at k - 1 is at most
+      t + pmf, over 1 - a) and the rounding of the slack and the margin,
+      while a <= 1/4.  From about 2**46 shots a exceeds that, and every
+      step is exact.
     """
     # Local, as metrics.assignment_fidelity's scipy.optimize import is: a
     # process that never samples a distance never loads scipy.special.
-    from scipy.special import betainc, ndtri
+    from scipy.special import betainc, gammaln, ndtri, xlog1py, xlogy
 
     n = float(shots)
     upper = u >= 0.5
+    x = np.where(upper, p, 1.0 - p)
+
+    def tail(k: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
+        # The entries' exact tails at k, I_x(k+1, n-k) above 1/2 and
+        # I_x(n-k, k+1) below (nan at k == shots), and their slack against
+        # the threshold, whose sign is exactly the comparison's: >= 0 where
+        # P(X <= k) >= u.
+        up, us = upper[sel], u[sel]
+        t = betainc(np.where(up, k + 1.0, n - k), np.where(up, n - k, k + 1.0), x[sel])
+        t[k == n] = np.nan
+        return t, np.where(up, (1.0 - us) - t, t - us)
 
     def reached(k: np.ndarray, sel: np.ndarray) -> np.ndarray:
         # P(X <= k) >= u for the entries sel; k == shots always qualifies.
-        out = np.ones(sel.size, dtype=bool)
-        inner = k < n
-        hi = np.flatnonzero(inner & upper[sel])
-        out[hi] = betainc(k[hi] + 1.0, n - k[hi], p[sel[hi]]) <= 1.0 - u[sel[hi]]
-        lo = np.flatnonzero(inner & ~upper[sel])
-        out[lo] = betainc(n - k[lo], k[lo] + 1.0, 1.0 - p[sel[lo]]) >= u[sel[lo]]
-        return out
+        return (tail(k, sel)[1] >= 0.0) | (k == n)
 
     z = ndtri(u)
     mean = n * p
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     k = np.clip(np.floor(guess + 0.5), 0.0, n)
-    ok = reached(k, np.arange(k.size))
+    t, slack = tail(k, slice(None))
+    ok = (slack >= 0.0) | (k == n)
     pending = np.flatnonzero(~ok)
     while pending.size:
         k[pending] += 1.0
         pending = pending[~reached(k[pending], pending)]
-    pending = np.flatnonzero(ok & (k > 0.0))
+    down = ok & (k > 0.0)
+    a = 2.0**-32 + n * 2.0**-48
+    if a <= 0.25:
+        # pmf(k) = C(n, k) x**j (1 - x)**(n - j), j the exponent of the tail's x
+        j = np.where(upper, k, n - k)
+        g_n = gammaln(n + 1.0)
+        log_pmf = g_n - gammaln(k + 1.0) - gammaln(n - k + 1.0) + xlogy(j, x) + xlog1py(n - j, -x)
+        pmf = np.exp(log_pmf)
+        with np.errstate(invalid="ignore"):  # 0 * inf at p in {0, 1}: nan, undecided
+            margin = 3.0 * (a * (t + pmf) + pmf * np.expm1(8.0 * 2.0**-52 * (2.0 * g_n + 4.0 - log_pmf)))
+        # the slack at k - 1, nan (undecided) where k == shots
+        lead = slack - pmf
+        k[down & (lead > margin)] -= 1.0
+        down &= ~(lead < -margin) & (k > 0.0)
+    pending = np.flatnonzero(down)
     while pending.size:
         pending = pending[reached(k[pending] - 1.0, pending)]
         k[pending] -= 1.0

@@ -159,9 +159,11 @@ def cross_validate(
 ) -> ScoreReport:
     """Stratified k-fold fit/predict/score; deterministic given ``seed``.
 
-    Per fold f the derived seeds are: fold base = derive_seed(seed, f),
-    fit seed = derive(base, 0), batch seed = derive(base, 1), predict
-    sampling seed = derive(base, 2).
+    Per fold f the derived seeds are: fold base = derive_seed(seed, f) and
+    fit seed = derive(base, 0).  Sampled mode also derives the batch seed
+    derive(base, 1) and the predict sampling seed derive(base, 2); the
+    other modes read neither, so they derive neither and keep
+    ``config.batch`` as given.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"metric must be one of {sorted(METRIC_NAMES)}")
@@ -175,18 +177,18 @@ def cross_validate(
         train = DataSet(X.features[mask], X.labels[mask])
         test = DataSet(X.features[test_idx], X.labels[test_idx])
         base = derive_seed(seed, fold_idx)
-        fold_config = replace(
-            config,
-            seed=derive_seed(base, 0),
-            batch=replace(config.batch, seed=derive_seed(base, 1)),
-        )
+        fold_config = replace(config, seed=derive_seed(base, 0))
+        predict_seed = 0
+        if config.distance_mode == "quantum_sampled":
+            fold_config = replace(fold_config, batch=replace(config.batch, seed=derive_seed(base, 1)))
+            predict_seed = derive_seed(base, 2)
         model = clustering.fit(train, fold_config)
         predicted = clustering.predict(
             model,
             test,
             distance_mode=fold_config.distance_mode,
             batch=fold_config.batch,
-            seed=derive_seed(base, 2),
+            seed=predict_seed,
         )
         scores.append(score_labels(metric, predicted, test.labels))
     return ScoreReport(

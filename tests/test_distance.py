@@ -366,6 +366,109 @@ class TestShotSampler:
             assert dists[i] == reference[i]
 
 
+def reference_binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The ``_binomial_quantile`` that evaluated ``betainc`` at every step,
+    the one to k - 1 included, kept verbatim as the reference the screened
+    inversion must match count for count."""
+    from scipy.special import betainc, ndtri
+
+    n = float(shots)
+    upper = u >= 0.5
+
+    def reached(k: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        # P(X <= k) >= u for the entries sel; k == shots always qualifies.
+        out = np.ones(sel.size, dtype=bool)
+        inner = k < n
+        hi = np.flatnonzero(inner & upper[sel])
+        out[hi] = betainc(k[hi] + 1.0, n - k[hi], p[sel[hi]]) <= 1.0 - u[sel[hi]]
+        lo = np.flatnonzero(inner & ~upper[sel])
+        out[lo] = betainc(n - k[lo], k[lo] + 1.0, 1.0 - p[sel[lo]]) >= u[sel[lo]]
+        return out
+
+    z = ndtri(u)
+    mean = n * p
+    guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    k = np.clip(np.floor(guess + 0.5), 0.0, n)
+    ok = reached(k, np.arange(k.size))
+    pending = np.flatnonzero(~ok)
+    while pending.size:
+        k[pending] += 1.0
+        pending = pending[~reached(k[pending], pending)]
+    pending = np.flatnonzero(ok & (k > 0.0))
+    while pending.size:
+        pending = pending[reached(k[pending] - 1.0, pending)]
+        k[pending] -= 1.0
+        pending = pending[k[pending] > 0.0]
+    return k
+
+
+def counting_betainc(monkeypatch) -> list[int]:
+    """Patch ``scipy.special.betainc`` (the sampler imports it at each call)
+    to add the number of elements it evaluates to the returned counter."""
+    import scipy.special
+
+    real, evaluated = scipy.special.betainc, [0]
+
+    def betainc(*args):
+        out = real(*args)
+        evaluated[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(scipy.special, "betainc", betainc)
+    return evaluated
+
+
+screen_probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-12, 0.5, 1.0 - 1e-12]), st.floats(0.0, 1.0)
+)
+
+
+class TestScreenedInversion:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]),
+        st.lists(st.tuples(screen_probabilities, uniforms), min_size=1, max_size=30),
+    )
+    def test_counts_match_the_reference_bit_for_bit(self, shots, pairs):
+        p, u = (np.array(column) for column in zip(*pairs))
+        k = _binomial_quantile(shots, p, u)
+        assert k.tobytes() == reference_binomial_quantile(shots, p, u).tobytes()
+
+    @pytest.mark.parametrize("shots", [7, 128, 1024, 8192, 2**20, 2**31])
+    def test_u_a_few_ulps_from_the_tail_below_runs_the_exact_step(self, shots, monkeypatch):
+        from scipy.special import betainc
+
+        rng = np.random.default_rng(shots)
+        size = 400
+        p, u = rng.uniform(0.0, 1.0, size), rng.uniform(U_MIN, U_MAX, size)
+        k = reference_binomial_quantile(shots, p, u)
+        inner, lower = (k > 0.0) & (k < shots), u < 0.5
+        # the tail at k - 1 that the reference's step down compares u (lower
+        # half) or 1 - u (upper half) with, and u moved to within 3 ulps of it
+        below = np.where(lower, betainc(shots - k + 1.0, k, 1.0 - p), betainc(k, shots - k + 1.0, p))
+        offsets = rng.integers(-3, 4, size)
+        near = np.where(lower, below + offsets * np.spacing(below), (1.0 - below) + offsets * 2.0**-53)
+        placed = inner & (near >= U_MIN) & (near <= U_MAX) & ((near < 0.5) == lower)
+        u = np.where(placed, near, u)
+        evaluated = counting_betainc(monkeypatch)
+        k = _binomial_quantile(shots, p, u)
+        screened = evaluated[0]
+        assert k.tobytes() == reference_binomial_quantile(shots, p, u).tobytes()
+        # the screen cannot settle an entry whose u sits on the tail it
+        # screens: most placed entries take a second betainc (the guess of
+        # the others moved with u, or 1 - u is too coarse for their tail)
+        assert placed.sum() >= size // 4
+        assert screened - size >= placed.sum() // 2
+
+    def test_one_betainc_per_request_at_8192_shots(self, monkeypatch):
+        draws = 10_000
+        p = np.random.default_rng(8192).uniform(0.0, 0.3, draws)
+        u = _request_uniforms(derive_seed(7), np.arange(draws))
+        evaluated = counting_betainc(monkeypatch)
+        _binomial_quantile(8192, p, u)
+        assert evaluated[0] <= 1.05 * draws
+
+
 class TestDistanceMatrix:
     @given(matrix_shapes(), st.integers(1, 4096), st.integers(0, 2**63 - 1))
     @example(case=(9, 6, 2, 3, 5), shots=1024, seed=13)

@@ -328,6 +328,23 @@ class TestCrossValidate:
         assert a == b
         assert a.metric == "FowlkesMallows"
 
+    @pytest.mark.parametrize(
+        ("mode", "per_fold"),
+        [("classical_euclidean", [0]), ("quantum_exact", [0]), ("quantum_sampled", [0, 1, 2])],
+    )
+    def test_batch_and_predict_seeds_derived_only_when_sampled(self, mode, per_fold, monkeypatch):
+        from qkmeans import metrics
+
+        derived = []
+        real = metrics.derive_seed
+        monkeypatch.setattr(metrics, "derive_seed", lambda *args: derived.append(args) or real(*args))
+        config = FitConfig(n_clusters=2, distance_mode=mode, batch=BatchConfig(shots_per_circuit=64))
+        cross_validate(make_blobs(25, n=40), config, n_splits=3, seed=5)
+        # per fold: the fold base derive_seed(5, f), then derive_seed(base, i) for each i
+        assert [args[1] for args in derived] == [
+            index for fold in range(3) for index in [fold, *per_fold]
+        ]
+
     def test_sem95_relates_to_std(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(60, 2)) * 3.0
