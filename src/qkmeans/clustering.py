@@ -40,15 +40,10 @@ import numpy as np
 
 from .dataset import DataSet
 from .distance import BatchConfig, BatchStats, distance_matrix
-from .errors import ConfigError, check_number
+from .errors import check_choice, check_number
 from .simulator import derive_seed
 
 DISTANCE_MODES = ("quantum_exact", "quantum_sampled", "classical_euclidean")
-
-
-def _check_mode(distance_mode: str) -> None:
-    if distance_mode not in DISTANCE_MODES:
-        raise ConfigError(f"distance_mode must be one of {DISTANCE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class FitConfig:
         for name, low in (("n_clusters", 1), ("max_iter", 1), ("seed", 0)):
             check_number(name, getattr(self, name), low)
         check_number("tol", self.tol, 0.0, integral=False)
-        _check_mode(self.distance_mode)
+        check_choice("distance_mode", self.distance_mode, DISTANCE_MODES)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def qkmeans_plusplus_init(
     batch: BatchConfig | None = None,
 ) -> np.ndarray:
     """Greedy farthest-point seeding; returns a (K, F) center matrix."""
-    _check_mode(distance_mode)
+    check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     check_number("n_clusters", n_clusters, 1)
     check_number("seed", seed, 0)
     n = X.n_points
@@ -214,7 +209,7 @@ def predict(
     seed: int = 0,
 ) -> np.ndarray:
     """Assign each point of ``X`` to its nearest fitted center."""
-    _check_mode(distance_mode)
+    check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     if X.n_features != model.cluster_centers.shape[1]:
         raise ValueError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()

@@ -5,9 +5,9 @@ malformed JSON); ``DataError`` marks invalid data content (malformed rows,
 duplicate keys, non-finite values, mismatched inputs).  Both are
 ``ValueError``s; the CLI maps them to exit codes 1 and 2.  Each shared
 input rule has one owner here: ``check_number`` (run parameters),
-``read_lines`` (UTF-8 data files), ``parse_index`` and its column form
-``all_indices`` (qubit and shot tokens) and ``parse_pair`` (``a-b``
-tokens).
+``check_choice`` (named options), ``read_lines`` (UTF-8 data files),
+``parse_index`` and its column form ``all_indices`` (qubit and shot
+tokens) and ``parse_pair`` (``a-b`` tokens).
 
 The numeric-range rule lives with the shot table: ``iqdata.IQShotTable``
 raises DataError for an i or q value that is not finite or exceeds 2**400
@@ -44,6 +44,12 @@ def check_number(name: str, value, low=None, *, integral: bool = True) -> None:
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     if low is not None and value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_choice(name: str, value, choices) -> None:
+    """Raise ConfigError unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}")
 
 
 def read_lines(path) -> list[str]:

@@ -355,9 +355,8 @@ def assemble_datasets(
 
 _HEADER = "pair,qubit,schedule,shot,i,q"
 # Rows formatted or parsed per step.  Speed is flat from 256 to 4,096 rows;
-# at 1,024 a block's strings take a few hundred KB, so a table of a few
-# blocks peaks below the per-row lists a row-by-row reader holds, and a
-# table's token list is never built whole.
+# at 1,024 a block's strings take a few hundred KB, so a table's token list
+# is never built whole: a load holds the file's lines and the table's columns.
 _BLOCK_ROWS = 1024
 _DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
 
@@ -379,61 +378,44 @@ def save_table(table: IQShotTable, path) -> None:
                 fh.write(key + ("\n" + key).join(map(",".join, fields)) + "\n")
 
 
-def _device_line(text: str, device: str) -> str:
-    """The device named by comment line ``text``, else ``device``."""
-    body = text.lstrip("#").strip()
-    return body[len("device:"):].strip() if body.startswith("device:") else device
-
-
-def _read_rows(texts: list[str], first_lineno: int, device: str) -> tuple[list, str]:
-    """Columns of the stripped lines ``texts``, the first numbered
-    ``first_lineno``, read row by row; DataError naming the line of the
-    first bad row.  Returns the columns and the device after the block's
-    comment lines."""
-    rows = []
-    for lineno, text in enumerate(texts, start=first_lineno):
-        if not text:
-            continue
-        if text.startswith("#"):
-            device = _device_line(text, device)
-            continue
-        parts = text.split(",")
-        if len(parts) != 6:
-            raise DataError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            row = (*parse_pair(parts[0]), parse_index(parts[1]), parts[2],
-                   parse_index(parts[3]), float(parts[4]), float(parts[5]))
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed row ({exc})") from exc
-        if not (math.isfinite(row[5]) and math.isfinite(row[6])):
-            raise DataError(f"line {lineno}: non-finite i/q value")
-        if row[3] not in SCHEDULES:
-            raise DataError(f"line {lineno}: invalid schedule {row[3]!r}")
-        rows.append(row)
-    return list(zip(*rows)) or [()] * len(_COLUMNS), device
-
-
 def _parse_block(texts: list[str]):
     """Columns of the stripped lines ``texts`` when every one is a valid data
-    row, checked one column at a time; None when any check fails."""
+    row, checked one column at a time; None when any check fails.  Only such a
+    block raises OverflowError (an index of 2**63 or more), here or once stored."""
     if set(map(str.count, texts, [","] * len(texts))) != {5}:  # 6 fields on every line
         return None
     tokens = ",".join(texts).split(",")
     pair, qubit, schedule, shot, i_value, q_value = (tokens[k::6] for k in range(6))
     if not (all_indices(qubit) and all_indices(shot) and set(schedule) <= set(SCHEDULES)):
         return None
-    n = len(texts)
     try:
         firsts, seconds = zip(*map(parse_pair, pair))
-        qubit = np.fromiter(map(int, qubit), np.int64, n)
-        shot = np.fromiter(map(int, shot), np.int64, n)
-        i_value = np.fromiter(map(float, i_value), np.float64, n)
-        q_value = np.fromiter(map(float, q_value), np.float64, n)
-    except (ValueError, OverflowError):  # OverflowError: an index of 2**63 or more
+        qubit, shot = list(map(int, qubit)), list(map(int, shot))  # ValueError past 4,300 digits
+        i_value = np.fromiter(map(float, i_value), np.float64, len(texts))
+        q_value = np.fromiter(map(float, q_value), np.float64, len(texts))
+    except ValueError:
         return None
     if not (np.isfinite(i_value).all() and np.isfinite(q_value).all()):
         return None
+    qubit, shot = np.array(qubit, np.int64), np.array(shot, np.int64)
     return [firsts, seconds, qubit, schedule, shot, i_value, q_value]
+
+
+def _check_row(lineno: int, text: str) -> None:
+    """Raise the DataError of data row ``text``, on line ``lineno``, if it
+    fails one of ``_parse_block``'s checks."""
+    parts = text.split(",")
+    if len(parts) != 6:
+        raise DataError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+    try:
+        parse_pair(parts[0]), parse_index(parts[1]), parse_index(parts[3])
+        values = float(parts[4]), float(parts[5])
+    except ValueError as exc:
+        raise DataError(f"line {lineno}: malformed row ({exc})") from exc
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"line {lineno}: non-finite i/q value")
+    if parts[2] not in SCHEDULES:
+        raise DataError(f"line {lineno}: invalid schedule {parts[2]!r}")
 
 
 def load_table(path) -> IQShotTable:
@@ -441,44 +423,47 @@ def load_table(path) -> IQShotTable:
 
     Lines are stripped and blank ones skipped.  Comment lines may appear
     anywhere, and the last ``# device:`` line names the device.  The header
-    is the first other line.  Rows are checked and converted
-    ``_BLOCK_ROWS`` lines at a time; a block that fails a check is read
-    again row by row, so each DataError names the line of the first bad row.
+    is the first other line.  One loop reads ``_BLOCK_ROWS`` lines at a time
+    and converts data rows only through ``_parse_block``'s column checks; in
+    a block that fails them, ``_check_row`` raises the first bad row's
+    DataError.  An index outside int64 raises DataError once every later
+    row has passed its checks.
     """
     lines = read_lines(path)
-    device, start = "", len(lines)
-    for index, line in enumerate(lines):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            device = _device_line(text, device)
-            continue
-        if text != _HEADER:
-            raise DataError(f"line {index + 1}: expected header {_HEADER!r}, got {text!r}")
-        start = index + 1
-        break
-    columns = [np.empty(len(lines) - start, dtype) for dtype in _DTYPES]
-    count, overflow = 0, None
-    for first in range(start, len(lines), _BLOCK_ROWS):
+    device, header, count, overflow = "", False, 0, None
+    columns = [np.empty(len(lines), dtype) for dtype in _DTYPES]
+    for first in range(0, len(lines), _BLOCK_ROWS):
         texts = list(map(str.strip, lines[first:first + _BLOCK_ROWS]))
-        block = _parse_block(texts)
-        if block is None:
-            block, device = _read_rows(texts, first + 1, device)
-        stop = count + len(block[0])
         try:
+            block = _parse_block(texts) if header else None  # most blocks: data rows only
+            if block is None:
+                rows = []
+                for lineno, text in enumerate(texts, first + 1):
+                    if text.startswith("#"):
+                        body = text.lstrip("#").strip()
+                        if body.startswith("device:"):
+                            device = body[len("device:"):].strip()
+                    elif header and text:
+                        rows.append((lineno, text))
+                    elif text == _HEADER:
+                        header = True
+                    elif text:
+                        raise DataError(f"line {lineno}: expected header {_HEADER!r}, got {text!r}")
+                if not rows:
+                    continue
+                block = _parse_block([text for _, text in rows])
+                if block is None:
+                    for lineno, text in rows:
+                        _check_row(lineno, text)
             for column, values in zip(columns, block):
-                column[count:stop] = values
+                column[count:count + len(values)] = values
+            count += len(block[0])
         except OverflowError as exc:  # a later bad row still names its line first
             overflow = overflow or exc
-        count = stop
+    del lines  # before the table sorts copies of its columns
     if overflow is not None:
-        raise DataError(
-            f"pair, qubit or shot index outside the int64 range ({overflow})"
-        ) from overflow
-    return IQShotTable(
-        device=device, **{name: column[:count] for name, column in zip(_COLUMNS, columns)}
-    )
+        raise DataError(f"pair, qubit or shot index outside the int64 range ({overflow})") from overflow
+    return IQShotTable(device, *(column[:count] for column in columns))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import clustering
 from .dataset import DataSet
-from .errors import DataError, check_number
+from .errors import DataError, check_choice, check_number
 from .simulator import derive_seed
 
 METRIC_NAMES = {"fidelity": "AssignmentFidelity", "fm": "FowlkesMallows"}
@@ -121,11 +121,10 @@ def fowlkes_mallows(predicted, truth) -> float:
 
 
 def score_labels(metric: str, predicted, truth) -> float:
+    check_choice("metric", metric, sorted(METRIC_NAMES))
     if metric == "fidelity":
         return assignment_fidelity(predicted, truth)
-    if metric == "fm":
-        return fowlkes_mallows(predicted, truth)
-    raise ValueError(f"metric must be one of {sorted(METRIC_NAMES)}")
+    return fowlkes_mallows(predicted, truth)
 
 
 def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.ndarray]:
@@ -165,10 +164,8 @@ def cross_validate(
     other modes read neither, so they derive neither and keep
     ``config.batch`` as given.
     """
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"metric must be one of {sorted(METRIC_NAMES)}")
-    if half_width not in HALF_WIDTH_KINDS:
-        raise ValueError(f"half_width must be one of {HALF_WIDTH_KINDS}")
+    check_choice("metric", metric, sorted(METRIC_NAMES))
+    check_choice("half_width", half_width, HALF_WIDTH_KINDS)
     folds = stratified_folds(X.labels, n_splits, seed)
     scores = []
     for fold_idx, test_idx in enumerate(folds):

@@ -1,6 +1,7 @@
 """The shared input rules: every library entry point checks its own run
-parameters with ``check_number``, every qubit and shot field goes through
-``parse_index`` and every pair-token parser through ``parse_pair``."""
+parameters with ``check_number`` and its named options with
+``check_choice``, every qubit and shot field goes through ``parse_index``
+and every pair-token parser through ``parse_pair``."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from qkmeans.iqdata import (
     model_from_dict,
     synthesize,
 )
-from qkmeans.metrics import stratified_folds
+from qkmeans.metrics import cross_validate, score_labels, stratified_folds
 from qkmeans.simulator import derive_seed
 
 PARAMS = ComplexityParams(N=10, K=2, F=2, I=1)
@@ -121,6 +122,19 @@ def test_every_distance_mode_check_is_a_config_error():
     ):
         with pytest.raises(ConfigError, match="distance_mode must be one of"):
             call("euclidean")
+
+
+def test_every_metric_and_half_width_check_is_a_config_error():
+    config = FitConfig(2, distance_mode="classical_euclidean")
+    for value in ("accuracy", ["fidelity"]):  # an unhashable value must not reach a dict lookup
+        for call in (
+            lambda metric: score_labels(metric, LABELS, LABELS),
+            lambda metric: cross_validate(POINTS, config, n_splits=2, metric=metric),
+        ):
+            with pytest.raises(ConfigError, match=r"^metric must be one of \['fidelity', 'fm'\]$"):
+                call(value)
+        with pytest.raises(ConfigError, match=r"^half_width must be one of \('std', 'sem95'\)$"):
+            cross_validate(POINTS, config, n_splits=2, half_width=value)
 
 
 def test_derive_seed_does_not_coerce():
