@@ -68,10 +68,13 @@ def _ascii_digits(text: str) -> bool:
 def parse_index(token: str) -> int:
     """The integer of a token of ASCII digits; DataError otherwise, so
     ``int``'s signs, spaces, underscores and non-ASCII digits never reach
-    an index."""
+    an index, nor its ValueError for more digits than it converts."""
     if not _ascii_digits(token):
         raise DataError(f"malformed index {token!r}: expected ASCII digits")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise DataError(f"malformed index of {len(token)} digits: too long to convert") from exc
 
 
 def all_indices(tokens: list[str]) -> bool:

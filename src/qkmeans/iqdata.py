@@ -463,6 +463,8 @@ def load_table(path) -> IQShotTable:
     del lines  # before the table sorts copies of its columns
     if overflow is not None:
         raise DataError(f"pair, qubit or shot index outside the int64 range ({overflow})") from overflow
+    if not count:  # the table's sort copies rows, but zero rows would keep views of these
+        columns = [np.empty(0, dtype) for dtype in _DTYPES]
     return IQShotTable(device, *(column[:count] for column in columns))
 
 

@@ -4,13 +4,9 @@ Assignment fidelity is permutation-maximized accuracy: the best fraction
 of points a cluster->class relabeling can get right, found by Hungarian
 assignment on the contingency table for every cluster count.
 
-Fowlkes-Mallows works on co-membership pairs:
-
-    FM = TP / sqrt((TP + FP) * (TP + FN))
-
-with TP the point pairs grouped together in both labelings; a labeling
-with no co-clustered pairs at all makes a denominator zero, which is
-reported as 0.
+Fowlkes-Mallows is TP / sqrt((TP + FP) * (TP + FN)) over co-membership
+pairs, TP the pairs grouped together in both labelings.  Both scores are
+read off the contingency table alone.
 
 ``cross_validate`` runs a stratified shuffled k-fold: class indices are
 shuffled once, dealt round-robin to folds (stagger offset per class so
@@ -21,6 +17,7 @@ remainders spread), each fold scored on a model fitted to the rest.  The
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,14 +41,12 @@ class ScoreReport:
     half_width_kind: str = "std"
 
     def __post_init__(self) -> None:
-        if self.metric not in METRIC_NAMES.values():
-            raise ValueError(f"metric must be one of {sorted(METRIC_NAMES.values())}")
+        check_choice("metric", self.metric, sorted(METRIC_NAMES.values()))
         if not self.per_fold:
             raise ValueError("per_fold must not be empty")
         if any(not 0.0 <= v <= 1.0 for v in self.per_fold):
             raise ValueError("per-fold scores must lie in [0, 1]")
-        if self.half_width_kind not in HALF_WIDTH_KINDS:
-            raise ValueError(f"half_width_kind must be one of {HALF_WIDTH_KINDS}")
+        check_choice("half_width_kind", self.half_width_kind, HALF_WIDTH_KINDS)
 
     @property
     def mean(self) -> float:
@@ -100,24 +95,24 @@ def assignment_fidelity(predicted, truth) -> float:
 
     table = contingency_table(predicted, truth)
     rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum() / table.sum())
-
-
-def _pairs_together(counts: np.ndarray):
-    return counts * (counts - 1) // 2
+    return int(table[rows, cols].sum()) / int(table.sum())
 
 
 def fowlkes_mallows(predicted, truth) -> float:
-    """Pairwise precision/recall geometric mean; 0 when undefined."""
+    """Pairwise precision/recall geometric mean; 0 when undefined (a
+    labeling with no co-clustered pair).  With n points, cells n_ct and
+    row and column sums a_c, b_t, it is
+    (Σ n_ct² − n) / sqrt((Σ a_c² − n)(Σ b_t² − n)), each term twice a pair
+    count, in Python ints: no size overflows."""
     table = contingency_table(predicted, truth)
-    if table.sum() < 2:
+    n = int(table.sum())
+    if n < 2:
         raise ValueError("need at least two points")
-    true_positive = int(_pairs_together(table).sum())
-    together_pred = int(_pairs_together(table.sum(axis=1)).sum())
-    together_true = int(_pairs_together(table.sum(axis=0)).sum())
-    if together_pred == 0 or together_true == 0:
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    pred_pairs, true_pairs = int(np.vdot(rows, rows)) - n, int(np.vdot(cols, cols)) - n
+    if pred_pairs == 0 or true_pairs == 0:
         return 0.0
-    return float(true_positive / np.sqrt(together_pred * together_true))
+    return (int(np.vdot(table, table)) - n) / math.sqrt(pred_pairs * true_pairs)
 
 
 def score_labels(metric: str, predicted, truth) -> float:

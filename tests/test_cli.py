@@ -607,6 +607,19 @@ class TestCrosstalkCommand:
             "crosstalk", "--named-values", str(bad), "--out", str(tmp_path)
         ]) == 2
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no string-conversion digit limit here",
+    )
+    def test_index_beyond_the_int_conversion_limit_is_data_error(self, tmp_path, capsys):
+        token = "1" * (sys.get_int_max_str_digits() + 1)
+        bad = tmp_path / "long.csv"
+        bad.write_text(f"form,0-1,{token}-2\n")
+        line = assert_error_exit(capsys, [
+            "crosstalk", "--named-values", str(bad), "--out", str(tmp_path / "out")
+        ], 2)
+        assert "malformed pair" in line
+
 
 class TestComplexityCommand:
     EXPECTED_FILES = (

@@ -33,7 +33,7 @@ from qkmeans.iqdata import (
     model_from_dict,
     synthesize,
 )
-from qkmeans.metrics import cross_validate, score_labels, stratified_folds
+from qkmeans.metrics import ScoreReport, cross_validate, score_labels, stratified_folds
 from qkmeans.simulator import derive_seed
 
 PARAMS = ComplexityParams(N=10, K=2, F=2, I=1)
@@ -135,6 +135,12 @@ def test_every_metric_and_half_width_check_is_a_config_error():
                 call(value)
         with pytest.raises(ConfigError, match=r"^half_width must be one of \('std', 'sem95'\)$"):
             cross_validate(POINTS, config, n_splits=2, half_width=value)
+        with pytest.raises(
+            ConfigError, match=r"^metric must be one of \['AssignmentFidelity', 'FowlkesMallows'\]$"
+        ):
+            ScoreReport(metric=value, per_fold=(1.0,))
+        with pytest.raises(ConfigError, match=r"^half_width_kind must be one of \('std', 'sem95'\)$"):
+            ScoreReport(metric="FowlkesMallows", per_fold=(1.0,), half_width_kind=value)
 
 
 def test_derive_seed_does_not_coerce():

@@ -77,6 +77,34 @@ def reference_stratified_folds(labels, n_splits: int, seed: int) -> list[np.ndar
     return [np.sort(np.asarray(bucket, dtype=np.int64)) for bucket in buckets]
 
 
+def reference_assignment_fidelity(predicted, truth) -> float:
+    """The numpy-division ``assignment_fidelity`` and the pair-count
+    ``fowlkes_mallows`` below, kept verbatim as the references the
+    contingency-table forms must match bit for bit."""
+    from scipy.optimize import linear_sum_assignment
+
+    table = contingency_table(predicted, truth)
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return float(table[rows, cols].sum() / table.sum())
+
+
+def _pairs_together(counts: np.ndarray):
+    return counts * (counts - 1) // 2
+
+
+def reference_fowlkes_mallows(predicted, truth) -> float:
+    """Pairwise precision/recall geometric mean; 0 when undefined."""
+    table = contingency_table(predicted, truth)
+    if table.sum() < 2:
+        raise ValueError("need at least two points")
+    true_positive = int(_pairs_together(table).sum())
+    together_pred = int(_pairs_together(table.sum(axis=1)).sum())
+    together_true = int(_pairs_together(table.sum(axis=0)).sum())
+    if together_pred == 0 or together_true == 0:
+        return 0.0
+    return float(true_positive / np.sqrt(together_pred * together_true))
+
+
 class TestContingency:
     def test_known_table(self):
         table = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
@@ -183,6 +211,32 @@ class TestFowlkesMallows:
         assert fowlkes_mallows(pred, truth) == pytest.approx(
             fowlkes_mallows(truth, pred), abs=1e-12
         )
+
+
+class TestAgainstReference:
+    @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=200))
+    @settings(max_examples=200)
+    def test_scores_match_the_reference_bit_for_bit(self, pairs):
+        pred, truth = (np.array(column) for column in zip(*pairs))
+        for score, reference in (
+            (assignment_fidelity, reference_assignment_fidelity),
+            (fowlkes_mallows, reference_fowlkes_mallows),
+        ):
+            value = score(pred, truth)
+            assert type(value) is float
+            assert value.hex() == reference(pred, truth).hex()
+
+    @pytest.mark.parametrize(
+        ("pred", "truth"),
+        [
+            (np.zeros(100_000, int), np.zeros(100_000, int)),
+            (np.arange(140_000) % 2, np.arange(140_000) % 2),
+        ],
+    )
+    def test_fm_has_no_size_limit(self, pred, truth):
+        # the product of the two pair counts is at least 2**64 here, past
+        # what np.sqrt takes as an integer
+        assert fowlkes_mallows(pred, truth) == 1.0
 
 
 class TestScoreDispatch:

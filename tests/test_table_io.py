@@ -240,3 +240,19 @@ def test_large_table_memory(tmp_path):
     assert save_peak <= 4 * MiB, save_peak / MiB
     assert load_peak <= 13 * MiB, load_peak / MiB
     assert contents(back) == contents(table)
+
+
+def test_empty_table_holds_no_line_buffers(tmp_path):
+    """A header and 200,000 blank lines load as a 0-row table that keeps none
+    of the columns sized by the line count (about 10 MiB of them)."""
+    path = tmp_path / "iq_shots.csv"
+    path.write_text("pair,qubit,schedule,shot,i,q" + "\n" * 200_001, encoding="utf-8")
+    load_table(path)  # first-call caches are not the table's
+    tracemalloc.start()
+    try:
+        table = load_table(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 0
+    assert held <= MiB / 16, held / MiB
