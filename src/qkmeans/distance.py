@@ -206,8 +206,7 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
       while a <= 1/4.  From about 2**46 shots a exceeds that, and every
       step is exact.
     """
-    # Local, as metrics.assignment_fidelity's scipy.optimize import is: a
-    # process that never samples a distance never loads scipy.special.
+    # Local: a process that never samples a distance never loads SciPy.
     from scipy.special import betainc, gammaln, ndtri, xlog1py, xlogy
 
     n = float(shots)

@@ -1,8 +1,11 @@
 """Clustering quality scores and cross-validated benchmarking.
 
 Assignment fidelity is permutation-maximized accuracy: the best fraction
-of points a cluster->class relabeling can get right, found by Hungarian
-assignment on the contingency table for every cluster count.
+of points a cluster->class relabeling can get right.  It is found by an
+exact maximum-weight matching on the contingency table's occupied rows and
+columns, for every cluster count: shortest augmenting paths with row and
+column potentials (Kuhn, Naval Res. Logist. Q. 1955; Jonker & Volgenant,
+Computing 1987), in Python ints, so no SciPy is loaded.
 
 Fowlkes-Mallows is TP / sqrt((TP + FP) * (TP + FN)) over co-membership
 pairs, TP the pairs grouped together in both labelings.  Both scores are
@@ -64,38 +67,97 @@ def table_row(label: str, kind: str, report: ScoreReport) -> str:
     return f"{label}, {kind}, {report.mean:.3f} ±{report.half_width:.4f}"
 
 
-def _as_label_array(values, name: str) -> np.ndarray:
+def _as_label_array(values, name: str) -> tuple[np.ndarray, int]:
+    """The labels as int64, and the largest of them."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D label sequence")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must contain integers")
-    arr = arr.astype(np.int64)
-    if arr.min() < 0:
+    arr = arr.astype(np.int64, copy=False)
+    # viewed unsigned, a negative label reads 2**63 or more, so one reduction
+    # both checks the sign and finds the largest label
+    top = int(arr.view(np.uint64).max())
+    if top >= 2**63:
         raise ValueError(f"{name} labels must be nonnegative")
-    return arr
+    return arr, top
 
 
 def contingency_table(predicted, truth) -> np.ndarray:
     """Square count matrix: entry [c, t] = points with cluster c and class t."""
-    pred = _as_label_array(predicted, "predicted")
-    true = _as_label_array(truth, "truth")
+    pred, top_pred = _as_label_array(predicted, "predicted")
+    true, top_true = _as_label_array(truth, "truth")
     if pred.shape != true.shape:
         raise ValueError("predicted and truth must have equal length")
-    size = int(max(pred.max(), true.max())) + 1
+    size = max(top_pred, top_true) + 1
     flat = np.bincount(pred * size + true, minlength=size * size)
     return flat.reshape(size, size)
 
 
-def assignment_fidelity(predicted, truth) -> float:
-    """Best accuracy over all cluster-to-class relabelings, in [0, 1]."""
-    # scipy.optimize is most of a cold import; a process that never scores
-    # fidelity never loads it.
-    from scipy.optimize import linear_sum_assignment
+def _max_matching(weights: list) -> int:
+    """Largest total weight of a matching of rows to distinct columns, for a
+    table with no more rows than columns.  Shortest augmenting paths with
+    potentials: u[r] + v[c] >= weights[r][c] holds throughout, with equality
+    on matched cells, so each search grows the matching by one row."""
+    cols = len(weights[0])
+    # the first dual: each row's potential is its largest weight, and a row
+    # takes the first column holding that weight that no earlier row took
+    u = [max(row) for row in weights]
+    v = [0] * (cols + 1)
+    owner = [-1] * (cols + 1)  # owner[c]: the row matched to column c
+    waiting = []
+    for r, row in enumerate(weights):
+        for c, weight in enumerate(row):
+            if weight == u[r] and owner[c] < 0:
+                owner[c] = r
+                break
+        else:
+            waiting.append(r)
+    for start in waiting:
+        # column `cols` is the search root, standing for the unmatched row
+        owner[cols] = start
+        col = cols
+        slack = [math.inf] * cols
+        via = [cols] * cols
+        tree = [cols]
+        free = list(range(cols))
+        while owner[col] >= 0:
+            r = owner[col]
+            row, ur = weights[r], u[r]
+            delta = math.inf
+            for c in free:
+                reduced = ur + v[c] - row[c]
+                if reduced < slack[c]:
+                    slack[c] = reduced
+                    via[c] = col
+                if slack[c] < delta:
+                    delta, nearest = slack[c], c
+            for c in tree:
+                u[owner[c]] -= delta
+                v[c] += delta
+            for c in free:
+                slack[c] -= delta
+            free.remove(nearest)
+            tree.append(nearest)
+            col = nearest
+        while col != cols:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    return sum(weights[r][c] for c, r in enumerate(owner[:cols]) if r >= 0)
 
+
+def assignment_fidelity(predicted, truth) -> float:
+    """Best accuracy over all cluster-to-class relabelings, in [0, 1]: the
+    maximum-weight matching of the contingency table (Kuhn 1955; Jonker &
+    Volgenant 1987) over n.  Counts are integers, so every optimal matching
+    has the same total, and the result is that total over n as Python ints.
+    The solve sees only occupied rows and columns: its cost follows the
+    labels in use, not the largest label value."""
     table = contingency_table(predicted, truth)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return int(table[rows, cols].sum()) / int(table.sum())
+    weights = [col for col in zip(*table[table.any(axis=1)].tolist()) if any(col)]
+    if len(weights) > len(weights[0]):
+        weights = list(zip(*weights))
+    return _max_matching(weights) / sum(map(sum, weights))
 
 
 def fowlkes_mallows(predicted, truth) -> float:
@@ -124,7 +186,7 @@ def score_labels(metric: str, predicted, truth) -> float:
 
 def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.ndarray]:
     """Shuffled per-class round-robin split; returns test-index arrays."""
-    labels = _as_label_array(labels, "labels")
+    labels, _ = _as_label_array(labels, "labels")
     check_number("n_splits", n_splits, 2)
     check_number("seed", seed, 0)
     classes, counts = np.unique(labels, return_counts=True)

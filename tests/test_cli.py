@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -691,52 +692,91 @@ class TestEntryPoint:
         assert main(["synth", "--bogus"]) == 1
 
 
-# Runs in a fresh interpreter; records the scipy modules loaded after each step.
+# Runs in a fresh interpreter: argv is the output directory, then "observe"
+# to record the scipy modules loaded after each step, or "refuse" to run the
+# commands that sample no distance behind a finder that refuses any scipy
+# import.
 COLD_START = """\
 import json, sys
 from pathlib import Path
 
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-out = Path(sys.argv[1])
+out, mode = Path(sys.argv[1]), sys.argv[2]
 loaded = {}
+if mode == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
+    try:
+        import scipy
+        loaded["refused"] = False
+    except ImportError:
+        loaded["refused"] = True
 import qkmeans
 loaded["import qkmeans"] = scipy_modules()
 from qkmeans import cli
 loaded["import qkmeans.cli"] = scipy_modules()
 shots = str(out / "synth" / "iq_shots.csv")
-for name, argv in (
+bench = ["benchmark", "--data", shots, "--splits", "2"]
+steps = [
     ("synth", ["synth", "--shots", "8", "--seed", "1", "--out", str(out / "synth")]),
     ("complexity", ["complexity", "--out", str(out / "complexity")]),
     ("crosstalk", ["crosstalk", "--data", shots, "--out", str(out / "crosstalk")]),
-    ("benchmark", ["benchmark", "--data", shots, "--algo", "kmeans", "--splits", "2",
-                   "--out", str(out / "benchmark")]),
-):
+    ("kmeans", bench + ["--algo", "kmeans", "--out", str(out / "kmeans")]),
+    ("exact", bench + ["--mode", "exact", "--out", str(out / "exact")]),
+    ("exact fm", bench + ["--mode", "exact", "--metric", "fm", "--out", str(out / "fm")]),
+    ("crosstalk --scores", ["crosstalk", "--data", shots, "--scores",
+                            str(out / "exact" / "scores.csv"), "--out", str(out / "gap")]),
+]
+if mode == "observe":
+    steps.append(("sampled", bench + ["--mode", "sampled", "--shots", "16",
+                                      "--out", str(out / "sampled")]))
+for name, argv in steps:
     loaded[name] = [cli.main(argv), scipy_modules()]
 (out / "loaded.json").write_text(json.dumps(loaded))
 """
 
+UNSAMPLED_STEPS = ("synth", "complexity", "crosstalk", "kmeans", "exact", "exact fm",
+                   "crosstalk --scores")
+
+
+def run_cold_start(tmp_path: Path, mode: str) -> dict:
+    env = dict(os.environ)
+    src = str(Path(qkmeans.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(tmp_path), mode],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads((tmp_path / "loaded.json").read_text())
+    assert loaded["import qkmeans"] == []
+    assert loaded["import qkmeans.cli"] == []
+    for step in UNSAMPLED_STEPS:
+        assert loaded[step] == [0, []], step
+    for out in ("kmeans", "exact"):
+        scores = read_score_table(tmp_path / out / "scores.csv")
+        assert scores and all(0.0 <= v <= 1.0 for v in scores.values()), out
+    assert "FowlkesMallows" in (tmp_path / "fm" / "scores.csv").read_text()
+    return loaded
+
 
 class TestColdStart:
-    def test_scipy_loads_on_the_first_fidelity_score(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(qkmeans.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START, str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads((tmp_path / "loaded.json").read_text())
-        assert loaded["import qkmeans"] == []
-        assert loaded["import qkmeans.cli"] == []
-        for command in ("synth", "complexity", "crosstalk"):
-            assert loaded[command] == [0, []], command
-        code, modules = loaded["benchmark"]
-        assert code == 0 and "scipy.optimize" in modules
-        scores = read_score_table(tmp_path / "benchmark" / "scores.csv")
-        assert scores and all(0.0 <= v <= 1.0 for v in scores.values())
+    @pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                        reason="a sampled distance needs SciPy")
+    def test_only_a_sampled_distance_loads_scipy(self, tmp_path):
+        loaded = run_cold_start(tmp_path, "observe")
+        code, modules = loaded["sampled"]
+        assert code == 0
+        assert "scipy.special" in modules and "scipy.optimize" not in modules
+
+    def test_unsampled_commands_run_with_scipy_refused(self, tmp_path):
+        assert run_cold_start(tmp_path, "refuse")["refused"] is True
 
 
 # values a shot table must survive: zero, subnormal, tiny, huge but inside

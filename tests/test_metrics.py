@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from qkmeans.metrics import (
     HALF_WIDTH_KINDS,
     METRIC_NAMES,
     ScoreReport,
+    _max_matching,
     assignment_fidelity,
     contingency_table,
     cross_validate,
@@ -237,6 +240,94 @@ class TestAgainstReference:
         # the product of the two pair counts is at least 2**64 here, past
         # what np.sqrt takes as an integer
         assert fowlkes_mallows(pred, truth) == 1.0
+
+
+def brute_force_matched(table) -> int:
+    """Largest total over every way to give each row its own column, the
+    table padded with zeros to a square."""
+    side = max(len(table), len(table[0]))
+    square = [list(row) + [0] * (side - len(row)) for row in table]
+    square += [[0] * side] * (side - len(table))
+    return max(
+        sum(square[r][c] for r, c in enumerate(perm))
+        for perm in itertools.permutations(range(side))
+    )
+
+
+@st.composite
+def count_tables(draw, max_side: int):
+    """Count tables of 1 to ``max_side`` rows and columns: mostly small
+    counts, so ties are common, and some rows and columns all zero."""
+    n_rows, n_cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    cell = st.sampled_from([0, 0, 0, 1, 1, 2, 3]) | st.integers(0, 40)
+    table = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                          min_size=n_rows, max_size=n_rows))
+    for r in draw(st.lists(st.integers(0, n_rows - 1), max_size=2)):
+        table[r] = [0] * n_cols
+    for c in draw(st.lists(st.integers(0, n_cols - 1), max_size=2)):
+        for row in table:
+            row[c] = 0
+    return table
+
+
+def wide(table):
+    """The table, or its transpose when it has more rows than columns."""
+    return table if len(table) <= len(table[0]) else [list(col) for col in zip(*table)]
+
+
+needs_scipy = pytest.mark.skipif(
+    importlib.util.find_spec("scipy") is None, reason="the reference solver is SciPy's"
+)
+
+
+class TestMaxMatching:
+    @given(data=st.data(), table=count_tables(max_side=7))
+    @settings(max_examples=200)
+    def test_matched_count_equals_brute_force(self, data, table):
+        expected = brute_force_matched(table)
+        assert _max_matching(wide(table)) == expected
+        n = sum(map(sum, table))
+        if n == 0:
+            return
+        # the same table as labelings, with sparse label values: cell [r][c]
+        # becomes that many points labeled (row_labels[r], col_labels[c])
+        def distinct_labels(size):
+            return data.draw(st.lists(st.integers(0, 600), min_size=size, max_size=size,
+                                      unique=True))
+
+        row_labels, col_labels = distinct_labels(len(table)), distinct_labels(len(table[0]))
+        cells = [(row_labels[r], col_labels[c]) for r, row in enumerate(table)
+                 for c, count in enumerate(row) for _ in range(count)]
+        pred, truth = (np.array(column) for column in zip(*cells))
+        assert assignment_fidelity(pred, truth) == expected / n
+
+    @needs_scipy
+    @given(count_tables(max_side=12))
+    @settings(max_examples=200)
+    def test_matched_count_equals_linear_sum_assignment(self, table):
+        from scipy.optimize import linear_sum_assignment
+
+        array = np.array(table)
+        rows, cols = linear_sum_assignment(array, maximize=True)
+        assert _max_matching(wide(table)) == int(array[rows, cols].sum())
+
+    @needs_scipy
+    @given(st.lists(st.tuples(st.integers(0, 5) | st.sampled_from([17, 500]),
+                              st.integers(0, 5) | st.sampled_from([17, 500])),
+                    min_size=1, max_size=60))
+    @settings(max_examples=100)
+    def test_fidelity_matches_the_reference_on_sparse_labels(self, pairs):
+        pred, truth = (np.array(column) for column in zip(*pairs))
+        value = assignment_fidelity(pred, truth)
+        assert value.hex() == reference_assignment_fidelity(pred, truth).hex()
+
+    def test_cost_follows_occupied_labels_not_label_range(self):
+        # a 501 x 501 table with two occupied rows and columns: the cost must
+        # follow those two, not the 501 the label range spans
+        pred, truth = np.array([0, 500, 500]), np.array([0, 1, 1])
+        assert assignment_fidelity(pred, truth) == 1.0
+        best = min(timeit.repeat(lambda: assignment_fidelity(pred, truth), number=1, repeat=20))
+        assert best < 1e-3
 
 
 class TestScoreDispatch:
