@@ -22,7 +22,8 @@ lowest index.
 Empty clusters are repaired deterministically: ascending over empty
 cluster ids, reassign the not-yet-stolen point with the largest distance
 to its own center, considering only donor clusters that keep at least
-one member; a cluster that still ends up empty keeps its old center.
+one member.  A fit needs N >= K points, so the repair leaves no cluster
+empty.
 
 Seed discipline: ``config.seed`` drives initialization; quantum shot
 noise for init round r uses ``derive_seed(batch.seed, 0, r)`` and for
@@ -40,7 +41,7 @@ import numpy as np
 
 from .dataset import DataSet
 from .distance import BatchConfig, BatchStats, distance_matrix
-from .errors import check_choice, check_number
+from .errors import DataError, check_choice, check_number
 from .simulator import derive_seed
 
 DISTANCE_MODES = ("quantum_exact", "quantum_sampled", "classical_euclidean")
@@ -121,7 +122,7 @@ def qkmeans_plusplus_init(
     check_number("seed", seed, 0)
     n = X.n_points
     if n < n_clusters:
-        raise ValueError(f"need at least n_clusters={n_clusters} points, got {n}")
+        raise DataError(f"need at least n_clusters={n_clusters} points, got {n}")
     batch = batch or BatchConfig()
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
@@ -162,14 +163,10 @@ def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: in
 
 def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     """Run Lloyd iterations until the centers move less than ``tol`` (L1)."""
-    n, k = X.n_points, config.n_clusters
-    if n == 0:
-        raise ValueError("cannot fit an empty dataset")
-    if n < k:
-        raise ValueError(f"need at least n_clusters={k} points, got {n}")
+    k = config.n_clusters
     centers = qkmeans_plusplus_init(X, k, config.distance_mode, config.seed, config.batch)
 
-    labels = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(X.n_points, dtype=np.int64)
     shifts: list[float] = []
     batch_history: list[BatchStats] = []
     converged = False
@@ -181,11 +178,8 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
         if stats is not None:
             batch_history.append(stats)
         labels = _repair_empty_clusters(np.argmin(dists, axis=1), dists, k)
-        new_centers = centers.copy()
-        for c in range(k):
-            members = labels == c
-            if np.any(members):
-                new_centers[c] = X.features[members].mean(axis=0)
+        # init needs N >= K, so the repair leaves every cluster a member
+        new_centers = np.stack([X.features[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.sum(np.abs(new_centers - centers)))
         shifts.append(shift)
         centers = new_centers

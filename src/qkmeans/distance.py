@@ -113,7 +113,7 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix of row vectors")
-    if not np.all(np.isfinite(mat)):
+    if not (mat.shape[1] and np.all(np.isfinite(mat))):  # a zero-length row is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
     norms = np.sqrt(row_sums(mat * mat))
     if np.any(norms == 0.0):
@@ -169,8 +169,9 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     the upper tail, P(X > k) <= 1 - u, where 1 - u is exact; a CDF near 1
     would round to 1.0 there.  Below 1/2 it reads 1 - p, as ``bdtr`` does,
     which moves p by at most 2**-54.  Starting from a continuity-corrected
-    Cornish-Fisher guess, k steps up or down on the still-unsettled
-    entries only, so each entry's result depends on its own (p, u) alone.
+    Cornish-Fisher guess, one loop steps every still-unsettled entry, up
+    or down by one, in one ``tail`` pass per step, so each entry's result
+    depends on its own (p, u) alone.
 
     Each entry evaluates ``betainc`` once, at the guess k.  The step to
     k - 1, which the guess passes for all but a few entries, is screened
@@ -184,7 +185,7 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     from 0, ``betainc`` at k - 1 falls on the same side of the threshold,
     and the screen takes or refuses the step itself.  The other entries,
-    and every later step, run the exact loop, so each count is bit for bit
+    and every later step, go through the loop, so each count is bit for bit
     the one that evaluating every step gives.  In the margin:
 
     * ``a = 2**-32 + n 2**-48`` is the relative error allowed each
@@ -223,20 +224,12 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         t[k == n] = np.nan
         return t, np.where(up, (1.0 - us) - t, t - us)
 
-    def reached(k: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        # P(X <= k) >= u for the entries sel; k == shots always qualifies.
-        return (tail(k, sel)[1] >= 0.0) | (k == n)
-
     z = ndtri(u)
     mean = n * p
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     k = np.clip(np.floor(guess + 0.5), 0.0, n)
     t, slack = tail(k, slice(None))
     ok = (slack >= 0.0) | (k == n)
-    pending = np.flatnonzero(~ok)
-    while pending.size:
-        k[pending] += 1.0
-        pending = pending[~reached(k[pending], pending)]
     down = ok & (k > 0.0)
     a = 2.0**-32 + n * 2.0**-48
     if a <= 0.25:
@@ -251,11 +244,17 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         lead = slack - pmf
         k[down & (lead > margin)] -= 1.0
         down &= ~(lead < -margin) & (k > 0.0)
-    pending = np.flatnonzero(down)
+    # Each pass tries k + 1 on every request still short of u and k - 1 on
+    # every request that may reach it lower, in one tail: a step up is always
+    # taken, a step down only where P(X <= k - 1) >= u; k == shots reaches u.
+    pending = np.flatnonzero(~ok | down)
+    rising = ~ok[pending]
     while pending.size:
-        pending = pending[reached(k[pending] - 1.0, pending)]
-        k[pending] -= 1.0
-        pending = pending[k[pending] > 0.0]
+        trial = k[pending] + np.where(rising, 1.0, -1.0)
+        hit = (tail(trial, pending)[1] >= 0.0) | (trial == n)
+        k[pending[rising | hit]] = trial[rising | hit]
+        more = (hit != rising) & (trial > 0.0)
+        pending, rising = pending[more], rising[more]
     return k
 
 

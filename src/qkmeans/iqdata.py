@@ -59,6 +59,7 @@ _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
 _MAX_IQ_MAGNITUDE = 2.0**400
 # IQShotTable columns, in CSV field order (the "pair" field holds the first two)
 _COLUMNS = ("pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")
+_DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
 
 
 @dataclass(frozen=True)
@@ -182,45 +183,45 @@ class IQShotTable:
         if not np.all(valid):
             raise DataError(f"invalid schedule string {str(sched[~valid][0])!r}")
         sched = sched.astype("U2")  # checked first: the cast would truncate "011" to "01"
-        slices: dict[tuple[int, int, int, str], slice] = {}
-        if n:
-            if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
-                raise DataError("i/q values must be finite")
-            large = np.flatnonzero(
-                (np.abs(i_val) > _MAX_IQ_MAGNITUDE) | (np.abs(q_val) > _MAX_IQ_MAGNITUDE)
+        if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
+            raise DataError("i/q values must be finite")
+        large = np.flatnonzero(
+            (np.abs(i_val) > _MAX_IQ_MAGNITUDE) | (np.abs(q_val) > _MAX_IQ_MAGNITUDE)
+        )
+        if large.size:
+            j = large[0]
+            raise DataError(
+                "|i| and |q| must be at most 2**400 (about 2.6e120), "
+                f"got i={float(i_val[j])!r}, q={float(q_val[j])!r}"
             )
-            if large.size:
-                j = large[0]
-                raise DataError(
-                    "|i| and |q| must be at most 2**400 (about 2.6e120), "
-                    f"got i={float(i_val[j])!r}, q={float(q_val[j])!r}"
-                )
-            if min(pf.min(), ps.min(), qb.min(), shot.min()) < 0:
-                raise DataError("pair, qubit and shot indices must be >= 0")
-            bad = np.flatnonzero((pf == ps) | ((qb != pf) & (qb != ps)))
-            if bad.size:
-                j = bad[0]
-                raise DataError(f"qubit {qb[j]} is not one of the distinct qubits of pair {pf[j]}-{ps[j]}")
-            order = np.lexsort((shot, sched, qb, ps, pf))
-            pf, ps, qb = pf[order], ps[order], qb[order]
-            sched, shot = sched[order], shot[order]
-            i_val, q_val = i_val[order], q_val[order]
-            new_run = (
-                (pf[1:] != pf[:-1]) | (ps[1:] != ps[:-1])
-                | (qb[1:] != qb[:-1]) | (sched[1:] != sched[:-1])
+        if min(col.min(initial=0) for col in (pf, ps, qb, shot)) < 0:
+            raise DataError("pair, qubit and shot indices must be >= 0")
+        bad = np.flatnonzero((pf == ps) | ((qb != pf) & (qb != ps)))
+        if bad.size:
+            j = bad[0]
+            raise DataError(f"qubit {qb[j]} is not one of the distinct qubits of pair {pf[j]}-{ps[j]}")
+        # the sort copies every column, so the table never holds a caller's array
+        order = np.lexsort((shot, sched, qb, ps, pf))
+        pf, ps, qb = pf[order], ps[order], qb[order]
+        sched, shot = sched[order], shot[order]
+        i_val, q_val = i_val[order], q_val[order]
+        new_run = np.ones(n, dtype=bool)  # row j opens a (pair, qubit, schedule) run
+        new_run[1:] = (
+            (pf[1:] != pf[:-1]) | (ps[1:] != ps[:-1])
+            | (qb[1:] != qb[:-1]) | (sched[1:] != sched[:-1])
+        )
+        same = ~new_run[1:] & (shot[1:] == shot[:-1])
+        if np.any(same):
+            j = int(np.flatnonzero(same)[0])
+            raise DataError(
+                "duplicate shot key "
+                f"(pair {pf[j]}-{ps[j]}, qubit {qb[j]}, schedule {sched[j]}, shot {shot[j]})"
             )
-            same = ~new_run & (shot[1:] == shot[:-1])
-            if np.any(same):
-                j = int(np.flatnonzero(same)[0])
-                raise DataError(
-                    "duplicate shot key "
-                    f"(pair {pf[j]}-{ps[j]}, qubit {qb[j]}, schedule {sched[j]}, shot {shot[j]})"
-                )
-            starts = np.concatenate(([0], np.flatnonzero(new_run) + 1))
-            stops = np.append(starts[1:], n).tolist()
-            keys = zip(pf[starts].tolist(), ps[starts].tolist(),
-                       qb[starts].tolist(), sched[starts].tolist())
-            slices = {key: slice(a, b) for key, a, b in zip(keys, starts.tolist(), stops)}
+        starts = np.flatnonzero(new_run)
+        stops = np.append(starts[1:], n).tolist()
+        keys = zip(pf[starts].tolist(), ps[starts].tolist(),
+                   qb[starts].tolist(), sched[starts].tolist())
+        slices = {key: slice(a, b) for key, a, b in zip(keys, starts.tolist(), stops)}
         for name, arr in (
             ("pair_first", pf), ("pair_second", ps), ("qubit", qb),
             ("schedule", sched), ("shot", shot), ("i_value", i_val), ("q_value", q_val),
@@ -254,10 +255,6 @@ class IQShotTable:
         return column[rows]
 
 
-def empty_table(device: str = "") -> IQShotTable:
-    return IQShotTable(device=device, **{name: [] for name in _COLUMNS})
-
-
 def _noise_columns(rng: np.random.Generator, shots: int) -> np.ndarray:
     """(shots, 17) noise table; exactly whitened when enough shots."""
     raw = rng.standard_normal((shots, _NOISE_COLUMNS))
@@ -281,7 +278,7 @@ def synthesize(
         if a not in model.qubits or b not in model.qubits:
             raise ConfigError(f"readout model does not cover coupling ({a}, {b})")
     shots = shots_per_schedule
-    columns: dict[str, list[np.ndarray]] = {k: [] for k in _COLUMNS}
+    columns = {name: [np.empty(0, dtype)] for name, dtype in zip(_COLUMNS, _DTYPES)}
     shot_idx = np.arange(shots, dtype=np.int64)
     for a, b in coupling.edges:
         rng = np.random.default_rng(derive_seed(seed, a, b))
@@ -309,8 +306,6 @@ def synthesize(
                 columns["shot"].append(shot_idx)
                 columns["i_value"].append(samples[:, 0])
                 columns["q_value"].append(samples[:, 1])
-    if not columns["pair_first"]:
-        return empty_table(model.device)
     return IQShotTable(
         device=model.device,
         **{k: np.concatenate(v) for k, v in columns.items()},
@@ -358,7 +353,6 @@ _HEADER = "pair,qubit,schedule,shot,i,q"
 # at 1,024 a block's strings take a few hundred KB, so a table's token list
 # is never built whole: a load holds the file's lines and the table's columns.
 _BLOCK_ROWS = 1024
-_DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
 
 
 def save_table(table: IQShotTable, path) -> None:
@@ -463,8 +457,6 @@ def load_table(path) -> IQShotTable:
     del lines  # before the table sorts copies of its columns
     if overflow is not None:
         raise DataError(f"pair, qubit or shot index outside the int64 range ({overflow})") from overflow
-    if not count:  # the table's sort copies rows, but zero rows would keep views of these
-        columns = [np.empty(0, dtype) for dtype in _DTYPES]
     return IQShotTable(device, *(column[:count] for column in columns))
 
 

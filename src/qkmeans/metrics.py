@@ -32,6 +32,8 @@ from .simulator import derive_seed
 
 METRIC_NAMES = {"fidelity": "AssignmentFidelity", "fm": "FowlkesMallows"}
 HALF_WIDTH_KINDS = ("std", "sem95")
+# label values a contingency table indexes directly: 2**16 cells at most
+_MAX_LABEL_VALUES = 2**8
 
 
 @dataclass(frozen=True)
@@ -71,25 +73,32 @@ def _as_label_array(values, name: str) -> tuple[np.ndarray, int]:
     """The labels as int64, and the largest of them."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D label sequence")
+        raise DataError(f"{name} must be a non-empty 1-D label sequence")
     if arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must contain integers")
+        raise DataError(f"{name} must contain integers")
     arr = arr.astype(np.int64, copy=False)
     # viewed unsigned, a negative label reads 2**63 or more, so one reduction
     # both checks the sign and finds the largest label
     top = int(arr.view(np.uint64).max())
     if top >= 2**63:
-        raise ValueError(f"{name} labels must be nonnegative")
+        raise DataError(f"{name} labels must be nonnegative")
     return arr, top
 
 
 def contingency_table(predicted, truth) -> np.ndarray:
-    """Square count matrix: entry [c, t] = points with cluster c and class t."""
+    """Square count matrix: entry [c, t] = points with cluster c and class t.
+    Past 2**16 cells (a label above 255), c and t are instead ranks among
+    the labels in use, so the table's size follows those labels, not their
+    values; no score reads anything but its occupied rows and columns."""
     pred, top_pred = _as_label_array(predicted, "predicted")
     true, top_true = _as_label_array(truth, "truth")
     if pred.shape != true.shape:
-        raise ValueError("predicted and truth must have equal length")
+        raise DataError("predicted and truth must have equal length")
     size = max(top_pred, top_true) + 1
+    if size > _MAX_LABEL_VALUES:
+        ranks = np.unique(np.concatenate((pred, true)), return_inverse=True)[1]
+        pred, true = np.split(ranks, 2)
+        size = int(ranks.max()) + 1
     flat = np.bincount(pred * size + true, minlength=size * size)
     return flat.reshape(size, size)
 
@@ -169,7 +178,7 @@ def fowlkes_mallows(predicted, truth) -> float:
     table = contingency_table(predicted, truth)
     n = int(table.sum())
     if n < 2:
-        raise ValueError("need at least two points")
+        raise DataError("need at least two points")
     rows, cols = table.sum(axis=1), table.sum(axis=0)
     pred_pairs, true_pairs = int(np.vdot(rows, rows)) - n, int(np.vdot(cols, cols)) - n
     if pred_pairs == 0 or true_pairs == 0:

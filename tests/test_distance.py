@@ -460,6 +460,21 @@ class TestScreenedInversion:
         assert placed.sum() >= size // 4
         assert screened - size >= placed.sum() // 2
 
+    def test_steps_up_and_down_share_one_pass(self, monkeypatch):
+        """Request 0's guess (5) lies one below its count and request 1 needs
+        an exact test below its guess (13): after the call at the guesses,
+        one more ``betainc`` call serves both steps."""
+        import scipy.special
+
+        real, calls = scipy.special.betainc, []
+        monkeypatch.setattr(scipy.special, "betainc", lambda *args: calls.append(args) or real(*args))
+        p = np.array([0.0010932825691641335, 0.001529562040947563])
+        u = np.array([0.11852823685513514, 0.5154072297820665])
+        k = _binomial_quantile(8192, p, u)
+        assert len(calls) == 2
+        assert k.tolist() == [6.0, 12.0]
+        assert k.tobytes() == reference_binomial_quantile(8192, p, u).tobytes()
+
     def test_one_betainc_per_request_at_8192_shots(self, monkeypatch):
         draws = 10_000
         p = np.random.default_rng(8192).uniform(0.0, 0.3, draws)

@@ -16,7 +16,7 @@ from qkmeans.clustering import FitConfig, fit, predict, qkmeans_plusplus_init
 from qkmeans.complexity import ComplexityParams, cost_curve, sweep_values
 from qkmeans.crosstalk import flag_crosstalk, named_form_labels, parse_named_block
 from qkmeans.dataset import DataSet
-from qkmeans.distance import BatchConfig
+from qkmeans.distance import BatchConfig, distance_matrix, quantum_distance
 from qkmeans.errors import (
     ConfigError,
     DataError,
@@ -33,7 +33,9 @@ from qkmeans.iqdata import (
     model_from_dict,
     synthesize,
 )
-from qkmeans.metrics import ScoreReport, cross_validate, score_labels, stratified_folds
+from qkmeans.metrics import (
+    ScoreReport, cross_validate, fowlkes_mallows, score_labels, stratified_folds,
+)
 from qkmeans.simulator import derive_seed
 
 PARAMS = ComplexityParams(N=10, K=2, F=2, I=1)
@@ -111,6 +113,29 @@ def test_entry_point_rejects_past_its_upper_bound(call, high):
     with pytest.raises(ConfigError, match=r"must be <= 2\*\*"):
         call(high + 1)
     call(high)
+
+
+# (case, call): bad data given to a library entry point
+BAD_DATA = [
+    ("quantum_distance of empty vectors", lambda: quantum_distance([], [])),
+    ("distance_matrix on zero features", lambda: distance_matrix(np.zeros((3, 0)), np.zeros((2, 0)))),
+    ("quantum fit on zero features", lambda: fit(DataSet(np.zeros((4, 0)), LABELS), FitConfig(2))),
+    ("score_labels on a negative label", lambda: score_labels("fidelity", [0, -1], [0, 1])),
+    ("score_labels on non-integer labels", lambda: score_labels("fm", [0.5, 1.0], [0, 1])),
+    ("score_labels on empty labels", lambda: score_labels("fidelity", [], [])),
+    ("score_labels on unequal lengths", lambda: score_labels("fm", [0, 1], [0])),
+    ("fowlkes_mallows on one point", lambda: fowlkes_mallows([0], [0])),
+    ("stratified_folds on empty labels", lambda: stratified_folds(np.array([], dtype=np.int64), 2, 0)),
+    ("qkmeans_plusplus_init with N < K", lambda: qkmeans_plusplus_init(POINTS, 5)),
+    ("fit with N < K", lambda: fit(POINTS, FitConfig(5))),
+    ("fit on an empty dataset", lambda: fit(DataSet(np.zeros((0, 2)), LABELS[:0]), FitConfig(2))),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in BAD_DATA], ids=[case for case, _ in BAD_DATA])
+def test_bad_data_is_a_data_error(call):
+    with pytest.raises(DataError):
+        call()
 
 
 def test_every_distance_mode_check_is_a_config_error():

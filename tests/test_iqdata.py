@@ -18,7 +18,6 @@ from qkmeans.iqdata import (
     crosstalk_demo_model,
     default_coupling_map,
     default_readout_model,
-    empty_table,
     load_table,
     model_from_dict,
     save_table,
@@ -376,9 +375,25 @@ class TestTableContainer:
             )
 
     def test_columns_are_read_only(self):
-        table = empty_table("toy")
+        table = synthesize(TOY_MODEL, CouplingMap(device="toy", edges=()), 16)
         with pytest.raises(ValueError):
             table.pair_first[...] = 1
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_table_copies_the_callers_columns(self, rows):
+        """A table of any size, zero rows included, holds read-only copies
+        and leaves the caller's arrays as they were."""
+        index = np.zeros(rows, dtype=np.int64)
+        columns = {
+            "pair_first": index, "pair_second": index + 1, "qubit": index,
+            "schedule": np.full(rows, "00"), "shot": np.arange(rows),
+            "i_value": np.ones(rows), "q_value": np.ones(rows),
+        }
+        table = IQShotTable("toy", **columns)
+        for name, given in columns.items():
+            held = getattr(table, name)
+            assert held is not given and not np.shares_memory(held, given)
+            assert not held.flags.writeable and given.flags.writeable
 
     def test_values_feature_check(self):
         table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=4, seed=0)
@@ -401,7 +416,7 @@ class TestFileRoundTrip:
 
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.csv"
-        save_table(empty_table("nothing"), path)
+        save_table(IQShotTable("nothing", *[[]] * 7), path)
         back = load_table(path)
         assert len(back) == 0
         assert back.device == "nothing"

@@ -131,6 +131,40 @@ class TestContingency:
             contingency_table([0.5, 1.0], [0, 1])
 
 
+class TestSparseLabels:
+    """Past label 255 the table counts ranks among the labels in use, so
+    memory follows those labels, not their values."""
+
+    @pytest.mark.parametrize(
+        ("score", "pred", "truth", "expected"),
+        [
+            (assignment_fidelity, [0, 10**5, 10**5], [0, 1, 1], 1.0),
+            (fowlkes_mallows, [0, 10**12, 10**12], [10**12] * 3, 1 / np.sqrt(3.0)),
+        ],
+    )
+    def test_huge_label_values_cost_no_memory(self, score, pred, truth, expected):
+        score(pred, truth)  # first-call caches are not the score's
+        tracemalloc.start()
+        try:
+            value = score(pred, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(expected, rel=1e-15)
+        assert peak <= 2**16, peak
+
+    @given(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=60),
+    )
+    def test_scores_equal_those_of_the_rank_compacted_labels(self, values, pairs):
+        values = np.sort(np.array(values, dtype=np.int64))
+        ranks = np.array(pairs) % values.size  # rank r stands for the r-th smallest value
+        pred, truth = ranks[:, 0], ranks[:, 1]
+        for score in (assignment_fidelity, fowlkes_mallows):
+            assert score(values[pred], values[truth]) == score(pred, truth)
+
+
 class TestAssignmentFidelity:
     def test_perfect(self):
         assert assignment_fidelity([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
