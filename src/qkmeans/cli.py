@@ -177,7 +177,7 @@ def read_score_table(path) -> dict[tuple[tuple[int, int], int, str], float]:
         parts = line.split(",")
         if len(parts) != len(_SCORES_HEADER.split(",")):
             raise DataError(f"{path} line {lineno}: wrong field count")
-        if parts[5] != "AssignmentFidelity":
+        if parts[5] != metrics.METRIC_NAMES["fidelity"]:
             continue
         try:
             key = (parse_pair(parts[0]), parse_index(parts[1]), parts[2])
@@ -255,14 +255,9 @@ def _parse_range(text: str) -> tuple[int, int, int]:
 def cmd_complexity(args) -> int:
     n_values = complexity.sweep_values(*_parse_range(args.n_range))
     f_values = complexity.sweep_values(*_parse_range(args.f_range))
-    sample_base = complexity.ComplexityParams(
-        N=n_values[0], K=args.k, F=args.f, I=args.iterations, C=args.c
-    )
-    feature_base = complexity.ComplexityParams(
-        N=args.n, K=args.k, F=f_values[0], I=args.iterations, C=args.c
-    )
-    sample_rows = complexity.cost_curve(sample_base, "samples", n_values)
-    feature_rows = complexity.cost_curve(feature_base, "features", f_values)
+    base = complexity.ComplexityParams(N=args.n, K=args.k, F=args.f, I=args.iterations, C=args.c)
+    sample_rows = complexity.cost_curve(base, "samples", n_values)  # each sweep replaces N or F
+    feature_rows = complexity.cost_curve(base, "features", f_values)
     out_dir = _output_dir(args)
     outputs = []
     for axis, rows in (("samples", sample_rows), ("features", feature_rows)):

@@ -80,9 +80,9 @@ class ClusterModel:
         centers = np.asarray(self.cluster_centers, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         if not np.all(np.isfinite(centers)):
-            raise ValueError("cluster centers must be finite")
+            raise DataError("cluster centers must be finite")
         if labels.size and (labels.min() < 0 or labels.max() >= centers.shape[0]):
-            raise ValueError("labels must lie in [0, n_clusters)")
+            raise DataError("labels must lie in [0, n_clusters)")
         object.__setattr__(self, "cluster_centers", centers)
         object.__setattr__(self, "labels", labels)
 
@@ -205,7 +205,7 @@ def predict(
     """Assign each point of ``X`` to its nearest fitted center."""
     check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     if X.n_features != model.cluster_centers.shape[1]:
-        raise ValueError("feature dimension does not match the fitted model")
+        raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
     dists, _ = _pairwise(X.features, model.cluster_centers, distance_mode, batch, lambda: seed)
     return np.argmin(dists, axis=1).astype(np.int64)

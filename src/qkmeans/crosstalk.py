@@ -56,9 +56,9 @@ def pearson(a, b) -> float:
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("pearson needs two equal-length 1-D arrays")
+        raise DataError("pearson needs two equal-length 1-D arrays")
     if x.size < 2:
-        raise ValueError("pearson needs at least two samples")
+        raise DataError("pearson needs at least two samples")
     if (x == x[0]).all() or (y == y[0]).all():
         return float("nan")
     dx = x - x.mean()
@@ -86,7 +86,7 @@ class CorrelationReport:
 
     def __post_init__(self) -> None:
         if len(self.named_coefficients) != len(_NAMED_FORMS):
-            raise ValueError(f"a report holds {len(_NAMED_FORMS)} named coefficients")
+            raise DataError(f"a report holds {len(_NAMED_FORMS)} named coefficients")
 
     def max_named_abs(self) -> float:
         """Largest finite |named coefficient|; NaN if none are finite."""

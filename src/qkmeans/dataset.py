@@ -46,7 +46,7 @@ class ReadoutFrame:
     def apply(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != 2:
-            raise ValueError("ReadoutFrame expects (n, 2) IQ features")
+            raise DataError("ReadoutFrame expects (n, 2) IQ features")
         return (x - self.mean) @ self.matrix + self.offset
 
 
@@ -54,7 +54,7 @@ def fit_readout_frame(features: np.ndarray) -> ReadoutFrame:
     """Fit the similarity transform described in the module docstring."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] < 2:
-        raise ValueError("need an (n, 2) array with n >= 2 to fit a frame")
+        raise DataError("need an (n, 2) array with n >= 2 to fit a frame")
     if not np.all(np.isfinite(x)):
         raise DataError("features must be finite")
     mean = x.mean(axis=0)
@@ -85,12 +85,12 @@ class DataSet:
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels)
         if feats.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise DataError("features must be a 2-D matrix")
         if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError("labels must be integers")
+            raise DataError("labels must be integers")
         labels = labels.astype(np.int64)
         if labels.shape != (feats.shape[0],):
-            raise ValueError("labels must be one integer per feature row")
+            raise DataError("labels must be one integer per feature row")
         if not np.all(np.isfinite(feats)):
             raise DataError("features must be finite")
         object.__setattr__(self, "features", feats)

@@ -112,7 +112,7 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     columns equal the padded register's bit for bit."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
-        raise ValueError("expected a 2-D matrix of row vectors")
+        raise DataError("expected a 2-D matrix of row vectors")
     if not (mat.shape[1] and np.all(np.isfinite(mat))):  # a zero-length row is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
     norms = np.sqrt(row_sums(mat * mat))
@@ -288,7 +288,7 @@ def estimate_distances(
         left = np.asarray(req.left, dtype=np.float64)
         right = np.asarray(req.right, dtype=np.float64)
         if left.ndim != 1 or left.shape != right.shape:
-            raise ValueError(f"request {i}: left/right must be 1-D vectors of equal length")
+            raise DataError(f"request {i}: left/right must be 1-D vectors of equal length")
         groups.setdefault(left.size, []).append((i, left, right))
     overlap = np.empty(len(requests), dtype=np.float64)
     jobs = 0
@@ -318,7 +318,7 @@ def distance_matrix(
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
-        raise ValueError("points and centers must be 2-D with matching feature counts")
+        raise DataError("points and centers must be 2-D with matching feature counts")
     (n_pts, f), k = pts.shape, ctr.shape[0]
     enc_pts, enc_ctr = encode_matrix(pts), encode_matrix(ctr)
     overlap = np.empty((n_pts, k), dtype=np.float64)

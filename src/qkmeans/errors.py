@@ -9,11 +9,12 @@ input rule has one owner here: ``check_number`` (run parameters),
 ``parse_index`` and its column form ``all_indices`` (qubit and shot
 tokens) and ``parse_pair`` (``a-b`` tokens).
 
-The numeric-range rule lives with the shot table: ``iqdata.IQShotTable``
+The numeric-range rules live with the shot table: ``iqdata.IQShotTable``
 raises DataError for an i or q value that is not finite or exceeds 2**400
-in magnitude, so every later sum over a table stays finite, and
-``dataset.DataSet`` and ``dataset.fit_readout_frame`` raise DataError for
-non-finite features.
+in magnitude, so every later sum over a table stays finite, and for a pair,
+qubit or shot index that is not an integer or lies outside int64 (with
+``load_table``'s message).  ``dataset.DataSet`` and
+``dataset.fit_readout_frame`` raise DataError for non-finite features.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
 from .errors import (
-    ConfigError, DataError, all_indices, check_number, parse_index, parse_pair, read_lines,
+    ConfigError, DataError, all_indices, check_choice, check_number, parse_index, parse_pair, read_lines,
 )
 from .simulator import derive_seed
 
@@ -51,6 +51,7 @@ EXCITED_SHIFT_FRACTION = 0.25
 _ORTHOGONALIZE_MIN_SHOTS = 32
 _NOISE_COLUMNS = 17  # 2 qubits x 4 schedules x 2 features, + 1 shared latent
 _MAX_INDEX = 2**63 - 1  # qubit and shot indices are stored as int64
+_INDEX_OVERFLOW = "pair, qubit or shot index outside the int64 range ({})"
 # Largest |i| or |q| a shot table holds.  Within it a deviation from a mean
 # is at most 2**401, so a product of two is at most 2**802, and a sum of
 # fewer than 2**200 such products (a readout frame's covariance, a Pearson
@@ -60,6 +61,8 @@ _MAX_IQ_MAGNITUDE = 2.0**400
 # IQShotTable columns, in CSV field order (the "pair" field holds the first two)
 _COLUMNS = ("pair_first", "pair_second", "qubit", "schedule", "shot", "i_value", "q_value")
 _DTYPES = (np.int64, np.int64, np.int64, "U2", np.int64, np.float64, np.float64)  # of _COLUMNS
+# by the kind of a column's dtype: the dtype kinds a caller's column may have, and their name
+_SOURCE_KINDS = {"i": ("iu", "integers"), "U": ("U", "strings"), "f": ("iuf", "real numbers")}
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ class CouplingMap:
         if not isinstance(self.device, str):
             raise ConfigError(f"device must be a string, got {self.device!r}")
         for edge in self.edges:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+                raise ConfigError(f"malformed coupling edge {edge!r}: expected two qubit indices")
             for v in edge:
                 check_number(f"malformed coupling edge {edge!r}: each qubit index", v)
         edges = tuple((int(a), int(b)) for a, b in self.edges)
@@ -150,8 +155,10 @@ class IQShotTable:
     belonging to two couplings appears once per pair, which is why the
     pair columns are part of the key.  A row's qubit is one of its pair's
     two distinct qubits.  Its i and q values are finite and at most 2**400
-    in magnitude (``_MAX_IQ_MAGNITUDE``).  Each (pair, qubit, schedule) run
-    of the sorted rows is one slice, indexed once here.
+    in magnitude (``_MAX_IQ_MAGNITUDE``).  Its columns are 1-D, of equal
+    length and of the kinds in ``_SOURCE_KINDS``, and its indices fit int64.
+    Each (pair, qubit, schedule) run of the sorted rows is one slice, indexed
+    once here.
     """
 
     device: str
@@ -165,24 +172,27 @@ class IQShotTable:
     _slices: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pf = np.asarray(self.pair_first, dtype=np.int64)
-        ps = np.asarray(self.pair_second, dtype=np.int64)
-        qb = np.asarray(self.qubit, dtype=np.int64)
-        sched = np.asarray(self.schedule)
-        shot = np.asarray(self.shot, dtype=np.int64)
-        i_val = np.asarray(self.i_value, dtype=np.float64)
-        q_val = np.asarray(self.q_value, dtype=np.float64)
-        n = pf.shape[0]
-        for name, arr in (
-            ("pair_second", ps), ("qubit", qb), ("schedule", sched),
-            ("shot", shot), ("i_value", i_val), ("q_value", q_val),
-        ):
-            if arr.shape != (n,):
+        columns = []
+        for name, dtype in zip(_COLUMNS, _DTYPES):
+            source = getattr(self, name)
+            kinds, noun = _SOURCE_KINDS[np.dtype(dtype).kind]
+            try:  # before the kind check, which would read [1, 2**63] as a float column
+                column = np.asarray(source, dtype=str if dtype == "U2" else dtype)  # keeps "011" whole
+            except (OverflowError, TypeError, ValueError) as exc:
+                if isinstance(exc, OverflowError) and dtype is np.int64:
+                    raise DataError(_INDEX_OVERFLOW.format(exc)) from exc
+                raise DataError(f"column {name} must hold {noun} ({exc})") from exc
+            if column.size and np.asarray(source).dtype.kind not in kinds:
+                raise DataError(f"column {name} must hold {noun}, got {np.asarray(source).dtype}")
+            if not columns and column.ndim != 1:
+                raise DataError("column pair_first must be 1-D")
+            if columns and column.shape != columns[0].shape:
                 raise DataError(f"column {name} must match pair_first length")
+            columns.append(column)
+        pf, ps, qb, sched, shot, i_val, q_val = columns
         valid = np.isin(sched, SCHEDULES)
         if not np.all(valid):
             raise DataError(f"invalid schedule string {str(sched[~valid][0])!r}")
-        sched = sched.astype("U2")  # checked first: the cast would truncate "011" to "01"
         if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
             raise DataError("i/q values must be finite")
         large = np.flatnonzero(
@@ -200,11 +210,12 @@ class IQShotTable:
         if bad.size:
             j = bad[0]
             raise DataError(f"qubit {qb[j]} is not one of the distinct qubits of pair {pf[j]}-{ps[j]}")
-        # the sort copies every column, so the table never holds a caller's array
+        # the sort copies every column, so the table never holds a caller's array; the schedules
+        # are cast to "U2" only now, once checked, since the cast would truncate "011" to "01"
         order = np.lexsort((shot, sched, qb, ps, pf))
-        pf, ps, qb = pf[order], ps[order], qb[order]
-        sched, shot = sched[order], shot[order]
-        i_val, q_val = i_val[order], q_val[order]
+        columns = [column[order].astype(dtype, copy=False) for column, dtype in zip(columns, _DTYPES)]
+        pf, ps, qb, sched, shot, _, _ = columns
+        n = len(pf)
         new_run = np.ones(n, dtype=bool)  # row j opens a (pair, qubit, schedule) run
         new_run[1:] = (
             (pf[1:] != pf[:-1]) | (ps[1:] != ps[:-1])
@@ -222,12 +233,9 @@ class IQShotTable:
         keys = zip(pf[starts].tolist(), ps[starts].tolist(),
                    qb[starts].tolist(), sched[starts].tolist())
         slices = {key: slice(a, b) for key, a, b in zip(keys, starts.tolist(), stops)}
-        for name, arr in (
-            ("pair_first", pf), ("pair_second", ps), ("qubit", qb),
-            ("schedule", sched), ("shot", shot), ("i_value", i_val), ("q_value", q_val),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, column in zip(_COLUMNS, columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "_slices", slices)
 
     def __len__(self) -> int:
@@ -248,8 +256,7 @@ class IQShotTable:
     def values(self, pair: tuple[int, int], qubit: int, schedule: str, feature: str) -> np.ndarray:
         """Shot-ordered I or Q samples for one (pair, qubit, schedule) slice,
         as a read-only view of the column."""
-        if feature not in ("i", "q"):
-            raise ValueError("feature must be 'i' or 'q'")
+        check_choice("feature", feature, ("i", "q"))
         rows = self._slices.get((pair[0], pair[1], qubit, schedule), slice(0, 0))
         column = self.i_value if feature == "i" else self.q_value
         return column[rows]
@@ -278,7 +285,7 @@ def synthesize(
         if a not in model.qubits or b not in model.qubits:
             raise ConfigError(f"readout model does not cover coupling ({a}, {b})")
     shots = shots_per_schedule
-    columns = {name: [np.empty(0, dtype)] for name, dtype in zip(_COLUMNS, _DTYPES)}
+    rows = [[np.empty(0, dtype) for dtype in _DTYPES]]  # then one per (pair, qubit, schedule)
     shot_idx = np.arange(shots, dtype=np.int64)
     for a, b in coupling.edges:
         rng = np.random.default_rng(derive_seed(seed, a, b))
@@ -299,17 +306,10 @@ def synthesize(
                 offset = shift if neighbor_bit else np.zeros(2)
                 base = noise[:, pos * 8 + s_idx * 2 : pos * 8 + s_idx * 2 + 2]
                 samples = center + stddev * (base + lam * latent[:, None]) + offset
-                columns["pair_first"].append(np.full(shots, a, dtype=np.int64))
-                columns["pair_second"].append(np.full(shots, b, dtype=np.int64))
-                columns["qubit"].append(np.full(shots, q, dtype=np.int64))
-                columns["schedule"].append(np.full(shots, sched, dtype="U2"))
-                columns["shot"].append(shot_idx)
-                columns["i_value"].append(samples[:, 0])
-                columns["q_value"].append(samples[:, 1])
-    return IQShotTable(
-        device=model.device,
-        **{k: np.concatenate(v) for k, v in columns.items()},
-    )
+                row = (a, b, q, sched, shot_idx, samples[:, 0], samples[:, 1])
+                rows.append([np.broadcast_to(np.asarray(v, dtype), shots)  # views: no copy
+                             for v, dtype in zip(row, _DTYPES)])
+    return IQShotTable(model.device, *map(np.concatenate, zip(*rows)))
 
 
 def assemble_datasets(
@@ -456,7 +456,7 @@ def load_table(path) -> IQShotTable:
             overflow = overflow or exc
     del lines  # before the table sorts copies of its columns
     if overflow is not None:
-        raise DataError(f"pair, qubit or shot index outside the int64 range ({overflow})") from overflow
+        raise DataError(_INDEX_OVERFLOW.format(overflow)) from overflow
     return IQShotTable(device, *(column[:count] for column in columns))
 
 

@@ -48,9 +48,9 @@ class ScoreReport:
     def __post_init__(self) -> None:
         check_choice("metric", self.metric, sorted(METRIC_NAMES.values()))
         if not self.per_fold:
-            raise ValueError("per_fold must not be empty")
+            raise DataError("per_fold must not be empty")
         if any(not 0.0 <= v <= 1.0 for v in self.per_fold):
-            raise ValueError("per-fold scores must lie in [0, 1]")
+            raise DataError("per-fold scores must lie in [0, 1]")
         check_choice("half_width_kind", self.half_width_kind, HALF_WIDTH_KINDS)
 
     @property

@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qkmeans.cli import read_score_table
-from qkmeans.clustering import FitConfig, fit, predict, qkmeans_plusplus_init
+from qkmeans.clustering import ClusterModel, FitConfig, fit, predict, qkmeans_plusplus_init
 from qkmeans.complexity import ComplexityParams, cost_curve, sweep_values
-from qkmeans.crosstalk import flag_crosstalk, named_form_labels, parse_named_block
-from qkmeans.dataset import DataSet
-from qkmeans.distance import BatchConfig, distance_matrix, quantum_distance
+from qkmeans.crosstalk import (
+    CorrelationReport, flag_crosstalk, named_form_labels, parse_named_block, pearson,
+)
+from qkmeans.dataset import DataSet, fit_readout_frame
+from qkmeans.distance import BatchConfig, distance_matrix, encode_matrix, quantum_distance
 from qkmeans.errors import (
     ConfigError,
     DataError,
@@ -27,6 +29,7 @@ from qkmeans.errors import (
     read_lines,
 )
 from qkmeans.iqdata import (
+    CouplingMap,
     default_coupling_map,
     default_readout_model,
     load_table,
@@ -129,12 +132,45 @@ BAD_DATA = [
     ("qkmeans_plusplus_init with N < K", lambda: qkmeans_plusplus_init(POINTS, 5)),
     ("fit with N < K", lambda: fit(POINTS, FitConfig(5))),
     ("fit on an empty dataset", lambda: fit(DataSet(np.zeros((0, 2)), LABELS[:0]), FitConfig(2))),
+    ("DataSet of 1-D features", lambda: DataSet(np.zeros(3), [0, 0, 0])),
+    ("DataSet of float labels", lambda: DataSet(np.zeros((2, 2)), [0.0, 1.0])),
+    ("DataSet with one label for two rows", lambda: DataSet(np.zeros((2, 2)), [0])),
+    ("ReadoutFrame.apply on three features",
+     lambda: fit_readout_frame(POINTS.features).apply(np.zeros((2, 3)))),
+    ("fit_readout_frame on one point", lambda: fit_readout_frame(np.zeros((1, 2)))),
+    ("encode_matrix of a 1-D vector", lambda: encode_matrix(np.ones(3))),
+    ("quantum_distance of unequal lengths", lambda: quantum_distance([1.0, 2.0], [1.0])),
+    ("distance_matrix on mismatched features", lambda: distance_matrix(np.ones((2, 2)), np.ones((2, 3)))),
+    ("predict on the wrong width", lambda: predict(
+        fit(POINTS, FitConfig(2)), DataSet(np.ones((4, 3)), LABELS))),
+    ("ClusterModel with a non-finite center",
+     lambda: ClusterModel(np.array([[np.nan, 0.0]]), [0], (), True)),
+    ("ClusterModel with a label past its centers", lambda: ClusterModel(np.zeros((1, 2)), [1], (), True)),
+    ("ScoreReport without folds", lambda: ScoreReport(metric="FowlkesMallows", per_fold=())),
+    ("ScoreReport with a fold above 1", lambda: ScoreReport(metric="FowlkesMallows", per_fold=(1.5,))),
+    ("pearson of unequal lengths", lambda: pearson([1.0, 2.0], [1.0])),
+    ("pearson of one sample", lambda: pearson([1.0], [1.0])),
+    ("CorrelationReport of one coefficient", lambda: CorrelationReport((0, 1), (0.0,))),
 ]
 
 
 @pytest.mark.parametrize("call", [call for _, call in BAD_DATA], ids=[case for case, _ in BAD_DATA])
 def test_bad_data_is_a_data_error(call):
     with pytest.raises(DataError):
+        call()
+
+
+# (case, call): a bad option or configuration given to a library entry point
+BAD_CONFIG = [
+    ("CouplingMap edge of three qubits", lambda: CouplingMap(device="x", edges=((0, 1, 2),))),
+    ("IQShotTable.values of feature x", lambda: synthesize(
+        default_readout_model(), default_coupling_map(), 2).values((0, 1), 0, "00", "x")),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in BAD_CONFIG], ids=[case for case, _ in BAD_CONFIG])
+def test_bad_config_is_a_config_error(call):
+    with pytest.raises(ConfigError):
         call()
 
 

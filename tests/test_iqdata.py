@@ -395,6 +395,27 @@ class TestTableContainer:
             assert held is not given and not np.shares_memory(held, given)
             assert not held.flags.writeable and given.flags.writeable
 
+    @pytest.mark.parametrize(
+        ("column", "value"),
+        [("pair_first", [0.9]), ("qubit", [True]), ("shot", ["7"]), ("pair_first", np.int64(0)),
+         ("pair_first", [[0]]), ("shot", [2**63]), ("qubit", [2**70]), ("i_value", ["1.5"])],
+        ids=["float index", "bool index", "string index", "0-d column", "2-D column",
+             "2**63 index", "2**70 index", "string i value"],
+    )
+    def test_columns_are_checked_not_coerced(self, column, value, tmp_path):
+        columns = dict(pair_first=[0], pair_second=[1], qubit=[0], schedule=["00"], shot=[0],
+                       i_value=[1.0], q_value=[2.0])
+        columns[column] = value
+        with pytest.raises(DataError) as built:
+            IQShotTable(device="toy", **columns)
+        if isinstance(value, list) and isinstance(value[0], int) and value[0] >= 2**63:
+            path = tmp_path / "shots.csv"
+            path.write_text(f"pair,qubit,schedule,shot,i,q\n0-1,0,00,{value[0]},1.0,2.0\n")
+            with pytest.raises(DataError) as loaded:
+                load_table(path)
+            assert str(built.value) == str(loaded.value)
+            assert str(built.value).startswith("pair, qubit or shot index outside the int64 range (")
+
     def test_values_feature_check(self):
         table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=4, seed=0)
         with pytest.raises(ValueError):
