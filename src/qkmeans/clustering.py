@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import DataSet
-from .distance import BatchConfig, BatchStats, distance_matrix
+from .distance import BatchConfig, BatchStats, _farthest_point, _nearest_center, distance_matrix
 from .errors import DataError, check_choice, check_number
 from .simulator import derive_seed
 
@@ -91,31 +91,30 @@ class ClusterModel:
         return len(self.center_shifts)
 
 
-def _pairwise(
-    points: np.ndarray,
-    centers: np.ndarray,
-    distance_mode: str,
-    batch: BatchConfig,
-    shot_seed: Callable[[], int],
-) -> tuple[np.ndarray, BatchStats | None]:
-    """(N, K) distances under the given mode; stats only for quantum modes.
-    ``shot_seed()`` gives the shot-noise seed; only sampled mode calls it."""
+def _pairwise(points, centers, distance_mode: str,
+              batch: BatchConfig) -> tuple[np.ndarray, BatchStats | None]:
+    """(N, K) distances in an unsampled mode; stats only for quantum_exact."""
     if distance_mode == "classical_euclidean":
         diff = points[:, None, :] - centers[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=2)), None
-    sampled = distance_mode == "quantum_sampled"
-    if sampled:
-        batch = replace(batch, seed=shot_seed())
-    return distance_matrix(points, centers, config=batch, sampled=sampled)
+    return distance_matrix(points, centers, config=batch)
 
 
-def qkmeans_plusplus_init(
-    X: DataSet,
-    n_clusters: int,
-    distance_mode: str = "quantum_exact",
-    seed: int = 0,
-    batch: BatchConfig | None = None,
-) -> np.ndarray:
+def _nearest(points, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
+    """Each point's nearest center (ties to the lowest index), the stats
+    (quantum modes only) and a callable giving the (N, K) distances behind
+    the labels.  ``shot_seed()`` gives the shot-noise seed; only sampled
+    mode calls it."""
+    if distance_mode != "quantum_sampled":
+        dists, stats = _pairwise(points, centers, distance_mode, batch)
+        return np.argmin(dists, axis=1), stats, lambda: dists
+    batch = replace(batch, seed=shot_seed())
+    labels, stats = _nearest_center(points, centers, batch)
+    return labels, stats, lambda: distance_matrix(points, centers, config=batch, sampled=True)[0]
+
+
+def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
+                          seed: int = 0, batch: BatchConfig | None = None) -> np.ndarray:
     """Greedy farthest-point seeding; returns a (K, F) center matrix."""
     check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     check_number("n_clusters", n_clusters, 1)
@@ -126,17 +125,16 @@ def qkmeans_plusplus_init(
     batch = batch or BatchConfig()
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    min_dist: np.ndarray | None = None
+    nearest, rounds = np.full(n, np.inf), []  # rounds: sampled mode's bracketed counts
     for round_idx in range(1, n_clusters):
         newest = X.features[chosen[-1]][None, :]
-        dist, _ = _pairwise(
-            X.features, newest, distance_mode, batch,
-            partial(derive_seed, batch.seed, 0, round_idx),
-        )
-        dist = dist[:, 0]
-        min_dist = dist if min_dist is None else np.minimum(min_dist, dist)
-        masked = min_dist.copy()
-        masked[np.asarray(chosen)] = -np.inf
+        if distance_mode == "quantum_sampled":
+            round_batch = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
+            chosen.append(_farthest_point(rounds, X.features, newest, round_batch, chosen))
+            continue
+        nearest = np.minimum(nearest, _pairwise(X.features, newest, distance_mode, batch)[0][:, 0])
+        masked = nearest.copy()
+        masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))
     return X.features[np.asarray(chosen)].copy()
 
@@ -145,8 +143,6 @@ def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: in
     """Hand the farthest-from-its-center point to each empty cluster."""
     counts = np.bincount(labels, minlength=n_clusters)
     empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return labels
     labels = labels.copy()
     dist_to_own = dists[np.arange(labels.size), labels]
     for k in empties:
@@ -171,13 +167,12 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     batch_history: list[BatchStats] = []
     converged = False
     for iteration in range(config.max_iter):
-        dists, stats = _pairwise(
-            X.features, centers, config.distance_mode, config.batch,
-            partial(derive_seed, config.batch.seed, 1, iteration),
-        )
+        labels, stats, dists = _nearest(X.features, centers, config.distance_mode, config.batch,
+                                        partial(derive_seed, config.batch.seed, 1, iteration))
         if stats is not None:
             batch_history.append(stats)
-        labels = _repair_empty_clusters(np.argmin(dists, axis=1), dists, k)
+        if np.bincount(labels, minlength=k).min() == 0:
+            labels = _repair_empty_clusters(labels, dists(), k)
         # init needs N >= K, so the repair leaves every cluster a member
         new_centers = np.stack([X.features[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.sum(np.abs(new_centers - centers)))
@@ -186,29 +181,19 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
         if shift < config.tol:
             converged = True
             break
-    return ClusterModel(
-        cluster_centers=centers,
-        labels=labels,
-        center_shifts=tuple(shifts),
-        converged=converged,
-        batch_history=tuple(batch_history),
-    )
+    return ClusterModel(cluster_centers=centers, labels=labels, center_shifts=tuple(shifts),
+                        converged=converged, batch_history=tuple(batch_history))
 
 
-def predict(
-    model: ClusterModel,
-    X: DataSet,
-    distance_mode: str = "quantum_exact",
-    batch: BatchConfig | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact",
+            batch: BatchConfig | None = None, seed: int = 0) -> np.ndarray:
     """Assign each point of ``X`` to its nearest fitted center."""
     check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     if X.n_features != model.cluster_centers.shape[1]:
         raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    dists, _ = _pairwise(X.features, model.cluster_centers, distance_mode, batch, lambda: seed)
-    return np.argmin(dists, axis=1).astype(np.int64)
+    labels, _, _ = _nearest(X.features, model.cluster_centers, distance_mode, batch, lambda: seed)
+    return labels.astype(np.int64)
 
 
 def classical_kmeans_oracle(X: DataSet, n_clusters: int, seed: int = 0) -> ClusterModel:

@@ -32,12 +32,13 @@ vectorized steps per executor call, keyed by request index:
   ``((bits >> 12) + 0.5) * 2**-52``, strictly inside (0, 1).
 * **Count.**  Exact binomial inversion: the smallest k in [0, shots] with
   P(Bin(shots, p1) <= k) >= u, found from a Cornish-Fisher guess by
-  stepping k on the regularized incomplete beta function.  ``betainc``
-  runs once per request, at the guess; the step to k - 1 is screened with
-  a ``gammaln`` pmf and a per-request error bound, and only requests that
-  the bound leaves undecided, and every further step, evaluate it again.
-  The counts are those of evaluating every step; from about 2**46 shots
-  the bound is too wide and every step is evaluated.
+  stepping k on the regularized incomplete beta function (``betainc``).
+  A request's count is inverted only when it is read.  Every call first
+  brackets each count by Bernstein's inequality from its own (shots, p1,
+  u) (``_count_brackets``), and a nearest-center call
+  (``_nearest_center``, ``_farthest_point``) inverts only the requests of
+  the points whose brackets leave the answer in doubt, so its labels are
+  those of the fully inverted matrix.
 
 Request i's estimate therefore depends only on (seed, i, p1_i): job size,
 grouping and appended requests never change it.
@@ -127,12 +128,7 @@ def distance_from_p0(p0):
     return np.sqrt(2.0 - 2.0 * np.sqrt(np.clip(2.0 * p0 - 1.0, 0.0, 1.0)))
 
 
-def quantum_distance(
-    x: np.ndarray,
-    y: np.ndarray,
-    shots: int | None = None,
-    seed: int = 0,
-) -> float:
+def quantum_distance(x: np.ndarray, y: np.ndarray, shots: int | None = None, seed: int = 0) -> float:
     """Distance between two raw vectors: one request to ``estimate_distances``.
 
     ``shots=None`` reads the exact ancilla marginal; an integer samples it
@@ -140,10 +136,7 @@ def quantum_distance(
     ``derive_seed(seed)`` gives a uniform u, and the count of ones is the
     exact Bin(shots, p1) quantile at u.
     """
-    if shots is None:
-        config = BatchConfig(seed=seed)
-    else:
-        config = BatchConfig(shots_per_circuit=shots, seed=seed)
+    config = BatchConfig(seed=seed) if shots is None else BatchConfig(shots_per_circuit=shots, seed=seed)
     dists, _ = estimate_distances([DistanceRequest(x, y)], config, sampled=shots is not None)
     return float(dists[0])
 
@@ -162,120 +155,104 @@ def _request_uniforms(key: int, request_indices: np.ndarray) -> np.ndarray:
 def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Smallest k in [0, shots] with P(Bin(shots, p) <= k) >= u, elementwise.
 
-    The tails are the incomplete-beta forms that ``scipy.special.bdtr`` and
-    ``bdtrc`` use, P(X <= k) = I_{1-p}(n-k, k+1) and P(X > k) =
-    I_p(k+1, n-k), evaluated with ``betainc``: ``bdtr`` is off by ~1e-9 at
-    2**20 shots and returns nan from 2**31.  For u >= 1/2 the test runs in
-    the upper tail, P(X > k) <= 1 - u, where 1 - u is exact; a CDF near 1
-    would round to 1.0 there.  Below 1/2 it reads 1 - p, as ``bdtr`` does,
-    which moves p by at most 2**-54.  Starting from a continuity-corrected
-    Cornish-Fisher guess, one loop steps every still-unsettled entry, up
-    or down by one, in one ``tail`` pass per step, so each entry's result
-    depends on its own (p, u) alone.
-
-    Each entry evaluates ``betainc`` once, at the guess k.  The step to
-    k - 1, which the guess passes for all but a few entries, is screened
-    without a second one.  The tail at k - 1 is the tail t at k minus
-    (lower) or plus (upper) pmf(k), so its slack against the threshold (u,
-    or 1 - u from 1/2) is the slack at k minus pmf(k), taken as exp of a
-    ``gammaln`` log-pmf at the tail's own argument x (p, or 1 - p below
-    1/2).  Where that estimate lies more than
-
-        margin = 3 * (a * (t + pmf) + e)
-
-    from 0, ``betainc`` at k - 1 falls on the same side of the threshold,
-    and the screen takes or refuses the step itself.  The other entries,
-    and every later step, go through the loop, so each count is bit for bit
-    the one that evaluating every step gives.  In the margin:
-
-    * ``a = 2**-32 + n 2**-48`` is the relative error allowed each
-      ``betainc`` tail at n shots.  It is an allowance, not a proof.
-      Against 50-digit pmf values, the difference of two neighbouring
-      tails from SciPy 1.17 missed pmf(k) by at most a/70 times the larger
-      tail, over 2.3 million random (n, p, u) with n in [2, 2**46] (the
-      worst at n = 6.9e7, p = 4.8e-7, k = 33).  In eps = 2**-52, the worst
-      of ~30,000 draws was 3 at 7 shots, 1.7e2 at 2**10, 1.4e3 at 2**13,
-      2e5 at 2**20 and 2.4e8 at 2**53.
-    * ``e = pmf * expm1(8 eps (2 gammaln(n + 1) - log pmf + 4))`` bounds
-      the pmf's own error.  2 gammaln(n + 1) - log pmf is the sum M of the
-      magnitudes of the log-pmf's five terms.  Each ``gammaln`` errs by at
-      most 2 eps max(1, value) (1.3 eps measured), each x log y term by
-      1.5 eps of its magnitude, each of the four sums by eps/2 of at most
-      M, and ``exp`` by one rounding: 4 eps (M + 2) in all, doubled here.
-    * The factor 3 covers both tails' errors (the tail at k - 1 is at most
-      t + pmf, over 1 - a) and the rounding of the slack and the margin,
-      while a <= 1/4.  From about 2**46 shots a exceeds that, and every
-      step is exact.
+    The tails are ``bdtr``'s incomplete-beta forms, evaluated with
+    ``betainc`` (``bdtr`` errs by ~1e-9 at 2**20 shots, nan from 2**31):
+    P(X > k) = I_p(k+1, n-k) <= 1 - u from u = 1/2 up, where a CDF would
+    round to 1.0, and P(X <= k) = I_{1-p}(n-k, k+1) >= u below, reading
+    1 - p (p moves by at most 2**-54).  From a Cornish-Fisher guess, one
+    loop steps every unsettled entry up or down by one, one ``betainc``
+    call per step, so each result depends on its own (p, u) alone.
     """
-    # Local: a process that never samples a distance never loads SciPy.
-    from scipy.special import betainc, gammaln, ndtri, xlog1py, xlogy
+    from scipy.special import betainc, ndtri  # local: only sampled calls load SciPy
 
     n = float(shots)
     upper = u >= 0.5
     x = np.where(upper, p, 1.0 - p)
 
-    def tail(k: np.ndarray, sel) -> tuple[np.ndarray, np.ndarray]:
-        # The entries' exact tails at k, I_x(k+1, n-k) above 1/2 and
-        # I_x(n-k, k+1) below (nan at k == shots), and their slack against
-        # the threshold, whose sign is exactly the comparison's: >= 0 where
-        # P(X <= k) >= u.
-        up, us = upper[sel], u[sel]
+    def reached(k: np.ndarray, sel) -> np.ndarray:
+        # P(X <= k) >= u for the entries sel; k == shots always qualifies
+        up = upper[sel]
         t = betainc(np.where(up, k + 1.0, n - k), np.where(up, n - k, k + 1.0), x[sel])
-        t[k == n] = np.nan
-        return t, np.where(up, (1.0 - us) - t, t - us)
+        return np.where(up, t <= 1.0 - u[sel], t >= u[sel]) | (k == n)
 
     z = ndtri(u)
     mean = n * p
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
     k = np.clip(np.floor(guess + 0.5), 0.0, n)
-    t, slack = tail(k, slice(None))
-    ok = (slack >= 0.0) | (k == n)
-    down = ok & (k > 0.0)
-    a = 2.0**-32 + n * 2.0**-48
-    if a <= 0.25:
-        # pmf(k) = C(n, k) x**j (1 - x)**(n - j), j the exponent of the tail's x
-        j = np.where(upper, k, n - k)
-        g_n = gammaln(n + 1.0)
-        log_pmf = g_n - gammaln(k + 1.0) - gammaln(n - k + 1.0) + xlogy(j, x) + xlog1py(n - j, -x)
-        pmf = np.exp(log_pmf)
-        with np.errstate(invalid="ignore"):  # 0 * inf at p in {0, 1}: nan, undecided
-            margin = 3.0 * (a * (t + pmf) + pmf * np.expm1(8.0 * 2.0**-52 * (2.0 * g_n + 4.0 - log_pmf)))
-        # the slack at k - 1, nan (undecided) where k == shots
-        lead = slack - pmf
-        k[down & (lead > margin)] -= 1.0
-        down &= ~(lead < -margin) & (k > 0.0)
+    ok = reached(k, slice(None))
     # Each pass tries k + 1 on every request still short of u and k - 1 on
-    # every request that may reach it lower, in one tail: a step up is always
-    # taken, a step down only where P(X <= k - 1) >= u; k == shots reaches u.
-    pending = np.flatnonzero(~ok | down)
+    # every other request above 0, in one betainc call: a step up is always
+    # taken, a step down only where P(X <= k - 1) >= u.
+    pending = np.flatnonzero(~ok | (k > 0.0))
     rising = ~ok[pending]
     while pending.size:
         trial = k[pending] + np.where(rising, 1.0, -1.0)
-        hit = (tail(trial, pending)[1] >= 0.0) | (trial == n)
+        hit = reached(trial, pending)
         k[pending[rising | hit]] = trial[rising | hit]
         more = (hit != rising) & (trial > 0.0)
         pending, rising = pending[more], rising[more]
     return k
 
 
+def _count_brackets(shots: int, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= min(k, m) <= hi on each ``_binomial_quantile(shots, p, u)``
+    count k, m = ceil(shots/2): from shots/2 up every count gives distance
+    sqrt(2), and below it (at any shots < 2**51) the computed distance
+    rises strictly with k.  Bernstein's inequality bounds P(X <= np - t) and
+    P(X >= np + t) by exp(-L) for t = L/3 + sqrt(L**2/9 + 2 np(1 - p) L), so
+    k lies in (np - t, np + t] for L = ln(1/u) below and ln(1/(1 - u)) above.
+    L is raised by 2a, a = 2**-32 + n 2**-48: tails off by a relative a (an
+    allowance for ``betainc``, whose worst measured error with SciPy 1.17
+    was a/90, at 2**20 shots) give the exact quantile at a u that far off
+    in L while a <= 1/4.  One count each side covers rounding, under 0.6
+    counts with the 2**-54 that reading 1 - p moves p.  From about 2**46
+    shots a > 1/4 and every bracket is [0, m].
+    """
+    n, m = float(shots), float((shots + 1) // 2)
+    a = 2.0**-32 + n * 2.0**-48
+    if a > 0.25:
+        return np.zeros_like(p), np.full_like(p, m)
+    mean = n * p
+    L = np.stack((2.0 * a - np.log(u), 2.0 * a - np.log1p(-u)))  # below, above
+    t = L / 3.0 + np.sqrt(L * (L / 9.0 + 2.0 * mean * (1.0 - p)))
+    lo, hi = np.floor(mean - t[0]), np.ceil(mean + t[1]) + 1.0
+    return np.minimum(np.maximum(lo, 0.0), m), np.minimum(hi, m)
+
+
+class _SampledCounts:
+    """One sampled call's counts of ones, request i at index i, bracketed up
+    front (``_count_brackets``) and inverted where read; ``lo`` meets ``hi``
+    once a count is known."""
+
+    def __init__(self, overlap: np.ndarray, config: BatchConfig) -> None:
+        try:  # every sampled call needs SciPy, whether or not it inverts a count
+            import scipy.special  # noqa: F401
+        except ImportError:
+            raise ConfigError("sampled mode needs SciPy, which is not installed") from None
+        self.shots, self.m = config.shots_per_circuit, float((config.shots_per_circuit + 1) // 2)
+        self.p1 = np.clip(0.5 - 0.5 * np.ravel(overlap) ** 2, 0.0, 1.0)
+        self.u = _request_uniforms(derive_seed(config.seed), np.arange(self.p1.size))
+        self.lo, self.hi = _count_brackets(self.shots, self.p1, self.u)
+
+    def distances(self, requests: np.ndarray) -> np.ndarray:
+        """The requests' distances; inverts every count not yet known."""
+        unknown = requests[self.lo[requests] != self.hi[requests]]
+        if unknown.size:
+            count = _binomial_quantile(self.shots, self.p1[unknown], self.u[unknown])
+            self.lo[unknown] = self.hi[unknown] = np.minimum(count, self.m)
+        return distance_from_p0((self.shots - self.lo[requests]) / self.shots)
+
+
 def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.ndarray:
     """Distances from one executor call's overlaps, request i at index i: the
-    exact p0 = 1/2 + <x|y>**2/2, or one sampler pass over every request."""
+    exact p0 = 1/2 + <x|y>**2/2, or every request's sampled count."""
     if sampled:
-        shots = config.shots_per_circuit
-        p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
-        u = _request_uniforms(derive_seed(config.seed), np.arange(overlap.size))
-        p0 = (shots - _binomial_quantile(shots, p1, u)) / shots
-    else:
-        p0 = 0.5 + 0.5 * overlap**2
-    return distance_from_p0(p0)
+        return _SampledCounts(overlap, config).distances(np.arange(overlap.size))
+    return distance_from_p0(0.5 + 0.5 * overlap**2)
 
 
-def estimate_distances(
-    requests: Sequence[DistanceRequest],
-    config: BatchConfig | None = None,
-    sampled: bool = False,
-) -> tuple[np.ndarray, BatchStats]:
+def estimate_distances(requests: Sequence[DistanceRequest], config: BatchConfig | None = None,
+                       sampled: bool = False) -> tuple[np.ndarray, BatchStats]:
     """Run every request through the batched backend.
 
     Requests are grouped by feature length; a group of g requests counts
@@ -301,20 +278,11 @@ def estimate_distances(
     return _distances(overlap, config, sampled), stats
 
 
-def distance_matrix(
-    points: np.ndarray,
-    centers: np.ndarray,
-    config: BatchConfig | None = None,
-    sampled: bool = False,
-) -> tuple[np.ndarray, BatchStats]:
-    """All point-to-center distances as an (N, K) matrix.
-
-    Equivalent to ``estimate_distances`` over the row-major list of
-    (point i, center k) requests — including per-request sampling streams —
-    but encodes each point and each center once and multiplies them in
-    capped blocks of points instead of materialising N*K request rows.
-    """
-    config = config or BatchConfig()
+def _overlaps(points, centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
+    """The (N, K) overlaps <x|y> of every point with every center, and their
+    stats: one circuit per request, ceil(N*K/C) jobs.  Each point and center
+    is encoded once, and they are multiplied in capped blocks of points
+    instead of materialising N*K request rows."""
     pts = np.asarray(points, dtype=np.float64)
     ctr = np.asarray(centers, dtype=np.float64)
     if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
@@ -327,6 +295,50 @@ def distance_matrix(
         rows = slice(start, start + step)
         block = enc_pts[rows, None, :] * enc_ctr
         overlap[rows] = row_sums(block.reshape(-1, f)).reshape(block.shape[:2])
-    jobs = -(-n_pts * k // config.max_circuits_per_job)
-    stats = BatchStats(jobs_submitted=jobs, circuits_executed=n_pts * k)
-    return _distances(overlap.ravel(), config, sampled).reshape(n_pts, k), stats
+    return overlap, BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
+
+
+def distance_matrix(points: np.ndarray, centers: np.ndarray, config: BatchConfig | None = None,
+                    sampled: bool = False) -> tuple[np.ndarray, BatchStats]:
+    """All point-to-center distances as an (N, K) matrix.
+
+    Equivalent to ``estimate_distances`` over the row-major list of
+    (point i, center k) requests, including per-request sampling streams.
+    """
+    config = config or BatchConfig()
+    overlap, stats = _overlaps(points, centers, config)
+    return _distances(overlap.ravel(), config, sampled).reshape(overlap.shape), stats
+
+
+def _nearest_center(points, centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
+    """Each point's nearest center, ties to the lowest index, and the stats:
+    the argmin of ``distance_matrix(points, centers, config, sampled=True)``,
+    inverting only the counts of points whose brackets leave it in doubt."""
+    overlap, stats = _overlaps(points, centers, config)
+    counts = _SampledCounts(overlap, config)
+    n_pts, k = overlap.shape
+    lo, hi = counts.lo.reshape(n_pts, k), counts.hi.reshape(n_pts, k)
+    rows = np.arange(n_pts)
+    labels = np.argmin(hi, axis=1)
+    best = hi[rows, labels][:, None]
+    # the leader beats centers surely farther, or surely no nearer and later
+    beaten = (lo > best) | ((lo == best) & (np.arange(k) > labels[:, None]))
+    beaten[rows, labels] = True
+    doubt = np.flatnonzero(~beaten.all(axis=1))
+    if doubt.size:
+        requests = (doubt[:, None] * k + np.arange(k)).ravel()
+        labels[doubt] = np.argmin(counts.distances(requests).reshape(doubt.size, k), axis=1)
+    return labels, stats
+
+
+def _farthest_point(rounds: list, points, newest, config: BatchConfig, excluded: list[int]) -> int:
+    """Add the counts of ``points`` against ``newest`` to ``rounds``; return the
+    argmax, never in ``excluded``, of the least distance over the rounds,
+    resolving only points whose upper bound reaches the best lower bound."""
+    rounds.append(_SampledCounts(_overlaps(points, newest, config)[0], config))
+    low = np.min([column.lo for column in rounds], axis=0)
+    high = np.min([column.hi for column in rounds], axis=0)
+    low[excluded] = high[excluded] = -1.0
+    doubt = np.flatnonzero(high >= low.max())
+    nearest = np.min([column.distances(doubt) for column in rounds], axis=0)
+    return int(doubt[np.argmax(nearest)])

@@ -177,13 +177,16 @@ class IQShotTable:
             source = getattr(self, name)
             kinds, noun = _SOURCE_KINDS[np.dtype(dtype).kind]
             try:  # before the kind check, which would read [1, 2**63] as a float column
+                given = np.asarray(source)
+                if given.dtype.kind == "u" and given.max(initial=0) > _MAX_INDEX:
+                    source = given.tolist()  # an unsigned cast would wrap; Python ints overflow
                 column = np.asarray(source, dtype=str if dtype == "U2" else dtype)  # keeps "011" whole
             except (OverflowError, TypeError, ValueError) as exc:
                 if isinstance(exc, OverflowError) and dtype is np.int64:
                     raise DataError(_INDEX_OVERFLOW.format(exc)) from exc
                 raise DataError(f"column {name} must hold {noun} ({exc})") from exc
-            if column.size and np.asarray(source).dtype.kind not in kinds:
-                raise DataError(f"column {name} must hold {noun}, got {np.asarray(source).dtype}")
+            if column.size and given.dtype.kind not in kinds:
+                raise DataError(f"column {name} must hold {noun}, got {given.dtype}")
             if not columns and column.ndim != 1:
                 raise DataError("column pair_first must be 1-D")
             if columns and column.shape != columns[0].shape:

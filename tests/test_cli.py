@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -247,6 +248,16 @@ class TestBenchmark:
         txt = (tmp_path / "scores.txt").read_text()
         assert "# pair 0-1" in txt
         assert "q0, single, " in txt
+
+    def test_sampled_run_without_scipy_is_config_error(self, shot_table_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        error = assert_error_exit(capsys, [
+            "benchmark", "--data", str(shot_table_dir / "iq_shots.csv"), "--algo", "qkmeans",
+            "--mode", "sampled", "--splits", "2", "--out", str(tmp_path / "sampled"),
+        ], 1)
+        assert "SciPy" in error
+        assert not (tmp_path / "sampled" / "scores.csv").exists()
 
     def test_quantum_exact_scores(self, shot_table_dir, tmp_path):
         code = main([
@@ -842,7 +853,8 @@ class TestFiniteTables:
                 heatmap = out / "heatmap_0-1.csv"
                 for path in out.iterdir():
                     if path not in (heatmap, out / "named_coefficients.csv"):
-                        assert "nan" not in path.read_text(), path.name
+                        # a word, so a temporary path holding "nan" is no match
+                        assert not re.search(r"\bnan\b", path.read_text()), path.name
             if code:  # crosstalk failed
                 return
             # a cell is nan exactly when one of its signals has zero spread

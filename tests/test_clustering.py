@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from qkmeans.clustering import (
     qkmeans_plusplus_init,
 )
 from qkmeans.dataset import DataSet
-from qkmeans.distance import BatchConfig
+from qkmeans.distance import BatchConfig, BatchStats, distance_matrix
+from qkmeans.simulator import derive_seed
 
 from conftest import make_blobs
 
@@ -342,3 +345,59 @@ class TestModelInvariants:
         assert model.labels.shape == (X.n_points,)
         assert model.labels.min() >= 0 and model.labels.max() < k
         assert len(model.batch_history) == model.n_iter
+
+
+SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
+# directions whose overlaps are exactly 1 (p1 = 0), 0 (p1 = 1) or equal for
+# two centers (equidistant points), plus arbitrary ones
+DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (-2.0, 0.0), (0.0, 3.0)]
+directions = st.sampled_from(DIRECTIONS) | st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).filter(
+    lambda v: max(abs(v[0]), abs(v[1])) > 1e-3)
+
+
+@st.composite
+def sampled_cases(draw):
+    """Points, centers drawn from the points or the directions (so duplicate
+    centers are common), a shot count from ``SHOT_GRID`` and a seed."""
+    points = draw(st.lists(directions, min_size=1, max_size=12))
+    centers = draw(st.lists(st.sampled_from(points) | directions, min_size=1, max_size=4))
+    return (np.array(points), np.array(centers), draw(st.sampled_from(SHOT_GRID)),
+            draw(st.integers(0, 2**63 - 1)))
+
+
+def inverted_init(X: DataSet, n_clusters: int, seed: int, batch: BatchConfig) -> np.ndarray:
+    """Farthest-point seeding from fully inverted sampled distances."""
+    chosen = [int(np.random.default_rng(seed).integers(X.n_points))]
+    nearest = np.full(X.n_points, np.inf)
+    for round_idx in range(1, n_clusters):
+        config = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
+        newest = X.features[chosen[-1]][None, :]
+        nearest = np.minimum(nearest, distance_matrix(X.features, newest, config, sampled=True)[0][:, 0])
+        masked = nearest.copy()
+        masked[chosen] = -np.inf
+        chosen.append(int(np.argmax(masked)))
+    return X.features[chosen]
+
+
+class TestSampledLabelsFromBrackets:
+    """Sampled labels come from count brackets, inverting only the points in
+    doubt; they must be those of the fully inverted distances."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampled_cases())
+    def test_step_predict_and_init_match_full_inversion(self, case):
+        points, centers, shots, seed = case
+        n, k = len(points), len(centers)
+        batch = BatchConfig(shots_per_circuit=shots, max_circuits_per_job=5, seed=seed % 1000)
+        full, full_stats = distance_matrix(points, centers, replace(batch, seed=seed), sampled=True)
+        labels, stats, dists = clustering._nearest(points, centers, "quantum_sampled", batch, lambda: seed)
+        np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
+        assert stats == full_stats == BatchStats(-(-n * k // 5), n * k)
+        np.testing.assert_array_equal(dists(), full)  # what an empty-cluster repair reads
+        model = ClusterModel(centers, np.zeros(n, dtype=np.int64), (), False)
+        np.testing.assert_array_equal(predict(model, unlabeled(points), "quantum_sampled", batch, seed),
+                                      np.argmin(full, axis=1))
+        for n_clusters in range(2, min(n, 4) + 1):
+            np.testing.assert_array_equal(
+                qkmeans_plusplus_init(unlabeled(points), n_clusters, "quantum_sampled", seed % 97, batch),
+                inverted_init(unlabeled(points), n_clusters, seed % 97, batch))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -17,6 +18,9 @@ from qkmeans.distance import (
     BatchStats,
     DistanceRequest,
     _binomial_quantile,
+    _count_brackets,
+    _nearest_center,
+    _overlaps,
     _request_uniforms,
     distance_from_p0,
     distance_matrix,
@@ -367,9 +371,9 @@ class TestShotSampler:
 
 
 def reference_binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The ``_binomial_quantile`` that evaluated ``betainc`` at every step,
-    the one to k - 1 included, kept verbatim as the reference the screened
-    inversion must match count for count."""
+    """A ``_binomial_quantile`` that walks up, then down, one ``betainc``
+    call per step, kept as the reference that the one-loop inversion must
+    match count for count."""
     from scipy.special import betainc, ndtri
 
     n = float(shots)
@@ -402,20 +406,19 @@ def reference_binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.
     return k
 
 
-def counting_betainc(monkeypatch) -> list[int]:
-    """Patch ``scipy.special.betainc`` (the sampler imports it at each call)
-    to add the number of elements it evaluates to the returned counter."""
+def betainc_call_sizes(monkeypatch) -> list[int]:
+    """Patch ``scipy.special.betainc`` to record each call's element count."""
     import scipy.special
 
-    real, evaluated = scipy.special.betainc, [0]
+    real, sizes = scipy.special.betainc, []
 
     def betainc(*args):
         out = real(*args)
-        evaluated[0] += np.size(out)
+        sizes.append(int(np.size(out)))
         return out
 
     monkeypatch.setattr(scipy.special, "betainc", betainc)
-    return evaluated
+    return sizes
 
 
 screen_probabilities = st.one_of(
@@ -450,38 +453,87 @@ class TestScreenedInversion:
         near = np.where(lower, below + offsets * np.spacing(below), (1.0 - below) + offsets * 2.0**-53)
         placed = inner & (near >= U_MIN) & (near <= U_MAX) & ((near < 0.5) == lower)
         u = np.where(placed, near, u)
-        evaluated = counting_betainc(monkeypatch)
+        sizes = betainc_call_sizes(monkeypatch)
         k = _binomial_quantile(shots, p, u)
-        screened = evaluated[0]
         assert k.tobytes() == reference_binomial_quantile(shots, p, u).tobytes()
-        # the screen cannot settle an entry whose u sits on the tail it
-        # screens: most placed entries take a second betainc (the guess of
-        # the others moved with u, or 1 - u is too coarse for their tail)
+        # most placed entries take a second betainc, at k - 1 (the guess of
+        # the others moved with u)
         assert placed.sum() >= size // 4
-        assert screened - size >= placed.sum() // 2
+        assert sum(sizes) - size >= placed.sum() // 2
 
-    def test_steps_up_and_down_share_one_pass(self, monkeypatch):
-        """Request 0's guess (5) lies one below its count and request 1 needs
-        an exact test below its guess (13): after the call at the guesses,
-        one more ``betainc`` call serves both steps."""
-        import scipy.special
 
-        real, calls = scipy.special.betainc, []
-        monkeypatch.setattr(scipy.special, "betainc", lambda *args: calls.append(args) or real(*args))
-        p = np.array([0.0010932825691641335, 0.001529562040947563])
-        u = np.array([0.11852823685513514, 0.5154072297820665])
-        k = _binomial_quantile(8192, p, u)
-        assert len(calls) == 2
-        assert k.tolist() == [6.0, 12.0]
-        assert k.tobytes() == reference_binomial_quantile(8192, p, u).tobytes()
+SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
 
-    def test_one_betainc_per_request_at_8192_shots(self, monkeypatch):
-        draws = 10_000
-        p = np.random.default_rng(8192).uniform(0.0, 0.3, draws)
-        u = _request_uniforms(derive_seed(7), np.arange(draws))
-        evaluated = counting_betainc(monkeypatch)
-        _binomial_quantile(8192, p, u)
-        assert evaluated[0] <= 1.05 * draws
+
+def sampled_requests(points, centers, config):
+    """(p1, u) of the row-major (point, center) requests of one sampled
+    ``distance_matrix`` call, formed as the executor forms them."""
+    p1 = np.clip(0.5 - 0.5 * _overlaps(points, centers, config)[0].ravel() ** 2, 0.0, 1.0)
+    return p1, _request_uniforms(derive_seed(config.seed), np.arange(p1.size))
+
+
+class TestCountBrackets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(SHOT_GRID),
+        st.lists(st.tuples(screen_probabilities, uniforms), min_size=1, max_size=30),
+    )
+    def test_brackets_hold_the_inverted_count(self, shots, pairs):
+        p, u = (np.array(column) for column in zip(*pairs))
+        lo, hi = _count_brackets(shots, p, u)
+        clipped = np.minimum(_binomial_quantile(shots, p, u), (shots + 1) // 2)
+        assert np.all((lo <= clipped) & (clipped <= hi))
+        if shots >= 2**46:  # beyond the betainc allowance every bracket is open
+            assert np.all(lo == 0.0) and np.all(hi == (shots + 1) // 2)
+
+    @given(st.sampled_from(SHOT_GRID[:-1] + [2**46 - 2**16]), st.floats(0.0, 1.0))
+    def test_distance_rises_strictly_with_the_clipped_count(self, shots, where):
+        m = (shots + 1) // 2
+        k = np.array([0.0, m - 1.0, m, shots]) if shots > 1 else np.array([0.0, 1.0])
+        k = np.unique(np.append(k, np.floor(where * (m - 1))))
+        d = distance_from_p0((shots - k) / shots)
+        below = k < m
+        assert np.all(np.diff(d[below]) > 0.0) and np.all(d[~below] == np.sqrt(2.0))
+        assert np.all(d[below] < np.sqrt(2.0))
+
+    def test_inverts_k_requests_per_point_in_doubt(self, monkeypatch):
+        """A seeded K = 2 step at 8192 shots: ``betainc`` evaluates both
+        requests of every point whose brackets leave its label open, and no
+        request of a point they settle."""
+        rng = np.random.default_rng(8192)
+        points, centers = rng.normal(size=(400, 2)), rng.normal(size=(2, 2))
+        config = BatchConfig(shots_per_circuit=8192, seed=5)
+        brackets = _count_brackets(8192, *sampled_requests(points, centers, config))
+        lo, hi = (bound.reshape(-1, 2) for bound in brackets)
+        # label 0 wins ties with 1; label 1 must be surely below 0
+        doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
+        assert 0 < doubt.sum() < 40
+        sizes = betainc_call_sizes(monkeypatch)
+        labels, stats = _nearest_center(points, centers, config)
+        assert sizes[0] == 2 * doubt.sum()
+        full, full_stats = distance_matrix(points, centers, config, sampled=True)
+        np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
+        assert stats == full_stats == BatchStats(jobs_submitted=1, circuits_executed=800)
+
+    def test_no_inversion_when_every_point_is_settled(self, monkeypatch):
+        angles = np.random.default_rng(3).uniform(-0.3, 0.3, 200) + np.repeat([0.0, np.pi / 2], 100)
+        points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        sizes = betainc_call_sizes(monkeypatch)
+        labels, _ = _nearest_center(points, np.eye(2), BatchConfig(shots_per_circuit=8192, seed=5))
+        assert sizes == []
+        np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
+
+    def test_sampled_calls_without_scipy_raise_config_error(self, monkeypatch):
+        points = np.array([[1.0, 0.0], [0.0, 1.0]])
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        # the first call would settle every label without an inversion
+        for call in (lambda: _nearest_center(points, np.eye(2), BatchConfig()),
+                     lambda: distance_matrix(points, np.eye(2), sampled=True),
+                     lambda: quantum_distance(points[0], points[1], shots=64)):
+            with pytest.raises(ConfigError, match="SciPy"):
+                call()
+        assert distance_matrix(points, np.eye(2))[0].shape == (2, 2)
 
 
 class TestDistanceMatrix:

@@ -416,6 +416,19 @@ class TestTableContainer:
             assert str(built.value) == str(loaded.value)
             assert str(built.value).startswith("pair, qubit or shot index outside the int64 range (")
 
+    @pytest.mark.parametrize("column", ["pair_first", "qubit", "shot"])
+    def test_unsigned_index_beyond_int64_is_the_overflow_error(self, column):
+        columns = dict(pair_first=[0], pair_second=[1], qubit=[0], schedule=["00"], shot=[0],
+                       i_value=[1.0], q_value=[2.0])
+        with pytest.raises(DataError) as python_int:
+            IQShotTable(device="toy", **{**columns, column: [2**63]})
+        with pytest.raises(DataError) as unsigned:
+            IQShotTable(device="toy", **{**columns, column: np.array([2**63], dtype=np.uint64)})
+        assert str(unsigned.value) == str(python_int.value)
+        assert str(unsigned.value).startswith("pair, qubit or shot index outside the int64 range (")
+        held = IQShotTable(device="toy", **{**columns, "shot": np.array([2**63 - 1], dtype=np.uint64)})
+        assert held.shot.tolist() == [2**63 - 1]
+
     def test_values_feature_check(self):
         table = synthesize(TOY_MODEL, SINGLE_EDGE, shots_per_schedule=4, seed=0)
         with pytest.raises(ValueError):
