@@ -9,9 +9,10 @@ One loop serves three distance modes:
 Iteration structure: assign every point to its nearest center (argmin,
 ties to the lowest center index), average the assigned raw feature rows
 to get new centers, stop when the L1 sum of center movement drops below
-``tol``.  Quantum modes apply the amplitude encoding to points and
-centers at every distance evaluation; centers always live in the
-original feature space.
+``tol``; a center is the in-order sum of its member rows over their
+count.  Quantum modes encode the points into unit rows once per fit, init
+or predict call, and the K centers at every Lloyd step; centers always
+live in the original feature space.
 
 Initialization is always greedy farthest-point seeding ("qkmeans++",
 ``qkmeans_plusplus_init``): the first center is a uniformly drawn data
@@ -39,8 +40,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import distance  # helpers are looked up on the module, so one wrapper there sees every call
 from .dataset import DataSet
-from .distance import BatchConfig, BatchStats, _farthest_point, _nearest_center, distance_matrix
+# distance_matrix is unused here; perfbench/tracer.py looks it up on this module.
+from .distance import BatchConfig, BatchStats, distance_matrix  # noqa: F401
 from .errors import DataError, check_choice, check_number
 from .simulator import derive_seed
 
@@ -91,26 +94,34 @@ class ClusterModel:
         return len(self.center_shifts)
 
 
-def _pairwise(points, centers, distance_mode: str,
+def _rows(matrix: np.ndarray, distance_mode: str) -> np.ndarray:
+    """The rows a distance mode compares: unit rows in quantum modes."""
+    return matrix if distance_mode == "classical_euclidean" else distance.encode_matrix(matrix)
+
+
+def _pairwise(rows, center_rows, distance_mode: str,
               batch: BatchConfig) -> tuple[np.ndarray, BatchStats | None]:
-    """(N, K) distances in an unsampled mode; stats only for quantum_exact."""
+    """(N, K) distances of ``_rows``' rows, every sampled count inverted; stats only in quantum modes."""
     if distance_mode == "classical_euclidean":
-        diff = points[:, None, :] - centers[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2)), None
-    return distance_matrix(points, centers, config=batch)
+        diff = rows[:, None, :] - center_rows[None, :, :]
+        _, norms, exponents = distance._scaled_norms(diff, partial(np.sum, axis=-1))
+        return (norms if exponents is None else np.ldexp(norms, exponents)), None
+    overlap, stats = distance._overlaps(rows, center_rows, batch)
+    return distance._distances(overlap, batch, sampled=distance_mode == "quantum_sampled"), stats
 
 
-def _nearest(points, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
-    """Each point's nearest center (ties to the lowest index), the stats
-    (quantum modes only) and a callable giving the (N, K) distances behind
-    the labels.  ``shot_seed()`` gives the shot-noise seed; only sampled
-    mode calls it."""
+def _nearest(rows, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
+    """Each point of ``_rows``' ``rows`` to its nearest center (ties to the
+    lowest index), the stats (quantum modes only) and a callable giving the
+    (N, K) distances behind the labels.  ``shot_seed()`` gives the
+    shot-noise seed; only sampled mode calls it."""
+    center_rows = _rows(centers, distance_mode)
     if distance_mode != "quantum_sampled":
-        dists, stats = _pairwise(points, centers, distance_mode, batch)
+        dists, stats = _pairwise(rows, center_rows, distance_mode, batch)
         return np.argmin(dists, axis=1), stats, lambda: dists
     batch = replace(batch, seed=shot_seed())
-    labels, stats = _nearest_center(points, centers, batch)
-    return labels, stats, lambda: distance_matrix(points, centers, config=batch, sampled=True)[0]
+    labels, stats = distance._nearest_center(rows, center_rows, batch)
+    return labels, stats, lambda: _pairwise(rows, center_rows, distance_mode, batch)[0]
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
@@ -126,13 +137,14 @@ def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "qua
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     nearest, rounds = np.full(n, np.inf), []  # rounds: sampled mode's bracketed counts
+    rows = _rows(X.features, distance_mode)
     for round_idx in range(1, n_clusters):
-        newest = X.features[chosen[-1]][None, :]
+        newest = rows[chosen[-1]][None, :]
         if distance_mode == "quantum_sampled":
             round_batch = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
-            chosen.append(_farthest_point(rounds, X.features, newest, round_batch, chosen))
+            chosen.append(distance._farthest_point(rounds, rows, newest, round_batch, chosen))
             continue
-        nearest = np.minimum(nearest, _pairwise(X.features, newest, distance_mode, batch)[0][:, 0])
+        nearest = np.minimum(nearest, _pairwise(rows, newest, distance_mode, batch)[0][:, 0])
         masked = nearest.copy()
         masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))
@@ -159,22 +171,25 @@ def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: in
 
 def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     """Run Lloyd iterations until the centers move less than ``tol`` (L1)."""
-    k = config.n_clusters
+    k, f = config.n_clusters, X.n_features
     centers = qkmeans_plusplus_init(X, k, config.distance_mode, config.seed, config.batch)
-
+    rows = _rows(X.features, config.distance_mode)
     labels = np.zeros(X.n_points, dtype=np.int64)
     shifts: list[float] = []
     batch_history: list[BatchStats] = []
     converged = False
     for iteration in range(config.max_iter):
-        labels, stats, dists = _nearest(X.features, centers, config.distance_mode, config.batch,
+        labels, stats, dists = _nearest(rows, centers, config.distance_mode, config.batch,
                                         partial(derive_seed, config.batch.seed, 1, iteration))
         if stats is not None:
             batch_history.append(stats)
-        if np.bincount(labels, minlength=k).min() == 0:
+        counts = np.bincount(labels, minlength=k)
+        if counts.min() == 0:
             labels = _repair_empty_clusters(labels, dists(), k)
+            counts = np.bincount(labels, minlength=k)
         # init needs N >= K, so the repair leaves every cluster a member
-        new_centers = np.stack([X.features[labels == c].mean(axis=0) for c in range(k)])
+        sums = np.bincount((labels[:, None] * f + np.arange(f)).ravel(), X.features.ravel(), k * f)
+        new_centers = sums.reshape(k, f) / counts[:, None]
         shift = float(np.sum(np.abs(new_centers - centers)))
         shifts.append(shift)
         centers = new_centers
@@ -192,7 +207,8 @@ def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact
     if X.n_features != model.cluster_centers.shape[1]:
         raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    labels, _, _ = _nearest(X.features, model.cluster_centers, distance_mode, batch, lambda: seed)
+    rows = _rows(X.features, distance_mode)
+    labels, _, _ = _nearest(rows, model.cluster_centers, distance_mode, batch, lambda: seed)
     return labels.astype(np.int64)
 
 

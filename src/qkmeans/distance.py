@@ -18,7 +18,8 @@ From an (estimated or exact) ancilla-zero probability p0:
 A job holds at most C = ``max_circuits_per_job`` circuits, and a call
 of R requests of one feature length counts ceil(R/C) jobs.  A job is an
 accounting unit, as on a device queue, and plays no part in computing
-or sampling: ``distance_matrix`` forms its overlaps in blocks of
+or sampling: ``_overlaps``, the one block-overlap helper, takes unit
+rows (a fit encodes its points once) and multiplies them in blocks of
 consecutive points capped at ``_BLOCK_PRODUCTS`` float64 products,
 whatever C is.  ``quantum_distance`` is a one-request call into this
 executor.
@@ -69,6 +70,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 # float64 products (512 KiB) in one distance_matrix block of points
 _BLOCK_PRODUCTS = 2**16
+_TINY = np.finfo(np.float64).tiny  # the least normal float64
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,34 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     PREPARE loads into a register, less the zeros that pad a row out to
     2**m.  Zeros add nothing to an overlap, and ``row_sums`` pads each odd
     level of its tree with a trailing zero, so overlaps summed over the F
-    columns equal the padded register's bit for bit."""
+    columns equal the padded register's bit for bit.  (``_scaled_norms``
+    scales a row whose squares leave the float range by a power of two.)"""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("expected a 2-D matrix of row vectors")
-    if not (mat.shape[1] and np.all(np.isfinite(mat))):  # a zero-length row is no state
+    if not (mat.shape[1] and np.isfinite(mat).all()):  # a zero-length row is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    norms = np.sqrt(row_sums(mat * mat))
-    if np.any(norms == 0.0):
+    rows, norms, _ = _scaled_norms(mat, row_sums)
+    if not norms.all():
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    return mat / norms[:, None]
+    return rows / norms[:, None]
+
+
+def _scaled_norms(rows: np.ndarray, total):
+    """``rows`` times 2**-e row by row, their norms sqrt(total(rows * rows))
+    over the last axis, and e (None if no row is scaled): 0 unless a nonzero
+    row's plain sum of squares is not a normal float (inf, 0 or subnormal),
+    then the exponent of its largest |entry|."""
+    with np.errstate(over="ignore"):
+        squares = total(rows * rows)
+    small = squares < _TINY
+    if squares.max(initial=0.0) < np.inf and not (small.any() and rows[small].any()):
+        return rows, np.sqrt(squares), None  # every sum is normal or of a row of zeros
+    odd = small | (squares == np.inf)
+    exponents = np.zeros(squares.shape, dtype=np.intc)
+    exponents[odd] = np.frexp(np.max(np.abs(rows[odd]), axis=-1))[1]
+    rows = np.ldexp(rows, -exponents[..., None])
+    return rows, np.sqrt(total(rows * rows)), exponents
 
 
 def distance_from_p0(p0):
@@ -244,10 +264,10 @@ class _SampledCounts:
 
 
 def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.ndarray:
-    """Distances from one executor call's overlaps, request i at index i: the
-    exact p0 = 1/2 + <x|y>**2/2, or every request's sampled count."""
+    """Distances from one executor call's overlaps, in their shape, request i at
+    flat index i: the exact p0 = 1/2 + <x|y>**2/2, or each request's count."""
     if sampled:
-        return _SampledCounts(overlap, config).distances(np.arange(overlap.size))
+        return _SampledCounts(overlap, config).distances(np.arange(overlap.size)).reshape(overlap.shape)
     return distance_from_p0(0.5 + 0.5 * overlap**2)
 
 
@@ -278,22 +298,17 @@ def estimate_distances(requests: Sequence[DistanceRequest], config: BatchConfig 
     return _distances(overlap, config, sampled), stats
 
 
-def _overlaps(points, centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
-    """The (N, K) overlaps <x|y> of every point with every center, and their
-    stats: one circuit per request, ceil(N*K/C) jobs.  Each point and center
-    is encoded once, and they are multiplied in capped blocks of points
-    instead of materialising N*K request rows."""
-    pts = np.asarray(points, dtype=np.float64)
-    ctr = np.asarray(centers, dtype=np.float64)
-    if pts.ndim != 2 or ctr.ndim != 2 or pts.shape[1] != ctr.shape[1]:
-        raise DataError("points and centers must be 2-D with matching feature counts")
-    (n_pts, f), k = pts.shape, ctr.shape[0]
-    enc_pts, enc_ctr = encode_matrix(pts), encode_matrix(ctr)
+def _overlaps(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
+    """The (N, K) overlaps <x|y> of N unit rows with K unit rows (both from
+    ``encode_matrix``), and their stats: one circuit per request, ceil(N*K/C)
+    jobs.  Rows are multiplied in capped blocks of points instead of
+    materialising N*K request rows."""
+    (n_pts, f), k = unit_points.shape, unit_centers.shape[0]
     overlap = np.empty((n_pts, k), dtype=np.float64)
     step = max(1, _BLOCK_PRODUCTS // max(1, k * f))
     for start in range(0, n_pts, step):
         rows = slice(start, start + step)
-        block = enc_pts[rows, None, :] * enc_ctr
+        block = unit_points[rows, None, :] * unit_centers
         overlap[rows] = row_sums(block.reshape(-1, f)).reshape(block.shape[:2])
     return overlap, BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
 
@@ -306,15 +321,18 @@ def distance_matrix(points: np.ndarray, centers: np.ndarray, config: BatchConfig
     (point i, center k) requests, including per-request sampling streams.
     """
     config = config or BatchConfig()
-    overlap, stats = _overlaps(points, centers, config)
-    return _distances(overlap.ravel(), config, sampled).reshape(overlap.shape), stats
+    unit_points, unit_centers = encode_matrix(points), encode_matrix(centers)
+    if unit_points.shape[1] != unit_centers.shape[1]:
+        raise DataError("points and centers must have matching feature counts")
+    overlap, stats = _overlaps(unit_points, unit_centers, config)
+    return _distances(overlap, config, sampled), stats
 
 
-def _nearest_center(points, centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
-    """Each point's nearest center, ties to the lowest index, and the stats:
-    the argmin of ``distance_matrix(points, centers, config, sampled=True)``,
+def _nearest_center(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
+    """Each point's nearest center, ties to the lowest index, and the stats,
+    from unit rows: the argmin of the sampled distances of ``_overlaps``,
     inverting only the counts of points whose brackets leave it in doubt."""
-    overlap, stats = _overlaps(points, centers, config)
+    overlap, stats = _overlaps(unit_points, unit_centers, config)
     counts = _SampledCounts(overlap, config)
     n_pts, k = overlap.shape
     lo, hi = counts.lo.reshape(n_pts, k), counts.hi.reshape(n_pts, k)
@@ -331,11 +349,11 @@ def _nearest_center(points, centers, config: BatchConfig) -> tuple[np.ndarray, B
     return labels, stats
 
 
-def _farthest_point(rounds: list, points, newest, config: BatchConfig, excluded: list[int]) -> int:
-    """Add the counts of ``points`` against ``newest`` to ``rounds``; return the
-    argmax, never in ``excluded``, of the least distance over the rounds,
-    resolving only points whose upper bound reaches the best lower bound."""
-    rounds.append(_SampledCounts(_overlaps(points, newest, config)[0], config))
+def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, excluded: list[int]) -> int:
+    """Add the counts of the unit rows against ``unit_newest`` to ``rounds``;
+    return the argmax, never in ``excluded``, of the least distance over the
+    rounds, resolving only points whose upper bound reaches the best lower bound."""
+    rounds.append(_SampledCounts(_overlaps(unit_points, unit_newest, config)[0], config))
     low = np.min([column.lo for column in rounds], axis=0)
     high = np.min([column.hi for column in rounds], axis=0)
     low[excluded] = high[excluded] = -1.0

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkmeans import clustering
+from qkmeans import clustering, distance
 from qkmeans.clustering import (
+    DISTANCE_MODES,
     ClusterModel,
     FitConfig,
     _repair_empty_clusters,
@@ -18,7 +20,8 @@ from qkmeans.clustering import (
     qkmeans_plusplus_init,
 )
 from qkmeans.dataset import DataSet
-from qkmeans.distance import BatchConfig, BatchStats, distance_matrix
+from qkmeans.distance import BatchConfig, BatchStats, distance_matrix, encode_matrix
+from qkmeans.errors import DataError
 from qkmeans.simulator import derive_seed
 
 from conftest import make_blobs
@@ -365,18 +368,51 @@ def sampled_cases(draw):
             draw(st.integers(0, 2**63 - 1)))
 
 
-def inverted_init(X: DataSet, n_clusters: int, seed: int, batch: BatchConfig) -> np.ndarray:
-    """Farthest-point seeding from fully inverted sampled distances."""
+def reference_distances(points, centers, distance_mode: str, batch: BatchConfig):
+    """(N, K) distances and stats with the formulas ``fit`` used before it
+    encoded its points once per fit: raw points through ``distance_matrix``
+    (every sampled count inverted), or the plain Euclidean sum."""
+    if distance_mode == "classical_euclidean":
+        diff = points[:, None, :] - centers[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=2)), None
+    return distance_matrix(points, centers, batch, sampled=distance_mode == "quantum_sampled")
+
+
+def reference_init(X: DataSet, n_clusters: int, distance_mode: str, seed: int,
+                   batch: BatchConfig) -> np.ndarray:
+    """Farthest-point seeding from ``reference_distances``."""
     chosen = [int(np.random.default_rng(seed).integers(X.n_points))]
     nearest = np.full(X.n_points, np.inf)
     for round_idx in range(1, n_clusters):
         config = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
         newest = X.features[chosen[-1]][None, :]
-        nearest = np.minimum(nearest, distance_matrix(X.features, newest, config, sampled=True)[0][:, 0])
+        nearest = np.minimum(nearest, reference_distances(X.features, newest, distance_mode, config)[0][:, 0])
         masked = nearest.copy()
         masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))
     return X.features[chosen]
+
+
+def reference_fit(X: DataSet, config: FitConfig) -> ClusterModel:
+    """Lloyd iterations as ``fit`` ran them with raw points on every step
+    and one masked mean per center."""
+    k, batch = config.n_clusters, config.batch
+    centers = reference_init(X, k, config.distance_mode, config.seed, batch)
+    shifts, history = [], []
+    for iteration in range(config.max_iter):
+        step_batch = replace(batch, seed=derive_seed(batch.seed, 1, iteration))
+        dists, stats = reference_distances(X.features, centers, config.distance_mode, step_batch)
+        labels = np.argmin(dists, axis=1)
+        if stats is not None:
+            history.append(stats)
+        if np.bincount(labels, minlength=k).min() == 0:
+            labels = _repair_empty_clusters(labels, dists, k)
+        new_centers = np.stack([X.features[labels == c].mean(axis=0) for c in range(k)])
+        shifts.append(float(np.sum(np.abs(new_centers - centers))))
+        centers = new_centers
+        if shifts[-1] < config.tol:
+            break
+    return ClusterModel(centers, labels, tuple(shifts), shifts[-1] < config.tol, tuple(history))
 
 
 class TestSampledLabelsFromBrackets:
@@ -390,7 +426,8 @@ class TestSampledLabelsFromBrackets:
         n, k = len(points), len(centers)
         batch = BatchConfig(shots_per_circuit=shots, max_circuits_per_job=5, seed=seed % 1000)
         full, full_stats = distance_matrix(points, centers, replace(batch, seed=seed), sampled=True)
-        labels, stats, dists = clustering._nearest(points, centers, "quantum_sampled", batch, lambda: seed)
+        labels, stats, dists = clustering._nearest(encode_matrix(points), centers, "quantum_sampled", batch,
+                                                   lambda: seed)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert stats == full_stats == BatchStats(-(-n * k // 5), n * k)
         np.testing.assert_array_equal(dists(), full)  # what an empty-cluster repair reads
@@ -400,4 +437,105 @@ class TestSampledLabelsFromBrackets:
         for n_clusters in range(2, min(n, 4) + 1):
             np.testing.assert_array_equal(
                 qkmeans_plusplus_init(unlabeled(points), n_clusters, "quantum_sampled", seed % 97, batch),
-                inverted_init(unlabeled(points), n_clusters, seed % 97, batch))
+                reference_init(unlabeled(points), n_clusters, "quantum_sampled", seed % 97, batch))
+
+
+@st.composite
+def lloyd_cases(draw):
+    """A dataset of repeated rows (so ties and duplicate points are common)
+    with F in {1, 2, 3, 16}, and a fit config in any mode with K from 1 to 4;
+    sampled fits run at a few shots."""
+    f = draw(st.sampled_from([1, 2, 3, 16]))
+    # At F = 1 the two summation orders differ in a center's last bits, which
+    # can break a later tie the other way, so one Lloyd step is compared, on
+    # positive values, which keep every center off zero.
+    row = st.lists(st.integers(1 if f == 1 else -6, 6), min_size=f, max_size=f).filter(any)
+    base = np.array(draw(st.lists(row, min_size=1, max_size=8))) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=4, max_size=40))
+    batch = BatchConfig(max_circuits_per_job=draw(st.sampled_from([1, 5, 900])),
+                        shots_per_circuit=draw(st.sampled_from([1, 7, 64])), seed=draw(st.integers(0, 99)))
+    config = FitConfig(n_clusters=draw(st.integers(1, 4)), max_iter=1 if f == 1 else draw(st.integers(1, 8)),
+                       tol=draw(st.sampled_from([0.0, 1e-4])), batch=batch, seed=draw(st.integers(0, 99)),
+                       distance_mode=draw(st.sampled_from(DISTANCE_MODES)))
+    return unlabeled(base[picks]), config
+
+
+def fit_or_error(fit, X: DataSet, config: FitConfig) -> ClusterModel | str:
+    try:
+        return fit(X, config)
+    except DataError as error:  # a center at the origin has no quantum state
+        return str(error)
+
+
+def assert_same_fit(model: ClusterModel | str, reference: ClusterModel | str) -> None:
+    if isinstance(model, str) or isinstance(reference, str):
+        assert model == reference
+        return
+    np.testing.assert_array_equal(model.labels, reference.labels)
+    if model.cluster_centers.shape[1] == 1:
+        # numpy sums a one-column mean pairwise; fit sums every center in order
+        np.testing.assert_allclose(model.cluster_centers, reference.cluster_centers, rtol=1e-12, atol=0.0)
+        return
+    assert model.cluster_centers.tobytes() == reference.cluster_centers.tobytes()
+    assert model.center_shifts == reference.center_shifts
+    assert model.converged == reference.converged
+    assert model.batch_history == reference.batch_history
+
+
+class TestReferenceLloyd:
+    """``fit`` encodes its points once and takes centers from one bincount;
+    its fits must be those of the per-step formulas it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(lloyd_cases())
+    def test_fit_matches_reference(self, case):
+        X, config = case
+        assert_same_fit(fit_or_error(clustering.fit, X, config), fit_or_error(reference_fit, X, config))
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_empty_cluster_repair_matches_reference(self, mode, monkeypatch):
+        # K = 3 on three copies of one point and one other point: the third
+        # center is a copy the first center shadows, so its cluster is empty
+        X = unlabeled([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        config = FitConfig(n_clusters=3, distance_mode=mode, seed=seed_with_first_pick(4, 0),
+                           batch=BatchConfig(shots_per_circuit=64, seed=3))
+        repairs = []
+        real_repair = clustering._repair_empty_clusters
+        monkeypatch.setattr(clustering, "_repair_empty_clusters",
+                            lambda *args: repairs.append(1) or real_repair(*args))
+        model = clustering.fit(X, config)
+        assert repairs
+        assert_same_fit(model, reference_fit(X, config))
+
+    def test_points_are_encoded_once_per_fit(self, monkeypatch):
+        """A quantum_exact fit encodes its N points once in init and once
+        for the Lloyd loop, and only the K centers on each Lloyd step."""
+        X = make_blobs(12, n=60)
+        sizes = []
+
+        def counting(matrix):
+            sizes.append(len(matrix))
+            return encode_matrix(matrix)
+
+        monkeypatch.setattr(distance, "encode_matrix", counting)
+        model = clustering.fit(X, FitConfig(n_clusters=2, distance_mode="quantum_exact", seed=1))
+        assert model.n_iter > 1
+        assert sizes == [60, 60] + [2] * model.n_iter
+
+
+class TestExtremeMagnitudes:
+    """Scaling the data by a power of two scales every center by it and
+    changes no label, however far the squared norms leave the float range."""
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    @pytest.mark.parametrize("power", [-700, -600, 600, 700])
+    def test_fit_is_scale_invariant(self, mode, power):
+        X = make_blobs(13, n=40)
+        config = FitConfig(n_clusters=2, tol=0.0, max_iter=5, distance_mode=mode,
+                           batch=BatchConfig(shots_per_circuit=256, seed=2), seed=3)
+        base = clustering.fit(X, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = clustering.fit(unlabeled(np.ldexp(X.features, power)), config)
+        np.testing.assert_array_equal(scaled.labels, base.labels)
+        assert scaled.cluster_centers.tobytes() == np.ldexp(base.cluster_centers, power).tobytes()

@@ -24,6 +24,7 @@ from qkmeans.distance import (
     _request_uniforms,
     distance_from_p0,
     distance_matrix,
+    encode_matrix,
     estimate_distances,
     quantum_distance,
 )
@@ -468,7 +469,8 @@ SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
 def sampled_requests(points, centers, config):
     """(p1, u) of the row-major (point, center) requests of one sampled
     ``distance_matrix`` call, formed as the executor forms them."""
-    p1 = np.clip(0.5 - 0.5 * _overlaps(points, centers, config)[0].ravel() ** 2, 0.0, 1.0)
+    overlap = _overlaps(encode_matrix(points), encode_matrix(centers), config)[0]
+    p1 = np.clip(0.5 - 0.5 * overlap.ravel() ** 2, 0.0, 1.0)
     return p1, _request_uniforms(derive_seed(config.seed), np.arange(p1.size))
 
 
@@ -509,7 +511,7 @@ class TestCountBrackets:
         doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
         assert 0 < doubt.sum() < 40
         sizes = betainc_call_sizes(monkeypatch)
-        labels, stats = _nearest_center(points, centers, config)
+        labels, stats = _nearest_center(encode_matrix(points), encode_matrix(centers), config)
         assert sizes[0] == 2 * doubt.sum()
         full, full_stats = distance_matrix(points, centers, config, sampled=True)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
@@ -519,7 +521,8 @@ class TestCountBrackets:
         angles = np.random.default_rng(3).uniform(-0.3, 0.3, 200) + np.repeat([0.0, np.pi / 2], 100)
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         sizes = betainc_call_sizes(monkeypatch)
-        labels, _ = _nearest_center(points, np.eye(2), BatchConfig(shots_per_circuit=8192, seed=5))
+        config = BatchConfig(shots_per_circuit=8192, seed=5)
+        labels, _ = _nearest_center(encode_matrix(points), np.eye(2), config)
         assert sizes == []
         np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
 
@@ -528,7 +531,7 @@ class TestCountBrackets:
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.special", None)
         # the first call would settle every label without an inversion
-        for call in (lambda: _nearest_center(points, np.eye(2), BatchConfig()),
+        for call in (lambda: _nearest_center(encode_matrix(points), np.eye(2), BatchConfig()),
                      lambda: distance_matrix(points, np.eye(2), sampled=True),
                      lambda: quantum_distance(points[0], points[1], shots=64)):
             with pytest.raises(ConfigError, match="SciPy"):

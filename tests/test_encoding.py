@@ -4,12 +4,14 @@ gate-level reference adds to them."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import padded_dimension, register_amplitudes
-from qkmeans.distance import encode_matrix
+from qkmeans.distance import encode_matrix, quantum_distance
 from qkmeans.simulator import batch_ground, batch_prepare, row_sums
 
 finite_features = st.lists(
@@ -112,3 +114,15 @@ class TestEncodeMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             encode_matrix(np.ones(4))
+
+    @pytest.mark.parametrize("power", [-1073, -665, -600, 600, 665, 1020])
+    def test_rows_whose_squares_leave_the_float_range(self, power):
+        # their sums of squares underflow to 0 or a subnormal, or overflow to
+        # inf; scaled by a power of two first, they encode as the plain rows
+        plain = np.array([[1.0, 1.0], [3.0, -4.0], [0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = encode_matrix(np.ldexp(plain, power))
+            far = quantum_distance(np.ldexp(plain[0], power), np.ldexp(plain[0], power))
+        assert rows.tobytes() == encode_matrix(plain).tobytes()
+        assert far == quantum_distance(plain[0], plain[0]) < 1e-7

@@ -4,6 +4,7 @@ API change cannot break them silently."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +32,17 @@ def test_sweep_shot_budget_runs(capsys):
 def test_run_full_benchmark_imports():
     # Its --quick run takes seconds; acceptance test_09 runs the same CLI steps.
     assert callable(load_script("run_full_benchmark").main)
+
+
+def test_artifact_digests_pin_every_command_output():
+    # The set itself runs in CI's bench-smoke job (--check), not here: its
+    # digests may differ under the floors job's numpy and SciPy.
+    script = load_script("artifact_digests")
+    pinned = json.loads(script.DIGESTS.read_text(encoding="utf-8"))
+    outputs = {step[step.index("--out") + 1] for step in script.commands()}
+    assert {name.rsplit("/", 1)[0] for name in pinned} == outputs
+    assert script.differences({"a": "1", "b": "2"}, {"b": "3", "c": "4"}) == [
+        "a: missing", "b: changed", "c: new"]
 
 
 def test_tracer_lookup_sites_resolve():
