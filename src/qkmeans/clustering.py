@@ -10,9 +10,12 @@ Iteration structure: assign every point to its nearest center (argmin,
 ties to the lowest center index), average the assigned raw feature rows
 to get new centers, stop when the L1 sum of center movement drops below
 ``tol``; a center is the in-order sum of its member rows over their
-count.  Quantum modes encode the points into unit rows once per fit, init
-or predict call, and the K centers at every Lloyd step; centers always
-live in the original feature space.
+count.  Points are held feature-major, as an (F, N) array built once per
+fit (shared by its init rounds), init or predict call: unit columns in
+quantum modes, which also encode the K centers at every Lloyd step.  So
+distances come as (K, N), labels from a running minimum over the K rows,
+and the Euclidean sum over F adds in ``np.sum``'s own order; centers
+always live in the original feature space.
 
 Initialization is always greedy farthest-point seeding ("qkmeans++",
 ``qkmeans_plusplus_init``): the first center is a uniformly drawn data
@@ -94,34 +97,60 @@ class ClusterModel:
         return len(self.center_shifts)
 
 
-def _rows(matrix: np.ndarray, distance_mode: str) -> np.ndarray:
-    """The rows a distance mode compares: unit rows in quantum modes."""
-    return matrix if distance_mode == "classical_euclidean" else distance.encode_matrix(matrix)
-
-
-def _pairwise(rows, center_rows, distance_mode: str,
-              batch: BatchConfig) -> tuple[np.ndarray, BatchStats | None]:
-    """(N, K) distances of ``_rows``' rows, every sampled count inverted; stats only in quantum modes."""
+def _columns(matrix: np.ndarray, distance_mode: str) -> np.ndarray:
+    """The contiguous (F, N) array a distance mode compares, point i in
+    column i: the features, or their unit columns in quantum modes."""
     if distance_mode == "classical_euclidean":
-        diff = rows[:, None, :] - center_rows[None, :, :]
-        _, norms, exponents = distance._scaled_norms(diff, partial(np.sum, axis=-1))
+        return np.ascontiguousarray(matrix.T)
+    return distance.encode_matrix(matrix).T
+
+
+def _feature_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of an (F, ...) array in the order
+    ``np.sum(axis=-1)`` adds a contiguous row of F (numpy's pairwise sum):
+    from 0.0, eight running partial sums combined pairwise (when F >= 8),
+    then the last F % 8 rows in order; above 128 rows, the sum of two
+    such halves, the first a multiple of 8 long."""
+    f = len(values)
+    if f > 128:
+        half = f // 2 - f // 2 % 8
+        return _feature_sum(values[:half]) + _feature_sum(values[half:])
+    total, head = 0.0, f - f % 8
+    if head:
+        r = values[:8].copy()
+        for start in range(8, head, 8):
+            r += values[start:start + 8]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in values[head:]:
+        total += row
+    return total
+
+
+def _pairwise(columns, center_columns, distance_mode: str,
+              batch: BatchConfig) -> tuple[np.ndarray, BatchStats | None]:
+    """(K, N) distances of ``_columns``' columns, every sampled count inverted;
+    stats only in quantum modes."""
+    if distance_mode == "classical_euclidean":
+        diff = columns[:, None, :] - center_columns[:, :, None]
+        _, norms, exponents = distance._scaled_norms(diff, _feature_sum)
         return (norms if exponents is None else np.ldexp(norms, exponents)), None
-    overlap, stats = distance._overlaps(rows, center_rows, batch)
-    return distance._distances(overlap, batch, sampled=distance_mode == "quantum_sampled"), stats
+    overlap, stats = distance._overlaps(columns, center_columns, batch)
+    # sampled request point*K + k reads the (N, K) order
+    return distance._distances(overlap.T, batch, sampled=distance_mode == "quantum_sampled").T, stats
 
 
-def _nearest(rows, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
-    """Each point of ``_rows``' ``rows`` to its nearest center (ties to the
-    lowest index), the stats (quantum modes only) and a callable giving the
-    (N, K) distances behind the labels.  ``shot_seed()`` gives the
+def _nearest(columns, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
+    """Each point of ``_columns``' ``columns`` to its nearest center (ties to
+    the lowest index), the stats (quantum modes only) and a callable giving
+    the (N, K) distances behind the labels.  ``shot_seed()`` gives the
     shot-noise seed; only sampled mode calls it."""
-    center_rows = _rows(centers, distance_mode)
+    center_columns = _columns(centers, distance_mode)
     if distance_mode != "quantum_sampled":
-        dists, stats = _pairwise(rows, center_rows, distance_mode, batch)
-        return np.argmin(dists, axis=1), stats, lambda: dists
+        dists, stats = _pairwise(columns, center_columns, distance_mode, batch)
+        return distance._nearest_rows(dists), stats, lambda: dists.T
     batch = replace(batch, seed=shot_seed())
-    labels, stats = distance._nearest_center(rows, center_rows, batch)
-    return labels, stats, lambda: _pairwise(rows, center_rows, distance_mode, batch)[0]
+    labels, stats = distance._nearest_center(columns, center_columns, batch)
+    return labels, stats, lambda: _pairwise(columns, center_columns, distance_mode, batch)[0].T
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
@@ -130,21 +159,26 @@ def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "qua
     check_choice("distance_mode", distance_mode, DISTANCE_MODES)
     check_number("n_clusters", n_clusters, 1)
     check_number("seed", seed, 0)
+    columns = _columns(X.features, distance_mode)
+    return _seeding(X, columns, n_clusters, distance_mode, seed, batch or BatchConfig())
+
+
+def _seeding(X: DataSet, columns, n_clusters: int, distance_mode: str, seed: int,
+             batch: BatchConfig) -> np.ndarray:
+    """``qkmeans_plusplus_init`` on ``_columns``' columns of ``X``."""
     n = X.n_points
     if n < n_clusters:
         raise DataError(f"need at least n_clusters={n_clusters} points, got {n}")
-    batch = batch or BatchConfig()
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     nearest, rounds = np.full(n, np.inf), []  # rounds: sampled mode's bracketed counts
-    rows = _rows(X.features, distance_mode)
     for round_idx in range(1, n_clusters):
-        newest = rows[chosen[-1]][None, :]
+        newest = columns[:, chosen[-1:]]
         if distance_mode == "quantum_sampled":
             round_batch = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
-            chosen.append(distance._farthest_point(rounds, rows, newest, round_batch, chosen))
+            chosen.append(distance._farthest_point(rounds, columns, newest, round_batch, chosen))
             continue
-        nearest = np.minimum(nearest, _pairwise(rows, newest, distance_mode, batch)[0][:, 0])
+        nearest = np.minimum(nearest, _pairwise(columns, newest, distance_mode, batch)[0][0])
         masked = nearest.copy()
         masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))
@@ -171,15 +205,17 @@ def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: in
 
 def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     """Run Lloyd iterations until the centers move less than ``tol`` (L1)."""
-    k, f = config.n_clusters, X.n_features
-    centers = qkmeans_plusplus_init(X, k, config.distance_mode, config.seed, config.batch)
-    rows = _rows(X.features, config.distance_mode)
+    k, f, mode = config.n_clusters, X.n_features, config.distance_mode
+    columns = _columns(X.features, mode)
+    centers = _seeding(X, columns, k, mode, config.seed, config.batch)
+    features = columns if mode == "classical_euclidean" else np.ascontiguousarray(X.features.T)
+    bins = np.arange(f)[:, None] * k  # center k's sum of feature j is bin j*K + k
     labels = np.zeros(X.n_points, dtype=np.int64)
     shifts: list[float] = []
     batch_history: list[BatchStats] = []
     converged = False
     for iteration in range(config.max_iter):
-        labels, stats, dists = _nearest(rows, centers, config.distance_mode, config.batch,
+        labels, stats, dists = _nearest(columns, centers, mode, config.batch,
                                         partial(derive_seed, config.batch.seed, 1, iteration))
         if stats is not None:
             batch_history.append(stats)
@@ -188,8 +224,8 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
             labels = _repair_empty_clusters(labels, dists(), k)
             counts = np.bincount(labels, minlength=k)
         # init needs N >= K, so the repair leaves every cluster a member
-        sums = np.bincount((labels[:, None] * f + np.arange(f)).ravel(), X.features.ravel(), k * f)
-        new_centers = sums.reshape(k, f) / counts[:, None]
+        sums = np.bincount((bins + labels).ravel(), features.ravel(), k * f)
+        new_centers = np.ascontiguousarray((sums.reshape(f, k) / counts).T)
         shift = float(np.sum(np.abs(new_centers - centers)))
         shifts.append(shift)
         centers = new_centers
@@ -207,8 +243,8 @@ def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact
     if X.n_features != model.cluster_centers.shape[1]:
         raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    rows = _rows(X.features, distance_mode)
-    labels, _, _ = _nearest(rows, model.cluster_centers, distance_mode, batch, lambda: seed)
+    labels, _, _ = _nearest(_columns(X.features, distance_mode), model.cluster_centers, distance_mode, batch,
+                            lambda: seed)
     return labels.astype(np.int64)
 
 

@@ -19,10 +19,13 @@ A job holds at most C = ``max_circuits_per_job`` circuits, and a call
 of R requests of one feature length counts ceil(R/C) jobs.  A job is an
 accounting unit, as on a device queue, and plays no part in computing
 or sampling: ``_overlaps``, the one block-overlap helper, takes unit
-rows (a fit encodes its points once) and multiplies them in blocks of
-consecutive points capped at ``_BLOCK_PRODUCTS`` float64 products,
-whatever C is.  ``quantum_distance`` is a one-request call into this
-executor.
+vectors feature-major, as (F, N) and (F, K) columns (a fit encodes its
+points once), and multiplies them in blocks of consecutive point columns
+capped at ``_BLOCK_PRODUCTS`` float64 products, whatever C is.  Every
+array op then runs along the point axis, not along F (2 in the CLI),
+and each overlap is still its row-major row's tree sum, bit for bit.
+Request i of an (N, K) matrix is point i // K against center i % K.
+``quantum_distance`` is a one-request call into this executor.
 
 Sampled mode draws each request's count of ancilla ones in two
 vectorized steps per executor call, keyed by request index:
@@ -113,33 +116,36 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     2**m.  Zeros add nothing to an overlap, and ``row_sums`` pads each odd
     level of its tree with a trailing zero, so overlaps summed over the F
     columns equal the padded register's bit for bit.  (``_scaled_norms``
-    scales a row whose squares leave the float range by a power of two.)"""
+    scales a row whose squares leave the float range by a power of two.)
+    The division writes the result's transpose contiguously: the (F, N)
+    unit columns that the executor takes."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("expected a 2-D matrix of row vectors")
     if not (mat.shape[1] and np.isfinite(mat).all()):  # a zero-length row is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    rows, norms, _ = _scaled_norms(mat, row_sums)
+    columns, norms, _ = _scaled_norms(mat.T, lambda squares: row_sums(squares.T))
     if not norms.all():
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    return rows / norms[:, None]
+    return np.divide(columns, norms, order="C").T
 
 
-def _scaled_norms(rows: np.ndarray, total):
-    """``rows`` times 2**-e row by row, their norms sqrt(total(rows * rows))
-    over the last axis, and e (None if no row is scaled): 0 unless a nonzero
-    row's plain sum of squares is not a normal float (inf, 0 or subnormal),
-    then the exponent of its largest |entry|."""
+def _scaled_norms(columns: np.ndarray, total):
+    """``columns`` times 2**-e vector by vector, their norms
+    sqrt(total(columns * columns)) over the leading (feature) axis, and e
+    (None if no vector is scaled): 0 unless a nonzero vector's plain sum of
+    squares is not a normal float (inf, 0 or subnormal), then the exponent
+    of its largest |entry|."""
     with np.errstate(over="ignore"):
-        squares = total(rows * rows)
+        squares = total(columns * columns)
     small = squares < _TINY
-    if squares.max(initial=0.0) < np.inf and not (small.any() and rows[small].any()):
-        return rows, np.sqrt(squares), None  # every sum is normal or of a row of zeros
+    if squares.max(initial=0.0) < np.inf and not (small.any() and columns[:, small].any()):
+        return columns, np.sqrt(squares), None  # every sum is normal or of a zero vector
     odd = small | (squares == np.inf)
     exponents = np.zeros(squares.shape, dtype=np.intc)
-    exponents[odd] = np.frexp(np.max(np.abs(rows[odd]), axis=-1))[1]
-    rows = np.ldexp(rows, -exponents[..., None])
-    return rows, np.sqrt(total(rows * rows)), exponents
+    exponents[odd] = np.frexp(np.max(np.abs(columns[:, odd]), axis=0))[1]
+    columns = np.ldexp(columns, -exponents)
+    return columns, np.sqrt(total(columns * columns)), exponents
 
 
 def distance_from_p0(p0):
@@ -299,17 +305,19 @@ def estimate_distances(requests: Sequence[DistanceRequest], config: BatchConfig 
 
 
 def _overlaps(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
-    """The (N, K) overlaps <x|y> of N unit rows with K unit rows (both from
-    ``encode_matrix``), and their stats: one circuit per request, ceil(N*K/C)
-    jobs.  Rows are multiplied in capped blocks of points instead of
-    materialising N*K request rows."""
-    (n_pts, f), k = unit_points.shape, unit_centers.shape[0]
-    overlap = np.empty((n_pts, k), dtype=np.float64)
+    """The (K, N) overlaps <x|y> of N unit columns with K unit columns
+    (transposed ``encode_matrix`` rows), and their stats: one circuit per
+    request, ceil(N*K/C) jobs.  (F, K, points) products are formed in capped
+    blocks of points, and ``row_sums`` adds their (K * points, F) transpose."""
+    (f, n_pts), k = unit_points.shape, unit_centers.shape[1]
+    overlap = np.empty((k, n_pts), dtype=np.float64)
     step = max(1, _BLOCK_PRODUCTS // max(1, k * f))
+    centers = unit_centers[:, :, None]
     for start in range(0, n_pts, step):
-        rows = slice(start, start + step)
-        block = unit_points[rows, None, :] * unit_centers
-        overlap[rows] = row_sums(block.reshape(-1, f)).reshape(block.shape[:2])
+        points = slice(start, start + step)
+        # passed as a temporary, so the tree frees the products after its first level
+        overlap[:, points] = row_sums(
+            (unit_points[:, None, points] * centers).reshape(f, -1).T).reshape(k, -1)
     return overlap, BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
 
 
@@ -321,38 +329,50 @@ def distance_matrix(points: np.ndarray, centers: np.ndarray, config: BatchConfig
     (point i, center k) requests, including per-request sampling streams.
     """
     config = config or BatchConfig()
-    unit_points, unit_centers = encode_matrix(points), encode_matrix(centers)
-    if unit_points.shape[1] != unit_centers.shape[1]:
+    unit_points, unit_centers = encode_matrix(points).T, encode_matrix(centers).T
+    if unit_points.shape[0] != unit_centers.shape[0]:
         raise DataError("points and centers must have matching feature counts")
     overlap, stats = _overlaps(unit_points, unit_centers, config)
-    return _distances(overlap, config, sampled), stats
+    return _distances(overlap.T, config, sampled), stats
+
+
+def _nearest_rows(values: np.ndarray) -> np.ndarray:
+    """``np.argmin(values, axis=0)`` of a (K, N) array as a running strict-<
+    minimum over its K rows: ties go to the lowest row."""
+    labels = np.zeros(values.shape[1], dtype=np.int64)
+    best = values[0]
+    for k in range(1, len(values)):
+        closer = values[k] < best
+        labels[closer] = k
+        best = np.minimum(best, values[k])
+    return labels
 
 
 def _nearest_center(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
     """Each point's nearest center, ties to the lowest index, and the stats,
-    from unit rows: the argmin of the sampled distances of ``_overlaps``,
+    from unit columns: the argmin of the sampled distances of ``_overlaps``,
     inverting only the counts of points whose brackets leave it in doubt."""
     overlap, stats = _overlaps(unit_points, unit_centers, config)
-    counts = _SampledCounts(overlap, config)
-    n_pts, k = overlap.shape
-    lo, hi = counts.lo.reshape(n_pts, k), counts.hi.reshape(n_pts, k)
-    rows = np.arange(n_pts)
-    labels = np.argmin(hi, axis=1)
-    best = hi[rows, labels][:, None]
+    counts = _SampledCounts(overlap.T, config)  # request point*K + k
+    k, n_pts = overlap.shape
+    lo, hi = counts.lo.reshape(n_pts, k).T, counts.hi.reshape(n_pts, k).T
+    points = np.arange(n_pts)
+    labels = _nearest_rows(hi)
+    best = hi[labels, points]
     # the leader beats centers surely farther, or surely no nearer and later
-    beaten = (lo > best) | ((lo == best) & (np.arange(k) > labels[:, None]))
-    beaten[rows, labels] = True
-    doubt = np.flatnonzero(~beaten.all(axis=1))
+    beaten = (lo > best) | ((lo == best) & (np.arange(k)[:, None] > labels))
+    beaten[labels, points] = True
+    doubt = np.flatnonzero(~beaten.all(axis=0))
     if doubt.size:
         requests = (doubt[:, None] * k + np.arange(k)).ravel()
-        labels[doubt] = np.argmin(counts.distances(requests).reshape(doubt.size, k), axis=1)
+        labels[doubt] = _nearest_rows(counts.distances(requests).reshape(doubt.size, k).T)
     return labels, stats
 
 
 def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, excluded: list[int]) -> int:
-    """Add the counts of the unit rows against ``unit_newest`` to ``rounds``;
-    return the argmax, never in ``excluded``, of the least distance over the
-    rounds, resolving only points whose upper bound reaches the best lower bound."""
+    """Add the counts of the unit columns against column ``unit_newest`` to
+    ``rounds``; return the argmax, never in ``excluded``, of the least distance
+    over the rounds, resolving only points whose upper bound reaches the best lower bound."""
     rounds.append(_SampledCounts(_overlaps(unit_points, unit_newest, config)[0], config))
     low = np.min([column.lo for column in rounds], axis=0)
     high = np.min([column.hi for column in rounds], axis=0)

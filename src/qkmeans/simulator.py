@@ -119,15 +119,16 @@ def row_sums(values: np.ndarray) -> np.ndarray:
 
     ``np.sum(..., axis=1)`` may pick different accumulation orders for
     different row counts, which would make a circuit's result depend on
-    its job size; this tree depends only on the column count.
+    its job size; this tree depends only on the column count.  Rebinding
+    ``values`` frees each level, and on CPython 3.11+ a temporary argument,
+    once the next level exists.
     """
-    arr = values
-    while arr.shape[1] > 1:
-        if arr.shape[1] % 2:
-            pad = np.zeros((arr.shape[0], 1), dtype=arr.dtype)
-            arr = np.concatenate([arr, pad], axis=1)
-        arr = arr[:, 0::2] + arr[:, 1::2]
-    return arr[:, 0]
+    while values.shape[1] > 1:
+        if values.shape[1] % 2:
+            pad = np.zeros((values.shape[0], 1), dtype=values.dtype)
+            values = np.concatenate([values, pad], axis=1)
+        values = values[:, 0::2] + values[:, 1::2]
+    return values[:, 0]
 
 
 def batch_h(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:

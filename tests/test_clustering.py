@@ -426,7 +426,7 @@ class TestSampledLabelsFromBrackets:
         n, k = len(points), len(centers)
         batch = BatchConfig(shots_per_circuit=shots, max_circuits_per_job=5, seed=seed % 1000)
         full, full_stats = distance_matrix(points, centers, replace(batch, seed=seed), sampled=True)
-        labels, stats, dists = clustering._nearest(encode_matrix(points), centers, "quantum_sampled", batch,
+        labels, stats, dists = clustering._nearest(encode_matrix(points).T, centers, "quantum_sampled", batch,
                                                    lambda: seed)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert stats == full_stats == BatchStats(-(-n * k // 5), n * k)
@@ -508,8 +508,8 @@ class TestReferenceLloyd:
         assert_same_fit(model, reference_fit(X, config))
 
     def test_points_are_encoded_once_per_fit(self, monkeypatch):
-        """A quantum_exact fit encodes its N points once in init and once
-        for the Lloyd loop, and only the K centers on each Lloyd step."""
+        """A quantum_exact fit encodes its N points once, for init and the
+        Lloyd loop, and only the K centers on each Lloyd step."""
         X = make_blobs(12, n=60)
         sizes = []
 
@@ -520,7 +520,7 @@ class TestReferenceLloyd:
         monkeypatch.setattr(distance, "encode_matrix", counting)
         model = clustering.fit(X, FitConfig(n_clusters=2, distance_mode="quantum_exact", seed=1))
         assert model.n_iter > 1
-        assert sizes == [60, 60] + [2] * model.n_iter
+        assert sizes == [60] + [2] * model.n_iter
 
 
 class TestExtremeMagnitudes:
@@ -539,3 +539,40 @@ class TestExtremeMagnitudes:
             scaled = clustering.fit(unlabeled(np.ldexp(X.features, power)), config)
         np.testing.assert_array_equal(scaled.labels, base.labels)
         assert scaled.cluster_centers.tobytes() == np.ldexp(base.cluster_centers, power).tobytes()
+
+
+class TestFeatureMajorClassical:
+    """Classical distances run along the point axis of (F, K, N) arrays;
+    their feature sums must add in ``np.sum(axis=-1)``'s order."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e155, 1e-160])
+    def test_feature_sum_matches_numpy_order(self, scale):
+        # scale 1e155 overflows every square sum, 1e-160 makes squares subnormal
+        rng = np.random.default_rng(23)
+        for f in range(1, 301):
+            values = rng.normal(size=(3, 4, f)) * np.exp(rng.normal(size=(3, 4, f)) * 3.0)
+            values[0, 0] = 0.0
+            values[0, 1] = -0.0
+            with np.errstate(over="ignore"):
+                for rows in (values, np.square(values * scale)):
+                    expected = np.sum(rows, axis=-1)
+                    summed = clustering._feature_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
+                    assert summed.tobytes() == expected.tobytes(), f
+
+    @pytest.mark.parametrize("f", [1, 2, 3, 7, 8, 9, 16, 64, 129, 300])
+    def test_distances_match_row_major_formula(self, f):
+        rng = np.random.default_rng(f)
+        points, centers = rng.normal(size=(50, f)), rng.normal(size=(3, f))
+        diff = points[:, None, :] - centers
+        expected = np.sqrt(np.sum(diff * diff, axis=-1))
+        dists, stats = clustering._pairwise(clustering._columns(points, "classical_euclidean"),
+                                            clustering._columns(centers, "classical_euclidean"),
+                                            "classical_euclidean", BatchConfig())
+        assert dists.T.tobytes() == expected.tobytes()
+        assert stats is None
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_predict_on_no_points(self, mode):
+        model = ClusterModel(np.eye(2), np.zeros(2, dtype=np.int64), (), False)
+        labels = predict(model, DataSet(np.empty((0, 2)), np.empty(0, dtype=np.int64)), mode)
+        assert labels.dtype == np.int64 and labels.shape == (0,)

@@ -14,12 +14,14 @@ from scipy import stats
 
 from conftest import register_amplitudes
 from qkmeans.distance import (
+    _BLOCK_PRODUCTS,
     BatchConfig,
     BatchStats,
     DistanceRequest,
     _binomial_quantile,
     _count_brackets,
     _nearest_center,
+    _nearest_rows,
     _overlaps,
     _request_uniforms,
     distance_from_p0,
@@ -36,6 +38,7 @@ from qkmeans.simulator import (
     batch_marginal,
     batch_prepare,
     derive_seed,
+    row_sums,
 )
 
 vectors = st.lists(
@@ -469,7 +472,7 @@ SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
 def sampled_requests(points, centers, config):
     """(p1, u) of the row-major (point, center) requests of one sampled
     ``distance_matrix`` call, formed as the executor forms them."""
-    overlap = _overlaps(encode_matrix(points), encode_matrix(centers), config)[0]
+    overlap = _overlaps(encode_matrix(points).T, encode_matrix(centers).T, config)[0].T
     p1 = np.clip(0.5 - 0.5 * overlap.ravel() ** 2, 0.0, 1.0)
     return p1, _request_uniforms(derive_seed(config.seed), np.arange(p1.size))
 
@@ -511,7 +514,7 @@ class TestCountBrackets:
         doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
         assert 0 < doubt.sum() < 40
         sizes = betainc_call_sizes(monkeypatch)
-        labels, stats = _nearest_center(encode_matrix(points), encode_matrix(centers), config)
+        labels, stats = _nearest_center(encode_matrix(points).T, encode_matrix(centers).T, config)
         assert sizes[0] == 2 * doubt.sum()
         full, full_stats = distance_matrix(points, centers, config, sampled=True)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
@@ -522,7 +525,7 @@ class TestCountBrackets:
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         sizes = betainc_call_sizes(monkeypatch)
         config = BatchConfig(shots_per_circuit=8192, seed=5)
-        labels, _ = _nearest_center(encode_matrix(points), np.eye(2), config)
+        labels, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config)
         assert sizes == []
         np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
 
@@ -531,7 +534,7 @@ class TestCountBrackets:
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.special", None)
         # the first call would settle every label without an inversion
-        for call in (lambda: _nearest_center(encode_matrix(points), np.eye(2), BatchConfig()),
+        for call in (lambda: _nearest_center(encode_matrix(points).T, np.eye(2), BatchConfig()),
                      lambda: distance_matrix(points, np.eye(2), sampled=True),
                      lambda: quantum_distance(points[0], points[1], shots=64)):
             with pytest.raises(ConfigError, match="SciPy"):
@@ -606,6 +609,41 @@ class TestDistanceMatrix:
         assert peak < 3 * (pts.nbytes + ctr.nbytes)
         assert stats == BatchStats(-(-32000 // 900), 32000)
         assert mat[1999, 15] == pytest.approx(oracle_distance(pts[1999], ctr[15]), abs=1e-9)
+
+
+@st.composite
+def overlap_cases(draw):
+    """Unit points and centers at F in {1, 2, 3, 5, 16, 64}, with N at or
+    next to a multiple of the points per ``_BLOCK_PRODUCTS`` block."""
+    f, k = draw(st.sampled_from([1, 2, 3, 5, 16, 64])), draw(st.integers(1, 4))
+    step = _BLOCK_PRODUCTS // (k * f)
+    n = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 1]) | st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return encode_matrix(rng.normal(size=(n, f))), encode_matrix(rng.normal(size=(k, f)))
+
+
+class TestFeatureMajorKernels:
+    """The executor's (F, N) layout changes no value: each overlap is the
+    tree sum of its row-major products, and labels are ``np.argmin``'s."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(overlap_cases(), st.integers(1, 1000))
+    def test_overlaps_match_row_major_tree(self, case, c):
+        unit_points, unit_centers = case
+        (n, f), k = unit_points.shape, len(unit_centers)
+        reference = row_sums((unit_points[:, None, :] * unit_centers).reshape(-1, f)).reshape(n, k)
+        overlap, stats = _overlaps(unit_points.T, unit_centers.T, BatchConfig(max_circuits_per_job=c))
+        assert overlap.T.tobytes() == reference.tobytes()
+        assert stats == BatchStats(-(-n * k // c), n * k)
+
+    @given(st.integers(1, 8), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_running_minimum_is_argmin(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so exact ties across centers are common
+        dists = rng.choice([0.0, 0.25, 0.5, 1.0, np.sqrt(2.0)], size=(n, k))
+        labels = _nearest_rows(np.ascontiguousarray(dists.T))
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, np.argmin(dists, axis=1))
 
 
 class TestBatchConfig:
