@@ -14,8 +14,8 @@ count.  Points are held feature-major, as an (F, N) array built once per
 fit (shared by its init rounds), init or predict call: unit columns in
 quantum modes, which also encode the K centers at every Lloyd step.  So
 distances come as (K, N), labels from a running minimum over the K rows,
-and the Euclidean sum over F adds in ``np.sum``'s own order; centers
-always live in the original feature space.
+and every sum over F, Euclidean or overlap, adds in ``row_sums``' one
+pairwise tree; centers always live in the original feature space.
 
 Initialization is always greedy farthest-point seeding ("qkmeans++",
 ``qkmeans_plusplus_init``): the first center is a uniformly drawn data
@@ -100,43 +100,21 @@ class ClusterModel:
 def _columns(matrix: np.ndarray, distance_mode: str) -> np.ndarray:
     """The contiguous (F, N) array a distance mode compares, point i in
     column i: the features, or their unit columns in quantum modes."""
+    if not matrix.shape[1]:
+        raise DataError("points need at least one feature")
     if distance_mode == "classical_euclidean":
         return np.ascontiguousarray(matrix.T)
     return distance.encode_matrix(matrix).T
 
 
-def _feature_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of an (F, ...) array in the order
-    ``np.sum(axis=-1)`` adds a contiguous row of F (numpy's pairwise sum):
-    from 0.0, eight running partial sums combined pairwise (when F >= 8),
-    then the last F % 8 rows in order; above 128 rows, the sum of two
-    such halves, the first a multiple of 8 long."""
-    f = len(values)
-    if f > 128:
-        half = f // 2 - f // 2 % 8
-        return _feature_sum(values[:half]) + _feature_sum(values[half:])
-    total, head = 0.0, f - f % 8
-    if head:
-        r = values[:8].copy()
-        for start in range(8, head, 8):
-            r += values[start:start + 8]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in values[head:]:
-        total += row
-    return total
-
-
-def _pairwise(columns, center_columns, distance_mode: str,
-              batch: BatchConfig) -> tuple[np.ndarray, BatchStats | None]:
-    """(K, N) distances of ``_columns``' columns, every sampled count inverted;
-    stats only in quantum modes."""
+def _pairwise(columns, center_columns, distance_mode: str, batch: BatchConfig):
+    """(K, N) exact or Euclidean distances of ``_columns``' columns; stats
+    only in quantum_exact mode."""
     if distance_mode == "classical_euclidean":
-        diff = columns[:, None, :] - center_columns[:, :, None]
-        _, norms, exponents = distance._scaled_norms(diff, _feature_sum)
+        _, norms, exponents = distance._scaled_norms(columns[:, None, :] - center_columns[:, :, None])
         return (norms if exponents is None else np.ldexp(norms, exponents)), None
     overlap, stats = distance._overlaps(columns, center_columns, batch)
-    # sampled request point*K + k reads the (N, K) order
-    return distance._distances(overlap.T, batch, sampled=distance_mode == "quantum_sampled").T, stats
+    return distance._distances(overlap, batch, False), stats
 
 
 def _nearest(columns, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
@@ -149,8 +127,8 @@ def _nearest(columns, centers, distance_mode: str, batch: BatchConfig, shot_seed
         dists, stats = _pairwise(columns, center_columns, distance_mode, batch)
         return distance._nearest_rows(dists), stats, lambda: dists.T
     batch = replace(batch, seed=shot_seed())
-    labels, stats = distance._nearest_center(columns, center_columns, batch)
-    return labels, stats, lambda: _pairwise(columns, center_columns, distance_mode, batch)[0].T
+    labels, stats, counts = distance._nearest_center(columns, center_columns, batch)
+    return labels, stats, lambda: counts.distances(np.arange(counts.u.size)).reshape(-1, len(centers))
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",

@@ -8,7 +8,8 @@ measures 0 with probability  1/2 + |<x|y>|^2 / 2  (Buhrman et al., PRL 87,
 amplitudes that ``simulator`` keeps as the reference: <x|y> is the dot
 product of the unit rows from ``encode_matrix``, summed over F by
 ``row_sums``' fixed tree rather than BLAS, so no value depends on job
-size, request count or thread count.
+size, request count or thread count.  Every norm, and ``clustering``'s
+Euclidean distances, add over F in that same tree.
 
 From an (estimated or exact) ancilla-zero probability p0:
 
@@ -124,20 +125,20 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
         raise DataError("expected a 2-D matrix of row vectors")
     if not (mat.shape[1] and np.isfinite(mat).all()):  # a zero-length row is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    columns, norms, _ = _scaled_norms(mat.T, lambda squares: row_sums(squares.T))
+    columns, norms, _ = _scaled_norms(mat.T)
     if not norms.all():
         raise DataError("amplitude encoding needs nonzero finite vectors")
     return np.divide(columns, norms, order="C").T
 
 
-def _scaled_norms(columns: np.ndarray, total):
+def _scaled_norms(columns: np.ndarray):
     """``columns`` times 2**-e vector by vector, their norms
-    sqrt(total(columns * columns)) over the leading (feature) axis, and e
+    sqrt(row_sums(columns * columns)) over the leading (feature) axis, and e
     (None if no vector is scaled): 0 unless a nonzero vector's plain sum of
     squares is not a normal float (inf, 0 or subnormal), then the exponent
     of its largest |entry|."""
     with np.errstate(over="ignore"):
-        squares = total(columns * columns)
+        squares = row_sums(columns * columns)
     small = squares < _TINY
     if squares.max(initial=0.0) < np.inf and not (small.any() and columns[:, small].any()):
         return columns, np.sqrt(squares), None  # every sum is normal or of a zero vector
@@ -145,7 +146,7 @@ def _scaled_norms(columns: np.ndarray, total):
     exponents = np.zeros(squares.shape, dtype=np.intc)
     exponents[odd] = np.frexp(np.max(np.abs(columns[:, odd]), axis=0))[1]
     columns = np.ldexp(columns, -exponents)
-    return columns, np.sqrt(total(columns * columns)), exponents
+    return columns, np.sqrt(row_sums(columns * columns)), exponents
 
 
 def distance_from_p0(p0):
@@ -297,7 +298,7 @@ def estimate_distances(requests: Sequence[DistanceRequest], config: BatchConfig 
     jobs = 0
     for members in groups.values():
         idx, lefts, rights = zip(*members)
-        enc_left, enc_right = encode_matrix(np.stack(lefts)), encode_matrix(np.stack(rights))
+        enc_left, enc_right = encode_matrix(np.stack(lefts)).T, encode_matrix(np.stack(rights)).T
         overlap[list(idx)] = row_sums(enc_left * enc_right)
         jobs += -(-len(idx) // config.max_circuits_per_job)
     stats = BatchStats(jobs_submitted=jobs, circuits_executed=len(requests))
@@ -308,7 +309,7 @@ def _overlaps(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarra
     """The (K, N) overlaps <x|y> of N unit columns with K unit columns
     (transposed ``encode_matrix`` rows), and their stats: one circuit per
     request, ceil(N*K/C) jobs.  (F, K, points) products are formed in capped
-    blocks of points, and ``row_sums`` adds their (K * points, F) transpose."""
+    blocks of points, and ``row_sums`` adds them over F."""
     (f, n_pts), k = unit_points.shape, unit_centers.shape[1]
     overlap = np.empty((k, n_pts), dtype=np.float64)
     step = max(1, _BLOCK_PRODUCTS // max(1, k * f))
@@ -316,8 +317,7 @@ def _overlaps(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarra
     for start in range(0, n_pts, step):
         points = slice(start, start + step)
         # passed as a temporary, so the tree frees the products after its first level
-        overlap[:, points] = row_sums(
-            (unit_points[:, None, points] * centers).reshape(f, -1).T).reshape(k, -1)
+        overlap[:, points] = row_sums(unit_points[:, None, points] * centers)
     return overlap, BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
 
 
@@ -348,10 +348,11 @@ def _nearest_rows(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _nearest_center(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
-    """Each point's nearest center, ties to the lowest index, and the stats,
-    from unit columns: the argmin of the sampled distances of ``_overlaps``,
-    inverting only the counts of points whose brackets leave it in doubt."""
+def _nearest_center(unit_points, unit_centers, config: BatchConfig):
+    """Each point's nearest center, ties to the lowest index, the stats and
+    the ``_SampledCounts`` (request point*K + k), from unit columns: the
+    argmin of the sampled distances of ``_overlaps``, inverting only the
+    counts of points whose brackets leave it in doubt."""
     overlap, stats = _overlaps(unit_points, unit_centers, config)
     counts = _SampledCounts(overlap.T, config)  # request point*K + k
     k, n_pts = overlap.shape
@@ -366,7 +367,7 @@ def _nearest_center(unit_points, unit_centers, config: BatchConfig) -> tuple[np.
     if doubt.size:
         requests = (doubt[:, None] * k + np.arange(k)).ravel()
         labels[doubt] = _nearest_rows(counts.distances(requests).reshape(doubt.size, k).T)
-    return labels, stats
+    return labels, stats, counts
 
 
 def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, excluded: list[int]) -> int:

@@ -1,7 +1,8 @@
 """Gate-level statevector reference for the SwapTest circuit.
 
 ``distance`` computes the circuit's closed form and never runs these
-kernels; the tests check that form against them.
+kernels; the tests check that form against them.  Both use ``row_sums``,
+the one fixed tree that adds every sum over features.
 
 Conventions (fixed, relied on by every consumer):
 
@@ -115,20 +116,19 @@ def batch_ground(count: int, num_qubits: int) -> np.ndarray:
 
 
 def row_sums(values: np.ndarray) -> np.ndarray:
-    """Per-row sum via a fixed binary reduction tree.
-
-    ``np.sum(..., axis=1)`` may pick different accumulation orders for
-    different row counts, which would make a circuit's result depend on
-    its job size; this tree depends only on the column count.  Rebinding
-    ``values`` frees each level, and on CPython 3.11+ a temporary argument,
-    once the next level exists.
+    """Sum of the rows of an (F, ...) array, over its leading axis, by a
+    fixed binary tree: each level adds adjacent rows in pairs, a level of
+    odd length padded with a zero row.  ``np.sum`` may pick different
+    orders for different shapes, which would make a circuit's result
+    depend on its job size; this tree depends only on F.  Rebinding
+    ``values`` frees each level, and on CPython 3.11+ a temporary
+    argument, once the next level exists.
     """
-    while values.shape[1] > 1:
-        if values.shape[1] % 2:
-            pad = np.zeros((values.shape[0], 1), dtype=values.dtype)
-            values = np.concatenate([values, pad], axis=1)
-        values = values[:, 0::2] + values[:, 1::2]
-    return values[:, 0]
+    while len(values) > 1:
+        if len(values) % 2:
+            values = np.concatenate([values, np.zeros_like(values[:1])])
+        values = values[0::2] + values[1::2]
+    return values[0]
 
 
 def batch_h(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
@@ -180,4 +180,4 @@ def batch_marginal(amps: np.ndarray, num_qubits: int, qubit: int, outcome: int) 
         raise ValueError("outcome must be 0 or 1")
     idx = _axis_indices(num_qubits, qubit, outcome)
     block = amps[:, idx]
-    return row_sums(block.real**2 + block.imag**2)
+    return row_sums((block.real**2 + block.imag**2).T)

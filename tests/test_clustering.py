@@ -22,7 +22,7 @@ from qkmeans.clustering import (
 from qkmeans.dataset import DataSet
 from qkmeans.distance import BatchConfig, BatchStats, distance_matrix, encode_matrix
 from qkmeans.errors import DataError
-from qkmeans.simulator import derive_seed
+from qkmeans.simulator import derive_seed, row_sums
 
 from conftest import make_blobs
 
@@ -371,10 +371,10 @@ def sampled_cases(draw):
 def reference_distances(points, centers, distance_mode: str, batch: BatchConfig):
     """(N, K) distances and stats with the formulas ``fit`` used before it
     encoded its points once per fit: raw points through ``distance_matrix``
-    (every sampled count inverted), or the plain Euclidean sum."""
+    (every sampled count inverted), or the Euclidean sum in ``row_sums``' tree."""
     if distance_mode == "classical_euclidean":
         diff = points[:, None, :] - centers[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2)), None
+        return np.sqrt(row_sums(np.moveaxis(diff * diff, 2, 0))), None
     return distance_matrix(points, centers, batch, sampled=distance_mode == "quantum_sampled")
 
 
@@ -541,23 +541,38 @@ class TestExtremeMagnitudes:
         assert scaled.cluster_centers.tobytes() == np.ldexp(base.cluster_centers, power).tobytes()
 
 
+def slice_tree(values) -> float:
+    """The pairwise tree over one (F,) vector in Python floats: adjacent
+    pairs level by level, an odd level's last entry paired with 0.0."""
+    values = [float(v) for v in values]
+    while len(values) > 1:
+        values = [a + b for a, b in zip(values[0::2], values[1::2] + [0.0])]
+    return values[0]
+
+
 class TestFeatureMajorClassical:
     """Classical distances run along the point axis of (F, K, N) arrays;
-    their feature sums must add in ``np.sum(axis=-1)``'s order."""
+    their feature sums must add in ``row_sums``' tree, as overlaps do."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e155, 1e-160])
-    def test_feature_sum_matches_numpy_order(self, scale):
+    def test_row_sums_match_each_slice_tree(self, scale):
         # scale 1e155 overflows every square sum, 1e-160 makes squares subnormal
         rng = np.random.default_rng(23)
         for f in range(1, 301):
-            values = rng.normal(size=(3, 4, f)) * np.exp(rng.normal(size=(3, 4, f)) * 3.0)
-            values[0, 0] = 0.0
-            values[0, 1] = -0.0
-            with np.errstate(over="ignore"):
+            k, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            values = rng.normal(size=(f, k, n)) * np.exp(rng.normal(size=(f, k, n)) * 3.0)
+            values[rng.random(values.shape) < 0.1] = -0.0
+            values[:, 0, 0] = 0.0
+            values[:, 0, 1] = -0.0
+            with np.errstate(over="ignore", under="ignore"):
                 for rows in (values, np.square(values * scale)):
-                    expected = np.sum(rows, axis=-1)
-                    summed = clustering._feature_sum(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
-                    assert summed.tobytes() == expected.tobytes(), f
+                    summed = row_sums(rows)
+                    assert summed.shape == (k, n)
+                    for i, j in np.ndindex(k, n):
+                        assert summed[i, j].tobytes() == np.float64(slice_tree(rows[:, i, j])).tobytes(), f
+                    # a block of points sums as it does within the whole array
+                    start = int(rng.integers(n))
+                    assert row_sums(rows[:, :, start:]).tobytes() == summed[:, start:].tobytes(), f
 
     @pytest.mark.parametrize("f", [1, 2, 3, 7, 8, 9, 16, 64, 129, 300])
     def test_distances_match_row_major_formula(self, f):
@@ -568,7 +583,10 @@ class TestFeatureMajorClassical:
         dists, stats = clustering._pairwise(clustering._columns(points, "classical_euclidean"),
                                             clustering._columns(centers, "classical_euclidean"),
                                             "classical_euclidean", BatchConfig())
-        assert dists.T.tobytes() == expected.tobytes()
+        assert dists.T.tobytes() == np.sqrt(row_sums(np.moveaxis(diff * diff, -1, 0))).tobytes()
+        if f in (1, 2, 3, 8):  # numpy's order is the tree's up to three features and at eight
+            assert dists.T.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(dists.T, expected, rtol=1e-14, atol=0.0)
         assert stats is None
 
     @pytest.mark.parametrize("mode", DISTANCE_MODES)

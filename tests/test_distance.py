@@ -514,7 +514,7 @@ class TestCountBrackets:
         doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
         assert 0 < doubt.sum() < 40
         sizes = betainc_call_sizes(monkeypatch)
-        labels, stats = _nearest_center(encode_matrix(points).T, encode_matrix(centers).T, config)
+        labels, stats, _ = _nearest_center(encode_matrix(points).T, encode_matrix(centers).T, config)
         assert sizes[0] == 2 * doubt.sum()
         full, full_stats = distance_matrix(points, centers, config, sampled=True)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
@@ -525,7 +525,7 @@ class TestCountBrackets:
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         sizes = betainc_call_sizes(monkeypatch)
         config = BatchConfig(shots_per_circuit=8192, seed=5)
-        labels, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config)
+        labels, _, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config)
         assert sizes == []
         np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
 
@@ -631,7 +631,7 @@ class TestFeatureMajorKernels:
     def test_overlaps_match_row_major_tree(self, case, c):
         unit_points, unit_centers = case
         (n, f), k = unit_points.shape, len(unit_centers)
-        reference = row_sums((unit_points[:, None, :] * unit_centers).reshape(-1, f)).reshape(n, k)
+        reference = row_sums((unit_points[:, None, :] * unit_centers).reshape(-1, f).T).reshape(n, k)
         overlap, stats = _overlaps(unit_points.T, unit_centers.T, BatchConfig(max_circuits_per_job=c))
         assert overlap.T.tobytes() == reference.tobytes()
         assert stats == BatchStats(-(-n * k // c), n * k)

@@ -53,7 +53,7 @@ class TestPadding:
         )))
         padded = np.zeros((product.shape[0], 1 << (features - 1).bit_length()))
         padded[:, :features] = product
-        assert row_sums(product).tobytes() == row_sums(padded).tobytes()
+        assert row_sums(product.T).tobytes() == row_sums(padded.T).tobytes()
 
 
 class TestAmplitude:

@@ -123,6 +123,13 @@ BAD_DATA = [
     ("quantum_distance of empty vectors", lambda: quantum_distance([], [])),
     ("distance_matrix on zero features", lambda: distance_matrix(np.zeros((3, 0)), np.zeros((2, 0)))),
     ("quantum fit on zero features", lambda: fit(DataSet(np.zeros((4, 0)), LABELS), FitConfig(2))),
+    ("classical fit on zero features", lambda: fit(
+        DataSet(np.zeros((4, 0)), LABELS), FitConfig(2, distance_mode="classical_euclidean"))),
+    ("classical qkmeans_plusplus_init on zero features", lambda: qkmeans_plusplus_init(
+        DataSet(np.zeros((4, 0)), LABELS), 2, "classical_euclidean")),
+    ("classical predict on zero features", lambda: predict(
+        ClusterModel(np.zeros((2, 0)), [0, 1], (), True), DataSet(np.zeros((4, 0)), LABELS),
+        "classical_euclidean")),
     ("score_labels on a negative label", lambda: score_labels("fidelity", [0, -1], [0, 1])),
     ("score_labels on non-integer labels", lambda: score_labels("fm", [0.5, 1.0], [0, 1])),
     ("score_labels on empty labels", lambda: score_labels("fidelity", [], [])),

