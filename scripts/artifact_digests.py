@@ -15,7 +15,9 @@ versions) whose differences are to be seen, not gated.
 The set, for seeds 1 and 2: ``synth`` at 256 shots with both presets;
 ``benchmark`` on the crosstalk table with ``kmeans``, ``kmeans --metric
 fm``, exact and sampled (1,024 shots, 4 splits) ``qkmeans``; ``crosstalk``
-with and without ``--scores``; and once ``complexity``.  Every CLI fit
+with and without ``--scores``; readout_sampled's own pair, ``synth
+--preset crosstalk`` at 32 shots and sampled ``qkmeans`` at 8,192 shots
+and 4 splits on it; and once ``complexity``.  Every CLI fit
 has F = 2 features, so a seeded library set, keyed ``library/...``, pins
 the kernels at F in {1, 3, 16, 64}: in each distance mode the ``fit``
 labels, centers and center shifts, ``predict`` labels and
@@ -71,6 +73,12 @@ def commands() -> list[list[str]]:
             ["crosstalk", "--data", data, "--out", f"s{seed}/crosstalk"],
             ["crosstalk", "--data", data, "--scores", f"s{seed}/exact/scores.csv",
              "--out", f"s{seed}/crosstalk_scores"],
+            # perfbench's readout_sampled commands
+            ["synth", "--preset", "crosstalk", "--shots", "32", "--seed", seed,
+             "--out", f"s{seed}/synth_readout"],
+            ["benchmark", "--data", f"s{seed}/synth_readout/iq_shots.csv", "--seed", seed,
+             "--algo", "qkmeans", "--mode", "sampled", "--shots", "8192", "--splits", "4",
+             "--out", f"s{seed}/sampled_8192"],
         ]
     return steps + [["complexity", "--out", "complexity"]]
 

@@ -12,7 +12,8 @@ to get new centers, stop when the L1 sum of center movement drops below
 ``tol``; a center is the in-order sum of its member rows over their
 count.  Points are held feature-major, as an (F, N) array built once per
 fit (shared by its init rounds), init or predict call: unit columns in
-quantum modes, which also encode the K centers at every Lloyd step.  So
+quantum modes, which also encode the (F, K) center columns at every Lloyd
+step through the same unit-column helper.  So
 distances come as (K, N), labels from a running minimum over the K rows,
 and every sum over F, Euclidean or overlap, adds in ``row_sums``' one
 pairwise tree; centers always live in the original feature space.
@@ -37,7 +38,7 @@ reproducible and init/iteration streams never collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -117,18 +118,20 @@ def _pairwise(columns, center_columns, distance_mode: str, batch: BatchConfig):
     return distance._distances(overlap, batch, False), stats
 
 
-def _nearest(columns, centers, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
-    """Each point of ``_columns``' ``columns`` to its nearest center (ties to
-    the lowest index), the stats (quantum modes only) and a callable giving
-    the (N, K) distances behind the labels.  ``shot_seed()`` gives the
-    shot-noise seed; only sampled mode calls it."""
-    center_columns = _columns(centers, distance_mode)
+def _nearest(columns, center_columns, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
+    """Each point of ``_columns``' ``columns`` to its nearest center of the
+    (F, K) ``center_columns`` (ties to the lowest index), the stats (quantum
+    modes only) and a callable giving the (N, K) distances behind the labels.
+    Quantum modes encode the centers; ``shot_seed()`` gives the shot-noise
+    seed, and only sampled mode calls it."""
+    if distance_mode != "classical_euclidean":
+        center_columns = distance._unit_columns(center_columns)
     if distance_mode != "quantum_sampled":
         dists, stats = _pairwise(columns, center_columns, distance_mode, batch)
         return distance._nearest_rows(dists), stats, lambda: dists.T
-    batch = replace(batch, seed=shot_seed())
-    labels, stats, counts = distance._nearest_center(columns, center_columns, batch)
-    return labels, stats, lambda: counts.distances(np.arange(counts.u.size)).reshape(-1, len(centers))
+    labels, stats, counts = distance._nearest_center(columns, center_columns, batch, shot_seed())
+    k = center_columns.shape[1]
+    return labels, stats, lambda: counts.distances(np.arange(counts.u.size)).reshape(-1, k)
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
@@ -153,8 +156,8 @@ def _seeding(X: DataSet, columns, n_clusters: int, distance_mode: str, seed: int
     for round_idx in range(1, n_clusters):
         newest = columns[:, chosen[-1:]]
         if distance_mode == "quantum_sampled":
-            round_batch = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
-            chosen.append(distance._farthest_point(rounds, columns, newest, round_batch, chosen))
+            round_seed = derive_seed(batch.seed, 0, round_idx)
+            chosen.append(distance._farthest_point(rounds, columns, newest, batch, round_seed, chosen))
             continue
         nearest = np.minimum(nearest, _pairwise(columns, newest, distance_mode, batch)[0][0])
         masked = nearest.copy()
@@ -186,6 +189,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     k, f, mode = config.n_clusters, X.n_features, config.distance_mode
     columns = _columns(X.features, mode)
     centers = _seeding(X, columns, k, mode, config.seed, config.batch)
+    center_columns = centers.T
     features = columns if mode == "classical_euclidean" else np.ascontiguousarray(X.features.T)
     bins = np.arange(f)[:, None] * k  # center k's sum of feature j is bin j*K + k
     labels = np.zeros(X.n_points, dtype=np.int64)
@@ -193,7 +197,7 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     batch_history: list[BatchStats] = []
     converged = False
     for iteration in range(config.max_iter):
-        labels, stats, dists = _nearest(columns, centers, mode, config.batch,
+        labels, stats, dists = _nearest(columns, center_columns, mode, config.batch,
                                         partial(derive_seed, config.batch.seed, 1, iteration))
         if stats is not None:
             batch_history.append(stats)
@@ -203,7 +207,8 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
             counts = np.bincount(labels, minlength=k)
         # init needs N >= K, so the repair leaves every cluster a member
         sums = np.bincount((bins + labels).ravel(), features.ravel(), k * f)
-        new_centers = np.ascontiguousarray((sums.reshape(f, k) / counts).T)
+        center_columns = sums.reshape(f, k) / counts
+        new_centers = np.ascontiguousarray(center_columns.T)
         shift = float(np.sum(np.abs(new_centers - centers)))
         shifts.append(shift)
         centers = new_centers
@@ -221,8 +226,8 @@ def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact
     if X.n_features != model.cluster_centers.shape[1]:
         raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    labels, _, _ = _nearest(_columns(X.features, distance_mode), model.cluster_centers, distance_mode, batch,
-                            lambda: seed)
+    labels, _, _ = _nearest(_columns(X.features, distance_mode), model.cluster_centers.T, distance_mode,
+                            batch, lambda: seed)
     return labels.astype(np.int64)
 
 

@@ -31,19 +31,22 @@ Request i of an (N, K) matrix is point i // K against center i % K.
 Sampled mode draws each request's count of ancilla ones in two
 vectorized steps per executor call, keyed by request index:
 
-* **Uniform.**  ``derive_seed(config.seed)`` folds the seed into a 64-bit
-  key once per call; request i takes output i of a SplitMix64 stream
-  (Steele, Lea & Flood, OOPSLA 2014) from that key, mapped to
-  ``((bits >> 12) + 0.5) * 2**-52``, strictly inside (0, 1).
+* **Uniform.**  ``derive_seed(seed)`` folds the call's shot seed
+  (``config.seed``, or the seed that a Lloyd step, init round or
+  ``predict`` passes) into a 64-bit key once per call; request i takes
+  output i of a SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014) from
+  that key, mapped to ``((bits >> 12) + 0.5) * 2**-52``, strictly inside
+  (0, 1).
 * **Count.**  Exact binomial inversion: the smallest k in [0, shots] with
-  P(Bin(shots, p1) <= k) >= u, found from a Cornish-Fisher guess by
-  stepping k on the regularized incomplete beta function (``betainc``).
-  A request's count is inverted only when it is read.  Every call first
-  brackets each count by Bernstein's inequality from its own (shots, p1,
-  u) (``_count_brackets``), and a nearest-center call
-  (``_nearest_center``, ``_farthest_point``) inverts only the requests of
-  the points whose brackets leave the answer in doubt, so its labels are
-  those of the fully inverted matrix.
+  P(Bin(shots, p1) <= k) >= u, from a Cornish-Fisher guess checked with
+  the count below it in one call of the regularized incomplete beta
+  function (``betainc``), then stepped where it missed.  A request's count
+  is inverted only when it is read.  Every call first brackets each count
+  by Bernstein's inequality from its own (shots, p1, u)
+  (``_count_brackets``), and a nearest-center call (``_nearest_center``,
+  ``_farthest_point``) inverts only the requests of the points whose
+  brackets leave the answer in doubt (none when one candidate is left),
+  so its labels are those of the fully inverted matrix.
 
 Request i's estimate therefore depends only on (seed, i, p1_i): job size,
 grouping and appended requests never change it.
@@ -116,19 +119,26 @@ def encode_matrix(matrix: np.ndarray) -> np.ndarray:
     PREPARE loads into a register, less the zeros that pad a row out to
     2**m.  Zeros add nothing to an overlap, and ``row_sums`` pads each odd
     level of its tree with a trailing zero, so overlaps summed over the F
-    columns equal the padded register's bit for bit.  (``_scaled_norms``
-    scales a row whose squares leave the float range by a power of two.)
-    The division writes the result's transpose contiguously: the (F, N)
-    unit columns that the executor takes."""
+    columns equal the padded register's bit for bit.  The rows go through
+    ``_unit_columns`` as the columns of the transpose."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise DataError("expected a 2-D matrix of row vectors")
-    if not (mat.shape[1] and np.isfinite(mat).all()):  # a zero-length row is no state
+    return _unit_columns(mat.T).T
+
+
+def _unit_columns(columns: np.ndarray) -> np.ndarray:
+    """The (F, N) ``columns`` each divided by its norm, written contiguously:
+    the unit columns that the executor takes.  (``_scaled_norms`` scales a
+    column whose squares leave the float range by a power of two.)  A fit
+    encodes its K centers here on every Lloyd step, and ``encode_matrix``
+    its rows."""
+    if not (len(columns) and np.isfinite(columns).all()):  # a zero-length vector is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    columns, norms, _ = _scaled_norms(mat.T)
+    columns, norms, _ = _scaled_norms(columns)
     if not norms.all():
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    return np.divide(columns, norms, order="C").T
+    return np.divide(columns, norms, order="C")
 
 
 def _scaled_norms(columns: np.ndarray):
@@ -172,9 +182,12 @@ def _request_uniforms(key: int, request_indices: np.ndarray) -> np.ndarray:
     """Output ``request_indices`` of the SplitMix64 stream seeded with ``key``,
     as doubles strictly inside (0, 1): the top 52 bits plus half a step, so
     the extremes are 2**-53 and 1 - 2**-53."""
-    z = np.uint64(key) + (np.asarray(request_indices, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = (np.asarray(request_indices, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
     z ^= z >> np.uint64(31)
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
@@ -186,9 +199,11 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``betainc`` (``bdtr`` errs by ~1e-9 at 2**20 shots, nan from 2**31):
     P(X > k) = I_p(k+1, n-k) <= 1 - u from u = 1/2 up, where a CDF would
     round to 1.0, and P(X <= k) = I_{1-p}(n-k, k+1) >= u below, reading
-    1 - p (p moves by at most 2**-54).  From a Cornish-Fisher guess, one
-    loop steps every unsettled entry up or down by one, one ``betainc``
-    call per step, so each result depends on its own (p, u) alone.
+    1 - p (p moves by at most 2**-54).  One ``betainc`` call tests a
+    Cornish-Fisher guess and the count below it, which settles every entry
+    whose guess is the quantile; a loop then steps each miss up or down by
+    one, one ``betainc`` call per step.  Each result depends on its own
+    (p, u) alone.
     """
     from scipy.special import betainc, ndtri  # local: only sampled calls load SciPy
 
@@ -198,19 +213,25 @@ def _binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     def reached(k: np.ndarray, sel) -> np.ndarray:
         # P(X <= k) >= u for the entries sel; k == shots always qualifies
-        up = upper[sel]
-        t = betainc(np.where(up, k + 1.0, n - k), np.where(up, n - k, k + 1.0), x[sel])
-        return np.where(up, t <= 1.0 - u[sel], t >= u[sel]) | (k == n)
+        up, above, rest = upper[sel], k + 1.0, n - k
+        swap = up * (above - rest)  # exact: whole numbers within 2**53
+        t = betainc(rest + swap, above - swap, x[sel])
+        return (up & (t <= 1.0 - u[sel])) | (~up & (t >= u[sel])) | (k == n)
 
     z = ndtri(u)
     mean = n * p
     guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
-    k = np.clip(np.floor(guess + 0.5), 0.0, n)
-    ok = reached(k, slice(None))
-    # Each pass tries k + 1 on every request still short of u and k - 1 on
-    # every other request above 0, in one betainc call: a step up is always
-    # taken, a step down only where P(X <= k - 1) >= u.
-    pending = np.flatnonzero(~ok | (k > 0.0))
+    k = np.floor(guess + 0.5).clip(0.0, n)
+    # One betainc call tests each guess and the count below it (at a guess of
+    # 0, the guess again), as two rows: a guess reached where the count below
+    # is not is the quantile.
+    ok, below = reached(np.maximum(k - [[0.0], [1.0]], 0.0), slice(None))
+    down = ok & below & (k > 0.0)
+    k[down] -= 1.0
+    # Each pass tries k + 1 on every guess short of u and k - 1 on every
+    # request whose count below was reached, in one betainc call: a step up
+    # is always taken, a step down only where P(X <= k - 1) >= u.
+    pending = np.flatnonzero(~ok | (down & (k > 0.0)))
     rising = ~ok[pending]
     while pending.size:
         trial = k[pending] + np.where(rising, 1.0, -1.0)
@@ -240,25 +261,28 @@ def _count_brackets(shots: int, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarra
     if a > 0.25:
         return np.zeros_like(p), np.full_like(p, m)
     mean = n * p
-    L = np.stack((2.0 * a - np.log(u), 2.0 * a - np.log1p(-u)))  # below, above
+    L = np.empty((2, *p.shape))  # below, above
+    np.log(u, out=L[0])
+    np.log1p(-u, out=L[1])
+    L = 2.0 * a - L
     t = L / 3.0 + np.sqrt(L * (L / 9.0 + 2.0 * mean * (1.0 - p)))
-    lo, hi = np.floor(mean - t[0]), np.ceil(mean + t[1]) + 1.0
-    return np.minimum(np.maximum(lo, 0.0), m), np.minimum(hi, m)
+    return np.floor(mean - t[0]).clip(0.0, m), np.minimum(np.ceil(mean + t[1]) + 1.0, m)
 
 
 class _SampledCounts:
-    """One sampled call's counts of ones, request i at index i, bracketed up
+    """One sampled call's counts of ones at ``shots`` shots, request i at
+    index i drawing from the stream of ``derive_seed(seed)``, bracketed up
     front (``_count_brackets``) and inverted where read; ``lo`` meets ``hi``
     once a count is known."""
 
-    def __init__(self, overlap: np.ndarray, config: BatchConfig) -> None:
+    def __init__(self, overlap: np.ndarray, shots: int, seed: int) -> None:
         try:  # every sampled call needs SciPy, whether or not it inverts a count
             import scipy.special  # noqa: F401
         except ImportError:
             raise ConfigError("sampled mode needs SciPy, which is not installed") from None
-        self.shots, self.m = config.shots_per_circuit, float((config.shots_per_circuit + 1) // 2)
-        self.p1 = np.clip(0.5 - 0.5 * np.ravel(overlap) ** 2, 0.0, 1.0)
-        self.u = _request_uniforms(derive_seed(config.seed), np.arange(self.p1.size))
+        self.shots, self.m = shots, float((shots + 1) // 2)
+        self.p1 = (0.5 - 0.5 * np.ravel(overlap) ** 2).clip(0.0, 1.0)
+        self.u = _request_uniforms(derive_seed(seed), np.arange(self.p1.size))
         self.lo, self.hi = _count_brackets(self.shots, self.p1, self.u)
 
     def distances(self, requests: np.ndarray) -> np.ndarray:
@@ -274,7 +298,8 @@ def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.nd
     """Distances from one executor call's overlaps, in their shape, request i at
     flat index i: the exact p0 = 1/2 + <x|y>**2/2, or each request's count."""
     if sampled:
-        return _SampledCounts(overlap, config).distances(np.arange(overlap.size)).reshape(overlap.shape)
+        counts = _SampledCounts(overlap, config.shots_per_circuit, config.seed)
+        return counts.distances(np.arange(overlap.size)).reshape(overlap.shape)
     return distance_from_p0(0.5 + 0.5 * overlap**2)
 
 
@@ -348,13 +373,13 @@ def _nearest_rows(values: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _nearest_center(unit_points, unit_centers, config: BatchConfig):
+def _nearest_center(unit_points, unit_centers, config: BatchConfig, seed: int):
     """Each point's nearest center, ties to the lowest index, the stats and
-    the ``_SampledCounts`` (request point*K + k), from unit columns: the
-    argmin of the sampled distances of ``_overlaps``, inverting only the
-    counts of points whose brackets leave it in doubt."""
+    the ``_SampledCounts`` (request point*K + k, shot seed ``seed``), from
+    unit columns: the argmin of the sampled distances of ``_overlaps``,
+    inverting only the counts of points whose brackets leave it in doubt."""
     overlap, stats = _overlaps(unit_points, unit_centers, config)
-    counts = _SampledCounts(overlap.T, config)  # request point*K + k
+    counts = _SampledCounts(overlap.T, config.shots_per_circuit, seed)  # request point*K + k
     k, n_pts = overlap.shape
     lo, hi = counts.lo.reshape(n_pts, k).T, counts.hi.reshape(n_pts, k).T
     points = np.arange(n_pts)
@@ -370,14 +395,19 @@ def _nearest_center(unit_points, unit_centers, config: BatchConfig):
     return labels, stats, counts
 
 
-def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, excluded: list[int]) -> int:
-    """Add the counts of the unit columns against column ``unit_newest`` to
-    ``rounds``; return the argmax, never in ``excluded``, of the least distance
-    over the rounds, resolving only points whose upper bound reaches the best lower bound."""
-    rounds.append(_SampledCounts(_overlaps(unit_points, unit_newest, config)[0], config))
+def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, seed: int,
+                    excluded: list[int]) -> int:
+    """Add the counts (shot seed ``seed``) of the unit columns against column
+    ``unit_newest`` to ``rounds``; return the argmax, never in ``excluded``, of
+    the least distance over the rounds, resolving only points whose upper
+    bound reaches the best lower bound: none when one point is left."""
+    overlap = _overlaps(unit_points, unit_newest, config)[0]
+    rounds.append(_SampledCounts(overlap, config.shots_per_circuit, seed))
     low = np.min([column.lo for column in rounds], axis=0)
     high = np.min([column.hi for column in rounds], axis=0)
     low[excluded] = high[excluded] = -1.0
     doubt = np.flatnonzero(high >= low.max())
+    if doubt.size == 1:
+        return int(doubt[0])
     nearest = np.min([column.distances(doubt) for column in rounds], axis=0)
     return int(doubt[np.argmax(nearest)])

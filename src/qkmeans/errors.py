@@ -37,7 +37,12 @@ class DataError(ValueError):
 def check_number(name: str, value, low=None, *, integral: bool = True) -> None:
     """Raise ConfigError unless ``value`` is an integer (with ``integral=False``,
     a real that converts to a finite float64), not a bool, and ``>= low``.
-    Values are checked, never coerced from strings, floats or bools."""
+    Values are checked, never coerced from strings, floats or bools.  A
+    plain ``int`` at or above ``low`` passes without the ``numbers`` ABC
+    tests (every seed derivation checks each entry); anything else takes
+    them."""
+    if integral and type(value) is int and (low is None or value >= low):
+        return
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a finite number")
     if isinstance(value, bool) or not isinstance(value, kind) or not (
         integral or abs(value) <= sys.float_info.max  # False for nan, inf and huge ints

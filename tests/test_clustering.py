@@ -426,8 +426,8 @@ class TestSampledLabelsFromBrackets:
         n, k = len(points), len(centers)
         batch = BatchConfig(shots_per_circuit=shots, max_circuits_per_job=5, seed=seed % 1000)
         full, full_stats = distance_matrix(points, centers, replace(batch, seed=seed), sampled=True)
-        labels, stats, dists = clustering._nearest(encode_matrix(points).T, centers, "quantum_sampled", batch,
-                                                   lambda: seed)
+        labels, stats, dists = clustering._nearest(encode_matrix(points).T, centers.T, "quantum_sampled",
+                                                   batch, lambda: seed)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert stats == full_stats == BatchStats(-(-n * k // 5), n * k)
         np.testing.assert_array_equal(dists(), full)  # what an empty-cluster repair reads
@@ -512,12 +512,13 @@ class TestReferenceLloyd:
         Lloyd loop, and only the K centers on each Lloyd step."""
         X = make_blobs(12, n=60)
         sizes = []
+        real = distance._unit_columns
 
-        def counting(matrix):
-            sizes.append(len(matrix))
-            return encode_matrix(matrix)
+        def counting(columns):  # the one encoder: encode_matrix's rows go through it too
+            sizes.append(columns.shape[1])
+            return real(columns)
 
-        monkeypatch.setattr(distance, "encode_matrix", counting)
+        monkeypatch.setattr(distance, "_unit_columns", counting)
         model = clustering.fit(X, FitConfig(n_clusters=2, distance_mode="quantum_exact", seed=1))
         assert model.n_iter > 1
         assert sizes == [60] + [2] * model.n_iter

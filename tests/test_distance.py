@@ -13,6 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from conftest import register_amplitudes
+from qkmeans import distance
+from qkmeans.clustering import qkmeans_plusplus_init
+from qkmeans.dataset import DataSet
 from qkmeans.distance import (
     _BLOCK_PRODUCTS,
     BatchConfig,
@@ -374,11 +377,22 @@ class TestShotSampler:
             assert dists[i] == reference[i]
 
 
+def cornish_fisher_guess(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The continuity-corrected Cornish-Fisher guess that every inversion
+    starts from, clipped to [0, shots]."""
+    from scipy.special import ndtri
+
+    n, z = float(shots), ndtri(u)
+    mean = n * p
+    guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
+    return np.clip(np.floor(guess + 0.5), 0.0, n)
+
+
 def reference_binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A ``_binomial_quantile`` that walks up, then down, one ``betainc``
     call per step, kept as the reference that the one-loop inversion must
     match count for count."""
-    from scipy.special import betainc, ndtri
+    from scipy.special import betainc
 
     n = float(shots)
     upper = u >= 0.5
@@ -393,10 +407,7 @@ def reference_binomial_quantile(shots: int, p: np.ndarray, u: np.ndarray) -> np.
         out[lo] = betainc(n - k[lo], k[lo] + 1.0, 1.0 - p[sel[lo]]) >= u[sel[lo]]
         return out
 
-    z = ndtri(u)
-    mean = n * p
-    guess = mean + np.sqrt(mean * (1.0 - p)) * z + (1.0 - 2.0 * p) * (z * z - 1.0) / 6.0
-    k = np.clip(np.floor(guess + 0.5), 0.0, n)
+    k = cornish_fisher_guess(shots, p, u)
     ok = reached(k, np.arange(k.size))
     pending = np.flatnonzero(~ok)
     while pending.size:
@@ -425,9 +436,24 @@ def betainc_call_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def quantile_call_sizes(monkeypatch) -> list[int]:
+    """Patch ``distance._binomial_quantile`` to record each call's request count."""
+    real, sizes = distance._binomial_quantile, []
+
+    def binomial_quantile(shots, p, u):
+        sizes.append(int(np.size(p)))
+        return real(shots, p, u)
+
+    monkeypatch.setattr(distance, "_binomial_quantile", binomial_quantile)
+    return sizes
+
+
 screen_probabilities = st.one_of(
     st.sampled_from([0.0, 1.0, 1e-12, 0.5, 1.0 - 1e-12]), st.floats(0.0, 1.0)
 )
+
+
+EDGE_PAIRS = [(p, u) for p in (0.0, 2.0**-60, 1.0) for u in (U_MIN, 0.5, U_MAX)]
 
 
 class TestScreenedInversion:
@@ -436,6 +462,9 @@ class TestScreenedInversion:
         st.sampled_from([1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]),
         st.lists(st.tuples(screen_probabilities, uniforms), min_size=1, max_size=30),
     )
+    @example(1, EDGE_PAIRS)
+    @example(2, EDGE_PAIRS)
+    @example(2**20, EDGE_PAIRS)
     def test_counts_match_the_reference_bit_for_bit(self, shots, pairs):
         p, u = (np.array(column) for column in zip(*pairs))
         k = _binomial_quantile(shots, p, u)
@@ -464,6 +493,51 @@ class TestScreenedInversion:
         # the others moved with u)
         assert placed.sum() >= size // 4
         assert sum(sizes) - size >= placed.sum() // 2
+
+
+class TestInversionAccounting:
+    """What the sampler pays for: ``betainc`` calls per inversion, and which
+    requests a farthest-point round inverts."""
+
+    @pytest.mark.parametrize("shots", [7, 1024, 8192, 2**20])
+    def test_right_guesses_take_one_betainc_call(self, shots, monkeypatch):
+        rng = np.random.default_rng(shots)
+        p, u = rng.uniform(0.0, 1.0, 400), rng.uniform(U_MIN, U_MAX, 400)
+        right = cornish_fisher_guess(shots, p, u) == reference_binomial_quantile(shots, p, u)
+        assert right.mean() > 0.9
+        p, u = p[right], u[right]
+        sizes = betainc_call_sizes(monkeypatch)
+        k = _binomial_quantile(shots, p, u)
+        assert len(sizes) == 1  # the guess and the count below it, together
+        assert k.tobytes() == reference_binomial_quantile(shots, p, u).tobytes()
+
+    def test_only_missed_guesses_step_on(self, monkeypatch):
+        # at 7 shots the guess misses by one, up and down, for a few percent
+        rng = np.random.default_rng(11)
+        p, u = rng.uniform(0.0, 1.0, 2000), rng.uniform(U_MIN, U_MAX, 2000)
+        k, guess = reference_binomial_quantile(7, p, u), cornish_fisher_guess(7, p, u)
+        missed = guess != k
+        assert (guess > k).any() and (guess < k).any()
+        sizes = betainc_call_sizes(monkeypatch)
+        assert _binomial_quantile(7, p, u).tobytes() == k.tobytes()
+        # the first call holds each guess and the count below it
+        assert sizes[0] == 2 * p.size and len(sizes) > 1
+        assert all(size <= missed.sum() for size in sizes[1:])
+
+    def test_a_lone_farthest_candidate_is_not_inverted(self, monkeypatch):
+        """Points within 0.2 rad of (1, 0) and one point at (0, 1): once the
+        first center is one of the near points, only (0, 1) can be farthest,
+        and the round returns it without inverting a count."""
+        angles = np.random.default_rng(4).uniform(-0.2, 0.2, 30)
+        points = np.vstack([[0.0, 1.0], np.stack([np.cos(angles), np.sin(angles)], axis=1)])
+        X = DataSet(points, np.zeros(len(points), dtype=np.int64))
+        seed = 3
+        assert int(np.random.default_rng(seed).integers(len(points))) != 0
+        inverted, sizes = quantile_call_sizes(monkeypatch), betainc_call_sizes(monkeypatch)
+        batch = BatchConfig(shots_per_circuit=8192, seed=9)
+        centers = qkmeans_plusplus_init(X, 2, "quantum_sampled", seed, batch)
+        assert inverted == [] and sizes == []
+        np.testing.assert_array_equal(centers[1], [0.0, 1.0])
 
 
 SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
@@ -502,9 +576,9 @@ class TestCountBrackets:
         assert np.all(d[below] < np.sqrt(2.0))
 
     def test_inverts_k_requests_per_point_in_doubt(self, monkeypatch):
-        """A seeded K = 2 step at 8192 shots: ``betainc`` evaluates both
-        requests of every point whose brackets leave its label open, and no
-        request of a point they settle."""
+        """A seeded K = 2 step at 8192 shots: one ``_binomial_quantile`` call
+        inverts both requests of every point whose brackets leave its label
+        open, and no request of a point they settle."""
         rng = np.random.default_rng(8192)
         points, centers = rng.normal(size=(400, 2)), rng.normal(size=(2, 2))
         config = BatchConfig(shots_per_circuit=8192, seed=5)
@@ -513,9 +587,10 @@ class TestCountBrackets:
         # label 0 wins ties with 1; label 1 must be surely below 0
         doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
         assert 0 < doubt.sum() < 40
-        sizes = betainc_call_sizes(monkeypatch)
-        labels, stats, _ = _nearest_center(encode_matrix(points).T, encode_matrix(centers).T, config)
-        assert sizes[0] == 2 * doubt.sum()
+        inverted = quantile_call_sizes(monkeypatch)
+        unit_points, unit_centers = encode_matrix(points).T, encode_matrix(centers).T
+        labels, stats, _ = _nearest_center(unit_points, unit_centers, config, config.seed)
+        assert inverted == [2 * doubt.sum()]
         full, full_stats = distance_matrix(points, centers, config, sampled=True)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert stats == full_stats == BatchStats(jobs_submitted=1, circuits_executed=800)
@@ -525,7 +600,7 @@ class TestCountBrackets:
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         sizes = betainc_call_sizes(monkeypatch)
         config = BatchConfig(shots_per_circuit=8192, seed=5)
-        labels, _, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config)
+        labels, _, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config, config.seed)
         assert sizes == []
         np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
 
@@ -534,7 +609,7 @@ class TestCountBrackets:
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.special", None)
         # the first call would settle every label without an inversion
-        for call in (lambda: _nearest_center(encode_matrix(points).T, np.eye(2), BatchConfig()),
+        for call in (lambda: _nearest_center(encode_matrix(points).T, np.eye(2), BatchConfig(), 0),
                      lambda: distance_matrix(points, np.eye(2), sampled=True),
                      lambda: quantum_distance(points[0], points[1], shots=64)):
             with pytest.raises(ConfigError, match="SciPy"):

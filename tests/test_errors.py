@@ -6,6 +6,8 @@ and every pair-token parser through ``parse_pair``."""
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +228,55 @@ def test_check_number_messages_name_the_parameter():
     with pytest.raises(ConfigError, match="finite"):
         check_number("tol", 10**400, integral=False)  # beyond the float64 range
     assert issubclass(ConfigError, ValueError) and issubclass(DataError, ValueError)
+
+
+def abc_check_number(name: str, value, low=None, *, integral: bool = True) -> None:
+    """``check_number`` without its plain-int fast path: the ``numbers`` ABC
+    rule that the fast path must match, accept for accept and message for
+    message."""
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a finite number")
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+        integral or abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_outcome(check, *args, **kwargs) -> str | None:
+    """The ConfigError message of a check, or None if it accepts."""
+    try:
+        check(*args, **kwargs)
+    except ConfigError as error:
+        return str(error)
+    return None
+
+
+checked_values = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -1, 1, 2**63, 2**64, 10**400, -(10**400), True, False, math.nan, math.inf]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(checked_values, st.sampled_from([None, 0, 1]), st.booleans())
+def test_check_number_fast_path_keeps_the_abc_rule(value, low, integral):
+    assert check_outcome(check_number, "x", value, low, integral=integral) == check_outcome(
+        abc_check_number, "x", value, low, integral=integral)
+
+
+@given(st.lists(checked_values, min_size=1, max_size=4))
+def test_derive_seed_checks_every_entry_then_hashes_it(entries):
+    # the message of the first entry the ABC rule rejects, else the SeedSequence state
+    rejected = [check_outcome(abc_check_number, "seed", value, 0) for value in entries]
+    message = next(filter(None, rejected), None)
+    if message is None:
+        expected = int(np.random.SeedSequence(entries).generate_state(1, np.uint64)[0])
+        assert derive_seed(*entries) == expected
+    else:
+        assert check_outcome(derive_seed, *entries) == message
 
 
 def test_read_lines_rejects_non_utf8(tmp_path):
