@@ -6,26 +6,27 @@ One loop serves three distance modes:
 * ``quantum_sampled``  — SwapTest circuits, finite-shot estimates
 * ``classical_euclidean`` — plain Euclidean metric (the baseline)
 
-Iteration structure: assign every point to its nearest center (argmin,
-ties to the lowest center index), average the assigned raw feature rows
-to get new centers, stop when the L1 sum of center movement drops below
-``tol``; a center is the in-order sum of its member rows over their
-count.  Points are held feature-major, as an (F, N) array built once per
-fit (shared by its init rounds), init or predict call: unit columns in
-quantum modes, which also encode the (F, K) center columns at every Lloyd
-step through the same unit-column helper.  So
-distances come as (K, N), labels from a running minimum over the K rows,
-and every sum over F, Euclidean or overlap, adds in ``row_sums``' one
-pairwise tree; centers always live in the original feature space.
+Iteration structure: assign every point to its nearest center, average
+the assigned raw feature rows to get new centers, stop when the L1 sum of
+center movement drops below ``tol``; a center is the in-order sum of its
+member rows over their count.  Points are held feature-major, as an
+(F, N) array built once per fit (shared by its init rounds), init or
+predict call: unit columns in quantum modes, which also encode the (F, K)
+center columns at every Lloyd step through the same unit-column helper.
+Every sum over F, Euclidean or overlap, adds in ``row_sums``' one pairwise
+tree; centers always live in the original feature space.  A label is the
+row of the least key in a (K, N) array, ties to the lowest index: -<x|y>**2
+(so of two quantum distances that round to one value, the larger overlap
+wins), a sampled count clipped at ceil(shots/2), or the Euclidean distance.
 
 Initialization is always greedy farthest-point seeding ("qkmeans++",
 ``qkmeans_plusplus_init``): the first center is a uniformly drawn data
-point, each next center the point with the greatest distance to its
+point, each next center the point with the greatest key to its
 nearest chosen center (measured in the same distance mode), ties to the
 lowest index.
 
 Empty clusters are repaired deterministically: ascending over empty
-cluster ids, reassign the not-yet-stolen point with the largest distance
+cluster ids, reassign the not-yet-stolen point with the largest key
 to its own center, considering only donor clusters that keep at least
 one member.  A fit needs N >= K points, so the repair leaves no cluster
 empty.
@@ -109,29 +110,27 @@ def _columns(matrix: np.ndarray, distance_mode: str) -> np.ndarray:
 
 
 def _pairwise(columns, center_columns, distance_mode: str, batch: BatchConfig):
-    """(K, N) exact or Euclidean distances of ``_columns``' columns; stats
-    only in quantum_exact mode."""
+    """(K, N) Euclidean distances or, with stats, quantum_exact -<x|y>**2
+    of ``_columns``' columns: keys that rise with the distance."""
     if distance_mode == "classical_euclidean":
         _, norms, exponents = distance._scaled_norms(columns[:, None, :] - center_columns[:, :, None])
         return (norms if exponents is None else np.ldexp(norms, exponents)), None
     overlap, stats = distance._overlaps(columns, center_columns, batch)
-    return distance._distances(overlap, batch, False), stats
+    return -overlap * overlap, stats
 
 
 def _nearest(columns, center_columns, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
     """Each point of ``_columns``' ``columns`` to its nearest center of the
-    (F, K) ``center_columns`` (ties to the lowest index), the stats (quantum
-    modes only) and a callable giving the (N, K) distances behind the labels.
+    (F, K) ``center_columns`` (least key, ties to the lowest index), the stats
+    (quantum modes only) and a callable giving the (N, K) keys behind the labels.
     Quantum modes encode the centers; ``shot_seed()`` gives the shot-noise
     seed, and only sampled mode calls it."""
     if distance_mode != "classical_euclidean":
         center_columns = distance._unit_columns(center_columns)
-    if distance_mode != "quantum_sampled":
-        dists, stats = _pairwise(columns, center_columns, distance_mode, batch)
-        return distance._nearest_rows(dists), stats, lambda: dists.T
-    labels, stats, counts = distance._nearest_center(columns, center_columns, batch, shot_seed())
-    k = center_columns.shape[1]
-    return labels, stats, lambda: counts.distances(np.arange(counts.u.size)).reshape(-1, k)
+    if distance_mode == "quantum_sampled":
+        return distance._nearest_center(columns, center_columns, batch, shot_seed())
+    keys, stats = _pairwise(columns, center_columns, distance_mode, batch)
+    return distance._nearest_rows(keys), stats, lambda: keys.T
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
@@ -160,27 +159,27 @@ def _seeding(X: DataSet, columns, n_clusters: int, distance_mode: str, seed: int
             chosen.append(distance._farthest_point(rounds, columns, newest, batch, round_seed, chosen))
             continue
         nearest = np.minimum(nearest, _pairwise(columns, newest, distance_mode, batch)[0][0])
-        masked = nearest.copy()
-        masked[chosen] = -np.inf
-        chosen.append(int(np.argmax(masked)))
+        nearest[chosen] = -np.inf  # stays -inf in every later minimum
+        chosen.append(int(np.argmax(nearest)))
     return X.features[np.asarray(chosen)].copy()
 
 
-def _repair_empty_clusters(labels: np.ndarray, dists: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Hand the farthest-from-its-center point to each empty cluster."""
+def _repair_empty_clusters(labels: np.ndarray, keys: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Hand each empty cluster the donor point with the largest of the (N, K)
+    ``keys`` (``_nearest``'s) to its own center.  A moved point is alone in
+    its new cluster, so it is never a donor again."""
     counts = np.bincount(labels, minlength=n_clusters)
     empties = np.flatnonzero(counts == 0)
     labels = labels.copy()
-    dist_to_own = dists[np.arange(labels.size), labels]
+    key_to_own = keys[np.arange(labels.size), labels]
     for k in empties:
         donors = counts[labels] > 1
         if not np.any(donors):
             continue
-        j = int(np.argmax(np.where(donors, dist_to_own, -np.inf)))
+        j = int(np.argmax(np.where(donors, key_to_own, -np.inf)))
         counts[labels[j]] -= 1
         labels[j] = k
         counts[k] = 1
-        dist_to_own[j] = -np.inf
     return labels
 
 
@@ -192,18 +191,17 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     center_columns = centers.T
     features = columns if mode == "classical_euclidean" else np.ascontiguousarray(X.features.T)
     bins = np.arange(f)[:, None] * k  # center k's sum of feature j is bin j*K + k
-    labels = np.zeros(X.n_points, dtype=np.int64)
     shifts: list[float] = []
     batch_history: list[BatchStats] = []
     converged = False
-    for iteration in range(config.max_iter):
-        labels, stats, dists = _nearest(columns, center_columns, mode, config.batch,
-                                        partial(derive_seed, config.batch.seed, 1, iteration))
+    for iteration in range(config.max_iter):  # max_iter >= 1, so the loop sets labels
+        labels, stats, keys = _nearest(columns, center_columns, mode, config.batch,
+                                       partial(derive_seed, config.batch.seed, 1, iteration))
         if stats is not None:
             batch_history.append(stats)
         counts = np.bincount(labels, minlength=k)
         if counts.min() == 0:
-            labels = _repair_empty_clusters(labels, dists(), k)
+            labels = _repair_empty_clusters(labels, keys(), k)
             counts = np.bincount(labels, minlength=k)
         # init needs N >= K, so the repair leaves every cluster a member
         sums = np.bincount((bins + labels).ravel(), features.ravel(), k * f)
@@ -226,9 +224,8 @@ def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact
     if X.n_features != model.cluster_centers.shape[1]:
         raise DataError("feature dimension does not match the fitted model")
     batch = batch or BatchConfig()
-    labels, _, _ = _nearest(_columns(X.features, distance_mode), model.cluster_centers.T, distance_mode,
-                            batch, lambda: seed)
-    return labels.astype(np.int64)
+    return _nearest(_columns(X.features, distance_mode), model.cluster_centers.T, distance_mode, batch,
+                    lambda: seed)[0]
 
 
 def classical_kmeans_oracle(X: DataSet, n_clusters: int, seed: int = 0) -> ClusterModel:

@@ -77,7 +77,7 @@ def sweep_values(start: int, stop: int, count: int) -> tuple[int, ...]:
         raise ConfigError(f"count must be <= 2**20, got {count!r}")
     if start == stop:
         return (start,)
-    points = np.rint(np.geomspace(start, stop, count)).astype(np.int64)
+    points = np.rint(np.geomspace(start, stop, count)).clip(start, stop).astype(np.int64)
     return tuple(sorted({*points.tolist(), start, stop}))
 
 

@@ -11,7 +11,9 @@ product of the unit rows from ``encode_matrix``, summed over F by
 size, request count or thread count.  Every norm, and ``clustering``'s
 Euclidean distances, add over F in that same tree.
 
-From an (estimated or exact) ancilla-zero probability p0:
+From an (estimated or exact) ancilla-zero probability p0, in
+``_distances`` alone (the calls that return a distance; labels rank
+-overlap_sq, or a sampled count of ones clipped at m = ceil(shots/2)):
 
     overlap_sq = clip(2*p0 - 1, 0, 1)
     distance   = sqrt(2 - 2*sqrt(overlap_sq))        in [0, sqrt(2)]
@@ -270,10 +272,10 @@ def _count_brackets(shots: int, p: np.ndarray, u: np.ndarray) -> tuple[np.ndarra
 
 
 class _SampledCounts:
-    """One sampled call's counts of ones at ``shots`` shots, request i at
-    index i drawing from the stream of ``derive_seed(seed)``, bracketed up
-    front (``_count_brackets``) and inverted where read; ``lo`` meets ``hi``
-    once a count is known."""
+    """One sampled call's counts of ones at ``shots`` shots clipped at m,
+    request i at index i drawing from the stream of ``derive_seed(seed)``,
+    bracketed up front (``_count_brackets``) and inverted where read; ``lo``
+    meets ``hi`` once a count is known.  They rank as their distances do."""
 
     def __init__(self, overlap: np.ndarray, shots: int, seed: int) -> None:
         try:  # every sampled call needs SciPy, whether or not it inverts a count
@@ -285,21 +287,22 @@ class _SampledCounts:
         self.u = _request_uniforms(derive_seed(seed), np.arange(self.p1.size))
         self.lo, self.hi = _count_brackets(self.shots, self.p1, self.u)
 
-    def distances(self, requests: np.ndarray) -> np.ndarray:
-        """The requests' distances; inverts every count not yet known."""
+    def counts(self, requests: np.ndarray) -> np.ndarray:
+        """The requests' counts clipped at m; inverts every count not yet known."""
         unknown = requests[self.lo[requests] != self.hi[requests]]
         if unknown.size:
             count = _binomial_quantile(self.shots, self.p1[unknown], self.u[unknown])
             self.lo[unknown] = self.hi[unknown] = np.minimum(count, self.m)
-        return distance_from_p0((self.shots - self.lo[requests]) / self.shots)
+        return self.lo[requests]
 
 
 def _distances(overlap: np.ndarray, config: BatchConfig, sampled: bool) -> np.ndarray:
     """Distances from one executor call's overlaps, in their shape, request i at
     flat index i: the exact p0 = 1/2 + <x|y>**2/2, or each request's count."""
     if sampled:
-        counts = _SampledCounts(overlap, config.shots_per_circuit, config.seed)
-        return counts.distances(np.arange(overlap.size)).reshape(overlap.shape)
+        shots = config.shots_per_circuit
+        counts = _SampledCounts(overlap, shots, config.seed).counts(np.arange(overlap.size))
+        return distance_from_p0((shots - counts.reshape(overlap.shape)) / shots)
     return distance_from_p0(0.5 + 0.5 * overlap**2)
 
 
@@ -375,8 +378,8 @@ def _nearest_rows(values: np.ndarray) -> np.ndarray:
 
 def _nearest_center(unit_points, unit_centers, config: BatchConfig, seed: int):
     """Each point's nearest center, ties to the lowest index, the stats and
-    the ``_SampledCounts`` (request point*K + k, shot seed ``seed``), from
-    unit columns: the argmin of the sampled distances of ``_overlaps``,
+    a callable giving the (N, K) clipped counts (shot seed ``seed``), from
+    unit columns: the argmin of the sampled counts of ``_overlaps``,
     inverting only the counts of points whose brackets leave it in doubt."""
     overlap, stats = _overlaps(unit_points, unit_centers, config)
     counts = _SampledCounts(overlap.T, config.shots_per_circuit, seed)  # request point*K + k
@@ -391,15 +394,15 @@ def _nearest_center(unit_points, unit_centers, config: BatchConfig, seed: int):
     doubt = np.flatnonzero(~beaten.all(axis=0))
     if doubt.size:
         requests = (doubt[:, None] * k + np.arange(k)).ravel()
-        labels[doubt] = _nearest_rows(counts.distances(requests).reshape(doubt.size, k).T)
-    return labels, stats, counts
+        labels[doubt] = _nearest_rows(counts.counts(requests).reshape(doubt.size, k).T)
+    return labels, stats, lambda: counts.counts(np.arange(n_pts * k)).reshape(n_pts, k)
 
 
 def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, seed: int,
                     excluded: list[int]) -> int:
     """Add the counts (shot seed ``seed``) of the unit columns against column
     ``unit_newest`` to ``rounds``; return the argmax, never in ``excluded``, of
-    the least distance over the rounds, resolving only points whose upper
+    the least clipped count over the rounds, resolving only points whose upper
     bound reaches the best lower bound: none when one point is left."""
     overlap = _overlaps(unit_points, unit_newest, config)[0]
     rounds.append(_SampledCounts(overlap, config.shots_per_circuit, seed))
@@ -409,5 +412,5 @@ def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig,
     doubt = np.flatnonzero(high >= low.max())
     if doubt.size == 1:
         return int(doubt[0])
-    nearest = np.min([column.distances(doubt) for column in rounds], axis=0)
+    nearest = np.min([column.counts(doubt) for column in rounds], axis=0)
     return int(doubt[np.argmax(nearest)])

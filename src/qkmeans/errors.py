@@ -45,7 +45,7 @@ def check_number(name: str, value, low=None, *, integral: bool = True) -> None:
         return
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a finite number")
     if isinstance(value, bool) or not isinstance(value, kind) or not (
-        integral or abs(value) <= sys.float_info.max  # False for nan, inf and huge ints
+        integral or -sys.float_info.max <= value <= sys.float_info.max  # False for nan, inf and huge ints
     ):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     if low is not None and value < low:

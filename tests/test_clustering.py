@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qkmeans import clustering, distance
 from qkmeans.clustering import (
@@ -20,7 +20,15 @@ from qkmeans.clustering import (
     qkmeans_plusplus_init,
 )
 from qkmeans.dataset import DataSet
-from qkmeans.distance import BatchConfig, BatchStats, distance_matrix, encode_matrix
+from qkmeans.distance import (
+    BatchConfig,
+    BatchStats,
+    DistanceRequest,
+    distance_matrix,
+    encode_matrix,
+    estimate_distances,
+    quantum_distance,
+)
 from qkmeans.errors import DataError
 from qkmeans.simulator import derive_seed, row_sums
 
@@ -368,25 +376,31 @@ def sampled_cases(draw):
             draw(st.integers(0, 2**63 - 1)))
 
 
-def reference_distances(points, centers, distance_mode: str, batch: BatchConfig):
-    """(N, K) distances and stats with the formulas ``fit`` used before it
-    encoded its points once per fit: raw points through ``distance_matrix``
-    (every sampled count inverted), or the Euclidean sum in ``row_sums``' tree."""
+def reference_keys(points, centers, distance_mode: str, batch: BatchConfig):
+    """(N, K) keys that rise with the distance, and stats, with the formulas
+    ``fit`` used before it encoded its points once per fit: raw points through
+    ``distance_matrix`` (every sampled count inverted; a sampled distance
+    ranks as its clipped count does), -<x|y>**2 of the raw points' encoded
+    rows, or the Euclidean sum in ``row_sums``' tree."""
     if distance_mode == "classical_euclidean":
         diff = points[:, None, :] - centers[None, :, :]
         return np.sqrt(row_sums(np.moveaxis(diff * diff, 2, 0))), None
-    return distance_matrix(points, centers, batch, sampled=distance_mode == "quantum_sampled")
+    dists, stats = distance_matrix(points, centers, batch, sampled=distance_mode == "quantum_sampled")
+    if distance_mode == "quantum_exact":
+        overlap = row_sums(encode_matrix(points).T[:, :, None] * encode_matrix(centers).T[:, None, :])
+        return -overlap * overlap, stats
+    return dists, stats
 
 
 def reference_init(X: DataSet, n_clusters: int, distance_mode: str, seed: int,
                    batch: BatchConfig) -> np.ndarray:
-    """Farthest-point seeding from ``reference_distances``."""
+    """Farthest-point seeding from ``reference_keys``."""
     chosen = [int(np.random.default_rng(seed).integers(X.n_points))]
     nearest = np.full(X.n_points, np.inf)
     for round_idx in range(1, n_clusters):
         config = replace(batch, seed=derive_seed(batch.seed, 0, round_idx))
         newest = X.features[chosen[-1]][None, :]
-        nearest = np.minimum(nearest, reference_distances(X.features, newest, distance_mode, config)[0][:, 0])
+        nearest = np.minimum(nearest, reference_keys(X.features, newest, distance_mode, config)[0][:, 0])
         masked = nearest.copy()
         masked[chosen] = -np.inf
         chosen.append(int(np.argmax(masked)))
@@ -401,12 +415,12 @@ def reference_fit(X: DataSet, config: FitConfig) -> ClusterModel:
     shifts, history = [], []
     for iteration in range(config.max_iter):
         step_batch = replace(batch, seed=derive_seed(batch.seed, 1, iteration))
-        dists, stats = reference_distances(X.features, centers, config.distance_mode, step_batch)
-        labels = np.argmin(dists, axis=1)
+        keys, stats = reference_keys(X.features, centers, config.distance_mode, step_batch)
+        labels = np.argmin(keys, axis=1)
         if stats is not None:
             history.append(stats)
         if np.bincount(labels, minlength=k).min() == 0:
-            labels = _repair_empty_clusters(labels, dists, k)
+            labels = _repair_empty_clusters(labels, keys, k)
         new_centers = np.stack([X.features[labels == c].mean(axis=0) for c in range(k)])
         shifts.append(float(np.sum(np.abs(new_centers - centers))))
         centers = new_centers
@@ -430,14 +444,96 @@ class TestSampledLabelsFromBrackets:
                                                    batch, lambda: seed)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert stats == full_stats == BatchStats(-(-n * k // 5), n * k)
-        np.testing.assert_array_equal(dists(), full)  # what an empty-cluster repair reads
+        # the clipped counts an empty-cluster repair reads are the distances' counts
+        assert distance.distance_from_p0((shots - dists()) / shots).tobytes() == full.tobytes()
         model = ClusterModel(centers, np.zeros(n, dtype=np.int64), (), False)
         np.testing.assert_array_equal(predict(model, unlabeled(points), "quantum_sampled", batch, seed),
                                       np.argmin(full, axis=1))
+        # exact labels rank -<x|y>**2: each attains the least distance, and is
+        # its argmin wherever no two distances tie for it
+        exact = distance_matrix(points, centers)[0]
+        untied = np.sum(exact == exact.min(axis=1, keepdims=True), axis=1) == 1
+        step = clustering._nearest(encode_matrix(points).T, centers.T, "quantum_exact", batch, None)[0]
+        for exact_labels in (step, predict(model, unlabeled(points), "quantum_exact")):
+            assert np.all(exact[np.arange(n), exact_labels] == exact.min(axis=1))
+            np.testing.assert_array_equal(exact_labels[untied], np.argmin(exact, axis=1)[untied])
         for n_clusters in range(2, min(n, 4) + 1):
             np.testing.assert_array_equal(
                 qkmeans_plusplus_init(unlabeled(points), n_clusters, "quantum_sampled", seed % 97, batch),
                 reference_init(unlabeled(points), n_clusters, "quantum_sampled", seed % 97, batch))
+
+
+# From (1, 0), both centers are at distance exactly sqrt(2): p0 rounds to
+# 1/2 for either overlap.  The second overlaps (1, 0) twice as much.
+TIE_POINT, TIE_CENTERS = np.array([[1.0, 0.0]]), np.array([[1e-10, 1.0], [2e-10, 1.0]])
+
+
+class TestTieRule:
+    """Exact labels rank -<x|y>**2, so where two distances round to one value
+    but the overlaps differ, the truly nearer center wins, not the lower index."""
+
+    def test_step_and_predict_take_the_larger_overlap(self):
+        dists = distance_matrix(TIE_POINT, TIE_CENTERS)[0]
+        assert dists[0, 0] == dists[0, 1] == np.sqrt(2.0)
+        model = ClusterModel(TIE_CENTERS, np.zeros(2, dtype=np.int64), (), False)
+        assert predict(model, unlabeled(TIE_POINT), "quantum_exact").tolist() == [1]
+        step = clustering._nearest(encode_matrix(TIE_POINT).T, TIE_CENTERS.T, "quantum_exact",
+                                   BatchConfig(), None)
+        assert step[0].tolist() == [1]
+
+    def test_seeding_takes_the_smaller_best_overlap(self):
+        # both later points are sqrt(2) from the first center; the last overlaps it least
+        X = unlabeled(np.vstack([TIE_POINT, TIE_CENTERS[::-1]]))
+        centers = qkmeans_plusplus_init(X, 2, "quantum_exact", seed=seed_with_first_pick(3, 0))
+        np.testing.assert_array_equal(centers, X.features[[0, 2]])
+
+    def test_repair_takes_the_smaller_overlap_with_its_center(self):
+        points = np.vstack([TIE_CENTERS[::-1], TIE_POINT])
+        twins = np.array([[1.0, 0.0], [1.0, 0.0]])  # center 1 ties center 0 everywhere, so it is empty
+        labels, _, keys = clustering._nearest(encode_matrix(points).T, twins.T, "quantum_exact",
+                                              BatchConfig(), None)
+        assert labels.tolist() == [0, 0, 0]
+        assert _repair_empty_clusters(labels, keys(), 2).tolist() == [0, 1, 0]
+
+
+class TestDistancesOnlyWhereReturned:
+    """A p0 becomes a distance only in the calls that return one."""
+
+    def test_fit_init_predict_and_repair_compute_none(self, monkeypatch):
+        def refuse(p0):
+            raise AssertionError("a label computed a distance")
+
+        repairs = []
+        real_repair = clustering._repair_empty_clusters
+        monkeypatch.setattr(clustering, "_repair_empty_clusters",
+                            lambda *args: repairs.append(1) or real_repair(*args))
+        monkeypatch.setattr(distance, "distance_from_p0", refuse)
+        X = make_blobs(14, n=40)
+        # as in test_empty_cluster_repair_matches_reference: K = 3 leaves a cluster empty
+        shadowed = unlabeled([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        batch = BatchConfig(shots_per_circuit=64, seed=3)
+        for mode in ("quantum_exact", "quantum_sampled"):
+            model = clustering.fit(X, FitConfig(n_clusters=2, distance_mode=mode, batch=batch, seed=1))
+            predict(model, X, mode, batch, seed=5)
+            qkmeans_plusplus_init(X, 3, mode, seed=2, batch=batch)
+            repairs.clear()
+            clustering.fit(shadowed, FitConfig(n_clusters=3, distance_mode=mode, batch=batch,
+                                               seed=seed_with_first_pick(4, 0)))
+            assert repairs
+
+    def test_returned_distances_reach_it(self, monkeypatch):
+        calls = []
+        real = distance.distance_from_p0
+        monkeypatch.setattr(distance, "distance_from_p0", lambda p0: calls.append(1) or real(p0))
+        x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+        for sampled in (False, True):
+            shots = 64 if sampled else None
+            for call in (lambda: distance_matrix(x[None], y[None], sampled=sampled),
+                         lambda: estimate_distances([DistanceRequest(x, y)], sampled=sampled),
+                         lambda: quantum_distance(x, y, shots=shots)):
+                calls.clear()
+                call()
+                assert calls == [1]
 
 
 @st.composite
@@ -488,6 +584,9 @@ class TestReferenceLloyd:
 
     @settings(max_examples=120, deadline=None)
     @given(lloyd_cases())
+    # the repair's two donors are both 0 from their center, at overlaps**2 of 1 and 1 + 4e-16
+    @example(case=(unlabeled([[0.0, 3.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 3.0, 3.0]]),
+                   FitConfig(n_clusters=3, max_iter=1, tol=0.0, seed=0)))
     def test_fit_matches_reference(self, case):
         X, config = case
         assert_same_fit(fit_or_error(clustering.fit, X, config), fit_or_error(reference_fit, X, config))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qkmeans.complexity import (
     ComplexityParams,
@@ -124,9 +124,10 @@ class TestSweep:
             sweep_values(2, 10, 1)
 
     @given(st.integers(1, 2**53), st.integers(1, 2**53), st.integers(2, 64))
+    @example(a=2**52 - 5, b=2**52 - 4, count=3)  # geomspace's middle point rounds to 2**52 - 6
     def test_values_stay_within_the_range(self, a, b, count):
-        # float64 holds every integer up to 2**53, so geomspace never rounds
-        # an end past the range
+        # float64 holds every integer up to 2**53, so the ends are exact; an
+        # interior point's exp/log rounding must not leave the range either
         start, stop = min(a, b), max(a, b)
         values = sweep_values(start, stop, count)
         assert values[0] == start and values[-1] == stop

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qkmeans.cli import read_score_table
 from qkmeans.clustering import ClusterModel, FitConfig, fit, predict, qkmeans_plusplus_init
@@ -236,7 +236,7 @@ def abc_check_number(name: str, value, low=None, *, integral: bool = True) -> No
     message."""
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a finite number")
     if isinstance(value, bool) or not isinstance(value, kind) or not (
-        integral or abs(value) <= sys.float_info.max
+        integral or -sys.float_info.max <= value <= sys.float_info.max
     ):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
     if low is not None and value < low:
@@ -262,6 +262,7 @@ checked_values = st.one_of(
 
 
 @given(checked_values, st.sampled_from([None, 0, 1]), st.booleans())
+@example(np.int64(-(2**63)), None, False)  # abs() of it overflows int64
 def test_check_number_fast_path_keeps_the_abc_rule(value, low, integral):
     assert check_outcome(check_number, "x", value, low, integral=integral) == check_outcome(
         abc_check_number, "x", value, low, integral=integral)
