@@ -18,6 +18,11 @@ tree; centers always live in the original feature space.  A label is the
 row of the least key in a (K, N) array, ties to the lowest index: -<x|y>**2
 (so of two quantum distances that round to one value, the larger overlap
 wins), a sampled count clipped at ceil(shots/2), or the Euclidean distance.
+Sampled counts start as brackets (``distance._SampledCounts``), and only
+the counts of points in doubt are read: a point whose leading center's
+upper bound does not beat every other center's lower bound (ties to the
+lower index), or a seed candidate whose least upper bound over the init
+rounds reaches the best least lower bound.  A lone candidate needs no count.
 
 Initialization is always greedy farthest-point seeding ("qkmeans++",
 ``qkmeans_plusplus_init``): the first center is a uniformly drawn data
@@ -119,6 +124,18 @@ def _pairwise(columns, center_columns, distance_mode: str, batch: BatchConfig):
     return -overlap * overlap, stats
 
 
+def _nearest_rows(values: np.ndarray) -> np.ndarray:
+    """``np.argmin(values, axis=0)`` of a (K, N) array as a running strict-<
+    minimum over its K rows: ties go to the lowest row."""
+    labels = np.zeros(values.shape[1], dtype=np.int64)
+    best = values[0]
+    for k in range(1, len(values)):
+        closer = values[k] < best
+        labels[closer] = k
+        best = np.minimum(best, values[k])
+    return labels
+
+
 def _nearest(columns, center_columns, distance_mode: str, batch: BatchConfig, shot_seed: Callable[[], int]):
     """Each point of ``_columns``' ``columns`` to its nearest center of the
     (F, K) ``center_columns`` (least key, ties to the lowest index), the stats
@@ -127,10 +144,24 @@ def _nearest(columns, center_columns, distance_mode: str, batch: BatchConfig, sh
     seed, and only sampled mode calls it."""
     if distance_mode != "classical_euclidean":
         center_columns = distance._unit_columns(center_columns)
-    if distance_mode == "quantum_sampled":
-        return distance._nearest_center(columns, center_columns, batch, shot_seed())
-    keys, stats = _pairwise(columns, center_columns, distance_mode, batch)
-    return distance._nearest_rows(keys), stats, lambda: keys.T
+    if distance_mode != "quantum_sampled":
+        keys, stats = _pairwise(columns, center_columns, distance_mode, batch)
+        return _nearest_rows(keys), stats, lambda: keys.T
+    overlap, stats = distance._overlaps(columns, center_columns, batch)
+    counts = distance._SampledCounts(overlap.T, batch.shots_per_circuit, shot_seed())  # request point*K + k
+    k, n_pts = overlap.shape
+    lo, hi = counts.lo.reshape(n_pts, k).T, counts.hi.reshape(n_pts, k).T
+    points = np.arange(n_pts)
+    labels = _nearest_rows(hi)
+    best = hi[labels, points]
+    # the leader beats centers surely farther, or surely no nearer and later
+    beaten = (lo > best) | ((lo == best) & (np.arange(k)[:, None] > labels))
+    beaten[labels, points] = True
+    doubt = np.flatnonzero(~beaten.all(axis=0))
+    if doubt.size:
+        requests = (doubt[:, None] * k + np.arange(k)).ravel()
+        labels[doubt] = _nearest_rows(counts.counts(requests).reshape(doubt.size, k).T)
+    return labels, stats, lambda: counts.counts(np.arange(n_pts * k)).reshape(n_pts, k)
 
 
 def qkmeans_plusplus_init(X: DataSet, n_clusters: int, distance_mode: str = "quantum_exact",
@@ -155,8 +186,17 @@ def _seeding(X: DataSet, columns, n_clusters: int, distance_mode: str, seed: int
     for round_idx in range(1, n_clusters):
         newest = columns[:, chosen[-1:]]
         if distance_mode == "quantum_sampled":
+            overlap = distance._overlaps(columns, newest, batch)[0]
             round_seed = derive_seed(batch.seed, 0, round_idx)
-            chosen.append(distance._farthest_point(rounds, columns, newest, batch, round_seed, chosen))
+            rounds.append(distance._SampledCounts(overlap, batch.shots_per_circuit, round_seed))
+            low = np.min([counts.lo for counts in rounds], axis=0)
+            high = np.min([counts.hi for counts in rounds], axis=0)
+            low[chosen] = high[chosen] = -1.0
+            doubt = np.flatnonzero(high >= low.max())
+            pick = 0  # a lone candidate needs no count
+            if doubt.size > 1:
+                pick = np.argmax(np.min([counts.counts(doubt) for counts in rounds], axis=0))
+            chosen.append(int(doubt[pick]))
             continue
         nearest = np.minimum(nearest, _pairwise(columns, newest, distance_mode, batch)[0][0])
         nearest[chosen] = -np.inf  # stays -inf in every later minimum

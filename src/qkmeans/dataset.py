@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DataError
 
 _HALF_SQRT2 = np.sqrt(0.5)
+_TINY = np.finfo(np.float64).tiny  # the least normal float64
 # Row basis sending PCA coordinates to the plane: principal axis to the
 # 135-degree diagonal, second axis to its +90-degree rotation.
 _TARGET_BASIS = np.array(
@@ -57,19 +58,28 @@ def fit_readout_frame(features: np.ndarray) -> ReadoutFrame:
         raise DataError("need an (n, 2) array with n >= 2 to fit a frame")
     if not np.all(np.isfinite(x)):
         raise DataError("features must be finite")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = (centered.T @ centered) / (x.shape[0] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = (centered.T @ centered) / (x.shape[0] - 1)
+    e = 0  # 2**-e scales a cloud whose covariance is not finite, or not normal yet not constant
+    if not (np.isfinite(cov).all() and (cov.diagonal().max() >= _TINY or not centered.any())):
+        if not np.isfinite(centered).all():  # a non-finite centering always lands here
+            raise DataError("the features' mean or their centering leaves the float range")
+        e = int(np.frexp(np.abs(centered).max())[1])
+        scaled = np.ldexp(centered, -e)
+        cov = (scaled.T @ scaled) / (x.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     principal = eigvecs[:, 1]
     if principal[0] < 0.0 or (principal[0] == 0.0 and principal[1] < 0.0):
         principal = -principal
     second = np.array([-principal[1], principal[0]])
-    scale = float(np.sqrt(eigvals[1]))
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
+    scale = float(np.sqrt(eigvals[1])) or 1.0  # 0 only for a constant cloud
     pca_columns = np.column_stack([principal, second])
-    matrix = (pca_columns @ _TARGET_BASIS) / scale
+    with np.errstate(over="ignore"):
+        matrix = np.ldexp((pca_columns @ _TARGET_BASIS) / scale, -e)
+    if not np.isfinite(matrix).all():
+        raise DataError("the features spread too little for a finite frame scale")
     offset = -(centered @ matrix).min(axis=0)
     return ReadoutFrame(mean=mean, matrix=matrix, offset=offset)
 

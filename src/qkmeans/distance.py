@@ -45,10 +45,9 @@ vectorized steps per executor call, keyed by request index:
   function (``betainc``), then stepped where it missed.  A request's count
   is inverted only when it is read.  Every call first brackets each count
   by Bernstein's inequality from its own (shots, p1, u)
-  (``_count_brackets``), and a nearest-center call (``_nearest_center``,
-  ``_farthest_point``) inverts only the requests of the points whose
-  brackets leave the answer in doubt (none when one candidate is left),
-  so its labels are those of the fully inverted matrix.
+  (``_count_brackets``); ``clustering`` reads only the counts of the
+  points whose brackets leave a label or seed in doubt, so its picks are
+  those of the fully inverted matrix.
 
 Request i's estimate therefore depends only on (seed, i, p1_i): job size,
 grouping and appended requests never change it.
@@ -362,55 +361,3 @@ def distance_matrix(points: np.ndarray, centers: np.ndarray, config: BatchConfig
         raise DataError("points and centers must have matching feature counts")
     overlap, stats = _overlaps(unit_points, unit_centers, config)
     return _distances(overlap.T, config, sampled), stats
-
-
-def _nearest_rows(values: np.ndarray) -> np.ndarray:
-    """``np.argmin(values, axis=0)`` of a (K, N) array as a running strict-<
-    minimum over its K rows: ties go to the lowest row."""
-    labels = np.zeros(values.shape[1], dtype=np.int64)
-    best = values[0]
-    for k in range(1, len(values)):
-        closer = values[k] < best
-        labels[closer] = k
-        best = np.minimum(best, values[k])
-    return labels
-
-
-def _nearest_center(unit_points, unit_centers, config: BatchConfig, seed: int):
-    """Each point's nearest center, ties to the lowest index, the stats and
-    a callable giving the (N, K) clipped counts (shot seed ``seed``), from
-    unit columns: the argmin of the sampled counts of ``_overlaps``,
-    inverting only the counts of points whose brackets leave it in doubt."""
-    overlap, stats = _overlaps(unit_points, unit_centers, config)
-    counts = _SampledCounts(overlap.T, config.shots_per_circuit, seed)  # request point*K + k
-    k, n_pts = overlap.shape
-    lo, hi = counts.lo.reshape(n_pts, k).T, counts.hi.reshape(n_pts, k).T
-    points = np.arange(n_pts)
-    labels = _nearest_rows(hi)
-    best = hi[labels, points]
-    # the leader beats centers surely farther, or surely no nearer and later
-    beaten = (lo > best) | ((lo == best) & (np.arange(k)[:, None] > labels))
-    beaten[labels, points] = True
-    doubt = np.flatnonzero(~beaten.all(axis=0))
-    if doubt.size:
-        requests = (doubt[:, None] * k + np.arange(k)).ravel()
-        labels[doubt] = _nearest_rows(counts.counts(requests).reshape(doubt.size, k).T)
-    return labels, stats, lambda: counts.counts(np.arange(n_pts * k)).reshape(n_pts, k)
-
-
-def _farthest_point(rounds: list, unit_points, unit_newest, config: BatchConfig, seed: int,
-                    excluded: list[int]) -> int:
-    """Add the counts (shot seed ``seed``) of the unit columns against column
-    ``unit_newest`` to ``rounds``; return the argmax, never in ``excluded``, of
-    the least clipped count over the rounds, resolving only points whose upper
-    bound reaches the best lower bound: none when one point is left."""
-    overlap = _overlaps(unit_points, unit_newest, config)[0]
-    rounds.append(_SampledCounts(overlap, config.shots_per_circuit, seed))
-    low = np.min([column.lo for column in rounds], axis=0)
-    high = np.min([column.hi for column in rounds], axis=0)
-    low[excluded] = high[excluded] = -1.0
-    doubt = np.flatnonzero(high >= low.max())
-    if doubt.size == 1:
-        return int(doubt[0])
-    nearest = np.min([column.counts(doubt) for column in rounds], axis=0)
-    return int(doubt[np.argmax(nearest)])

@@ -66,6 +66,28 @@ class TestFitReadoutFrame:
         with pytest.raises(ValueError):
             fit_readout_frame(bad)
 
+    @pytest.mark.parametrize("p", [-600, -540, 511, 600])
+    def test_cloud_scaled_past_the_float_range_maps_alike(self, p):
+        # the plain covariance underflows to 0 (p < 0) or overflows (p > 0);
+        # a power-of-two scale moves no output beyond rounding
+        rng = np.random.default_rng(7)
+        raw = np.vstack([rng.normal([2.0, -1.0], 0.3, (200, 2)), rng.normal([-1.0, 3.0], 0.3, (200, 2))])
+        scaled = np.ldexp(raw, p)
+        out, reference = fit_readout_frame(scaled).apply(scaled), fit_readout_frame(raw).apply(raw)
+        np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max())
+
+    def test_cloud_whose_mean_overflows_is_data_error(self):
+        raw = np.array([[1.7e308, 0.0], [1.7e308, 1.0], [1.0, 2.0]])
+        with pytest.raises(DataError, match="float range"):
+            fit_readout_frame(raw)
+
+    def test_cloud_too_narrow_for_a_finite_scale_is_data_error(self):
+        # a spread of the least subnormal: one over it overflows
+        raw = np.zeros((16, 2))
+        raw[-1] = 5e-324
+        with pytest.raises(DataError, match="finite frame scale"):
+            fit_readout_frame(raw)
+
     @given(st.integers(0, 1000))
     @settings(max_examples=25)
     def test_snr_preserved(self, seed):

@@ -14,7 +14,7 @@ from scipy import stats
 
 from conftest import register_amplitudes
 from qkmeans import distance
-from qkmeans.clustering import qkmeans_plusplus_init
+from qkmeans.clustering import _nearest, _nearest_rows, qkmeans_plusplus_init
 from qkmeans.dataset import DataSet
 from qkmeans.distance import (
     _BLOCK_PRODUCTS,
@@ -23,8 +23,6 @@ from qkmeans.distance import (
     DistanceRequest,
     _binomial_quantile,
     _count_brackets,
-    _nearest_center,
-    _nearest_rows,
     _overlaps,
     _request_uniforms,
     distance_from_p0,
@@ -539,6 +537,41 @@ class TestInversionAccounting:
         assert inverted == [] and sizes == []
         np.testing.assert_array_equal(centers[1], [0.0, 1.0])
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_init_rounds_invert_exactly_the_points_in_doubt(self, k, monkeypatch):
+        """Init round r bounds each point's least count over rounds 1..r by
+        the least of those rounds' bounds (brackets, or counts once inverted).
+        It inverts, round by round, the counts not yet known of the points
+        whose least upper bound reaches the best least lower bound, and
+        nothing when one point is left."""
+        points = np.random.default_rng(21).normal(size=(300, 2))
+        X = DataSet(points, np.zeros(len(points), dtype=np.int64))
+        batch = BatchConfig(shots_per_circuit=1024, seed=6)
+        inverted = quantile_call_sizes(monkeypatch)
+        centers = qkmeans_plusplus_init(X, k, "quantum_sampled", seed=2, batch=batch)
+        chosen = [int(np.flatnonzero((points == center).all(axis=1))[0]) for center in centers]
+        unit = encode_matrix(points).T
+        rounds, expected, doubts = [], [], []
+        for r in range(1, k):
+            overlap = _overlaps(unit, unit[:, chosen[r - 1:r]], batch)[0].ravel()
+            p1 = np.clip(0.5 - 0.5 * overlap**2, 0.0, 1.0)
+            u = _request_uniforms(derive_seed(derive_seed(batch.seed, 0, r)), np.arange(p1.size))
+            rounds.append((p1, u, *_count_brackets(1024, p1, u)))
+            low = np.min([lo for _, _, lo, _ in rounds], axis=0)
+            high = np.min([hi for _, _, _, hi in rounds], axis=0)
+            low[chosen[:r]] = high[chosen[:r]] = -1.0
+            doubt = np.flatnonzero(high >= low.max())
+            doubts.append(doubt.size)
+            if doubt.size > 1:
+                for p1, u, lo, hi in rounds:
+                    unknown = doubt[lo[doubt] != hi[doubt]]
+                    if unknown.size:
+                        expected.append(unknown.size)
+                        count = _binomial_quantile(1024, p1[unknown], u[unknown])
+                        lo[unknown] = hi[unknown] = np.minimum(count, 512)
+        assert doubts[1] > 1  # round 2 reads the counts of both rounds
+        assert inverted == expected
+
 
 SHOT_GRID = [1, 7, 128, 1024, 8192, 2**20, 2**31, 2**53]
 
@@ -588,8 +621,8 @@ class TestCountBrackets:
         doubt = ~((hi[:, 0] <= lo[:, 1]) | (hi[:, 1] < lo[:, 0]))
         assert 0 < doubt.sum() < 40
         inverted = quantile_call_sizes(monkeypatch)
-        unit_points, unit_centers = encode_matrix(points).T, encode_matrix(centers).T
-        labels, stats, _ = _nearest_center(unit_points, unit_centers, config, config.seed)
+        labels, stats, _ = _nearest(encode_matrix(points).T, centers.T, "quantum_sampled", config,
+                                    lambda: config.seed)
         assert inverted == [2 * doubt.sum()]
         full, full_stats = distance_matrix(points, centers, config, sampled=True)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
@@ -600,7 +633,8 @@ class TestCountBrackets:
         points = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         sizes = betainc_call_sizes(monkeypatch)
         config = BatchConfig(shots_per_circuit=8192, seed=5)
-        labels, _, _ = _nearest_center(encode_matrix(points).T, np.eye(2), config, config.seed)
+        labels, _, _ = _nearest(encode_matrix(points).T, np.eye(2), "quantum_sampled", config,
+                                lambda: config.seed)
         assert sizes == []
         np.testing.assert_array_equal(labels, np.repeat([0, 1], 100))
 
@@ -609,7 +643,8 @@ class TestCountBrackets:
         monkeypatch.setitem(sys.modules, "scipy", None)
         monkeypatch.setitem(sys.modules, "scipy.special", None)
         # the first call would settle every label without an inversion
-        for call in (lambda: _nearest_center(encode_matrix(points).T, np.eye(2), BatchConfig(), 0),
+        for call in (lambda: _nearest(encode_matrix(points).T, np.eye(2), "quantum_sampled", BatchConfig(),
+                                      lambda: 0),
                      lambda: distance_matrix(points, np.eye(2), sampled=True),
                      lambda: quantum_distance(points[0], points[1], shots=64)):
             with pytest.raises(ConfigError, match="SciPy"):
