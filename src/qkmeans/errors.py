@@ -6,8 +6,8 @@ duplicate keys, non-finite values, mismatched inputs).  Both are
 ``ValueError``s; the CLI maps them to exit codes 1 and 2.  Each shared
 input rule has one owner here: ``check_number`` (run parameters),
 ``check_choice`` (named options), ``read_lines`` (UTF-8 data files),
-``parse_index`` and its column form ``all_indices`` (qubit and shot
-tokens) and ``parse_pair`` (``a-b`` tokens).
+``parse_index`` (qubit and shot tokens) and ``parse_pair`` (``a-b``
+tokens).
 
 The numeric-range rules live with the shot table: ``iqdata.IQShotTable``
 raises DataError for an i or q value that is not finite or exceeds 2**400
@@ -66,28 +66,16 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _ascii_digits(text: str) -> bool:
-    """The index rule: ``text`` is one or more ASCII digits."""
-    return text.isdigit() and text.isascii()
-
-
 def parse_index(token: str) -> int:
     """The integer of a token of ASCII digits; DataError otherwise, so
     ``int``'s signs, spaces, underscores and non-ASCII digits never reach
     an index, nor its ValueError for more digits than it converts."""
-    if not _ascii_digits(token):
+    if not (token.isdigit() and token.isascii()):
         raise DataError(f"malformed index {token!r}: expected ASCII digits")
     try:
         return int(token)
     except ValueError as exc:
         raise DataError(f"malformed index of {len(token)} digits: too long to convert") from exc
-
-
-def all_indices(tokens: list[str]) -> bool:
-    """Whether every token would pass ``parse_index``: the column form of
-    its rule, one test on the concatenation, which is ASCII digits exactly
-    when every token is and none is empty."""
-    return not tokens or (all(tokens) and _ascii_digits("".join(tokens)))
 
 
 @lru_cache(maxsize=1024)  # a shot table repeats a few pair tokens on every row

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
 from .errors import (
-    ConfigError, DataError, all_indices, check_choice, check_number, parse_index, parse_pair, read_lines,
+    ConfigError, DataError, check_choice, check_number, parse_index, parse_pair, read_lines,
 )
 from .simulator import derive_seed
 
@@ -356,6 +357,20 @@ _HEADER = "pair,qubit,schedule,shot,i,q"
 # at 1,024 a block's strings take a few hundred KB, so a table's token list
 # is never built whole: a load holds the file's lines and the table's columns.
 _BLOCK_ROWS = 1024
+# The characters of a data row that save_table writes when |i| and |q| are below
+# 1e16 (repr turns to "1e+16" there).  A block of only these goes to numpy's C
+# parser, which reads such a token as float() and parse_index do; it reads
+# "+", whitespace, NUL, "#" and non-ASCII digits more loosely than they do.
+_ALPHABET = b"0123456789,-.e\n"
+# One data row as _parse_block reads it.  uint64 refuses a "-" sign; a pair
+# token that fills its field may have been cut (one of two int64 indices takes
+# at most 39); "U3" keeps "011" whole.
+_PAIR_WIDTH = 40
+_ROW = np.dtype([("pair", f"U{_PAIR_WIDTH}"), ("qubit", "u8"), ("schedule", "U3"), ("shot", "u8"),
+                 ("i", "f8"), ("q", "f8")])
+# ... and as _convert_rows reads it: Python strings and ints, uncut and unbounded
+_CHECKED_ROW = np.dtype([("pair", "O"), ("qubit", "O"), ("schedule", "U3"), ("shot", "O"),
+                         ("i", "f8"), ("q", "f8")])
 
 
 def save_table(table: IQShotTable, path) -> None:
@@ -375,32 +390,70 @@ def save_table(table: IQShotTable, path) -> None:
                 fh.write(key + ("\n" + key).join(map(",".join, fields)) + "\n")
 
 
+def _read_rows(texts: list[str], dtype: np.dtype, converters=None) -> np.ndarray:
+    """The rows of the stripped lines ``texts`` read by numpy's C text parser."""
+    return np.loadtxt(texts, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                      encoding=None, converters=converters)  # encoding=None: converters get str
+
+
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Indices at which a run of equal entries of ``column`` starts."""
+    return np.flatnonzero(np.append(True, column[1:] != column[:-1]))
+
+
+def _columns(rows: np.ndarray, starts: np.ndarray) -> list:
+    """Table columns of ``rows``, whose pair tokens change only at ``starts``:
+    ``parse_pair`` runs once per run.  An index past int64 raises
+    OverflowError here, except in a uint64 column, where the cast would
+    wrap: ``_parse_block`` bounds those first."""
+    firsts, seconds = zip(*map(parse_pair, rows["pair"][starts].tolist()))
+    counts = np.diff(np.append(starts, len(rows)))
+    return [np.repeat(np.array(firsts, np.int64), counts), np.repeat(np.array(seconds, np.int64), counts),
+            rows["qubit"].astype(np.int64), rows["schedule"], rows["shot"].astype(np.int64),
+            rows["i"], rows["q"]]
+
+
 def _parse_block(texts: list[str]):
-    """Columns of the stripped lines ``texts`` when every one is a valid data
-    row, checked one column at a time; None when any check fails.  Only such a
-    block raises OverflowError (an index of 2**63 or more), here or once stored."""
-    if set(map(str.count, texts, [","] * len(texts))) != {5}:  # 6 fields on every line
-        return None
-    tokens = ",".join(texts).split(",")
-    pair, qubit, schedule, shot, i_value, q_value = (tokens[k::6] for k in range(6))
-    if not (all_indices(qubit) and all_indices(shot) and set(schedule) <= set(SCHEDULES)):
+    """Columns of the stripped lines ``texts`` when every one is blank or a
+    valid data row of ``_ALPHABET``'s characters, read by one ``loadtxt``
+    call into ``_ROW``, which skips blank lines as the row rules do; None
+    when the block has another character, no data row, a field that does not
+    convert, an index past int64, a pair token that fills its field, a
+    schedule outside ``SCHEDULES`` or a non-finite value.  It never raises,
+    so a block that fails goes to the row checks."""
+    if "\n".join(texts).encode().translate(None, _ALPHABET):
         return None
     try:
-        firsts, seconds = zip(*map(parse_pair, pair))
-        qubit, shot = list(map(int, qubit)), list(map(int, shot))  # ValueError past 4,300 digits
-        i_value = np.fromiter(map(float, i_value), np.float64, len(texts))
-        q_value = np.fromiter(map(float, q_value), np.float64, len(texts))
-    except ValueError:
+        with warnings.catch_warnings():
+            # an all-blank block's UserWarning, and numpy 1.24's DeprecationWarning
+            # for an index token it reads through float, end the call instead
+            warnings.simplefilter("error")
+            rows = _read_rows(texts, _ROW)
+        pair, schedule = rows["pair"], rows["schedule"]
+        starts = _run_starts(pair)
+        if not (max(rows["qubit"].max(), rows["shot"].max()) <= _MAX_INDEX
+                and max(map(len, pair[starts].tolist())) < _PAIR_WIDTH
+                and set(schedule[_run_starts(schedule)].tolist()) <= set(SCHEDULES)
+                and np.isfinite(rows["i"]).all() and np.isfinite(rows["q"]).all()):
+            return None
+        return _columns(rows, starts)
+    except (ValueError, Warning, OverflowError):  # DataError is a ValueError
         return None
-    if not (np.isfinite(i_value).all() and np.isfinite(q_value).all()):
-        return None
-    qubit, shot = np.array(qubit, np.int64), np.array(shot, np.int64)
-    return [firsts, seconds, qubit, schedule, shot, i_value, q_value]
+
+
+def _convert_rows(texts: list[str]) -> list:
+    """Columns of data rows that have each passed ``_check_row`` but not
+    ``_parse_block``: the same read, with Python's ``int`` and ``float`` as
+    the index and value converters, so every such row converts, and an
+    index past int64 raises OverflowError."""
+    rows = _read_rows(texts, _CHECKED_ROW, {1: int, 3: int, 4: float, 5: float})
+    return _columns(rows, _run_starts(rows["pair"]))
 
 
 def _check_row(lineno: int, text: str) -> None:
     """Raise the DataError of data row ``text``, on line ``lineno``, if it
-    fails one of ``_parse_block``'s checks."""
+    is not a valid row: 6 fields, a pair, two indices, finite i and q values
+    and a schedule in ``SCHEDULES``."""
     parts = text.split(",")
     if len(parts) != 6:
         raise DataError(f"line {lineno}: expected 6 fields, got {len(parts)}")
@@ -420,11 +473,14 @@ def load_table(path) -> IQShotTable:
 
     Lines are stripped and blank ones skipped.  Comment lines may appear
     anywhere, and the last ``# device:`` line names the device.  The header
-    is the first other line.  One loop reads ``_BLOCK_ROWS`` lines at a time
-    and converts data rows only through ``_parse_block``'s column checks; in
-    a block that fails them, ``_check_row`` raises the first bad row's
-    DataError.  An index outside int64 raises DataError once every later
-    row has passed its checks.
+    is the first other line.  One loop reads ``_BLOCK_ROWS`` lines at a time.
+    A block after the header goes whole to ``_parse_block``, one ``loadtxt``
+    call.  A block up to the header, or one that ``_parse_block`` does not
+    read, has its comment, blank and header lines taken out, and its data
+    rows go to ``_parse_block`` again.  Where that fails, ``_check_row``
+    raises the first bad row's DataError, and rows that pass it (a "+1.5",
+    say) go to ``_convert_rows``.  An index outside int64 raises DataError
+    once every later row has passed its checks.
     """
     lines = read_lines(path)
     device, header, count, overflow = "", False, 0, None
@@ -448,10 +504,12 @@ def load_table(path) -> IQShotTable:
                         raise DataError(f"line {lineno}: expected header {_HEADER!r}, got {text!r}")
                 if not rows:
                     continue
-                block = _parse_block([text for _, text in rows])
+                data = [text for _, text in rows]
+                block = _parse_block(data)
                 if block is None:
                     for lineno, text in rows:
                         _check_row(lineno, text)
+                    block = _convert_rows(data)
             for column, values in zip(columns, block):
                 column[count:count + len(values)] = values
             count += len(block[0])

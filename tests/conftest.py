@@ -16,7 +16,8 @@ from qkmeans import clustering, complexity
 from qkmeans.dataset import DataSet, fit_readout_frame
 from qkmeans.distance import encode_matrix
 
-settings.register_profile("default", deadline=None)
+# print_blob: a failing draw prints the @reproduce_failure line that replays it anywhere
+settings.register_profile("default", deadline=None, print_blob=True)
 settings.load_profile("default")
 
 JOB_ACCOUNTING = {"fits_checked": 0}

@@ -24,7 +24,6 @@ from qkmeans.distance import BatchConfig, distance_matrix, encode_matrix, quantu
 from qkmeans.errors import (
     ConfigError,
     DataError,
-    all_indices,
     check_number,
     parse_index,
     parse_pair,
@@ -32,6 +31,7 @@ from qkmeans.errors import (
 )
 from qkmeans.iqdata import (
     CouplingMap,
+    _parse_block,
     default_coupling_map,
     default_readout_model,
     load_table,
@@ -328,20 +328,28 @@ BAD_INDEX_TOKENS = ["1_0", "+3", " 1", "١", "-1", "", "1.0", "³"]
 def test_parse_index_accepts_ascii_digits():
     assert parse_index("0") == 0
     assert parse_index("007") == 7
-    assert all_indices(["0", "007", "12"])
-    assert all_indices([])
+
+
+def _one_field(token: str) -> bool:
+    """Whether ``token`` stays one field of one line in a CSV row."""
+    return "," not in token and len(f"x{token}x".splitlines()) == 1
 
 
 @given(st.lists(st.sampled_from(["0", "17", "007"]) | st.sampled_from(BAD_INDEX_TOKENS)
-                | st.text(max_size=3), max_size=5))
-def test_all_indices_is_parse_index_on_every_token(tokens):
+                | st.text(max_size=3).filter(_one_field), min_size=1, max_size=5))
+def test_block_reader_is_parse_index_on_every_token(tokens):
+    """The C parser's uint64 qubit column takes a block exactly when every
+    token passes parse_index, and reads the same integers."""
     def passes(token):
         try:
             parse_index(token)
         except DataError:
             return False
         return True
-    assert all_indices(tokens) == all(map(passes, tokens))
+    block = _parse_block([f"0-1,{token},00,{shot},1.0,2.0" for shot, token in enumerate(tokens)])
+    assert (block is not None) == all(map(passes, tokens))
+    if block is not None:
+        assert block[2].tolist() == list(map(parse_index, tokens))
 
 
 @pytest.mark.parametrize("token", BAD_INDEX_TOKENS)

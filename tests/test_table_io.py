@@ -92,6 +92,8 @@ FIELD_EDITS = [
             lambda token: "+" + token, lambda token: "-" + token, lambda token: " " + token,
             lambda token: token + "_0", lambda token: token + "١", lambda token: "³",
             lambda token: "", lambda token: str(2**63), lambda token: str(2**64 + 7),
+            # a uint64 past int64, a signed zero, a trailing space
+            lambda token: str(2**64 - 1), lambda token: "-0", lambda token: token + " ",
         )
     ),
     *(
@@ -101,11 +103,18 @@ FIELD_EDITS = [
             lambda token: "nan", lambda token: "-inf", lambda token: "1e999",
             lambda token: token + ".5", lambda token: "x", lambda token: "1.7976931348623157e308",
             lambda token: token + "_0", lambda token: " " + token,
+            lambda token: "+1.5", lambda token: "1e+16",  # valid rows outside the C parser's characters
         )
     ),
+    # a NUL after each kind of field: numpy drops trailing NULs from a string field
+    *(_field(index, lambda token: token + "\0") for index in range(6)),
+    # pairs longer than the C parser's pair field, whose cut prefixes parse too
+    _field(0, lambda token: "1-" + "9" * 60),
+    _field(0, lambda token: token.replace("-", "-" + "0" * 60)),
 ]
+BLANK_RUN = "\n" * (2 * _BLOCK_ROWS)  # blank lines that fill at least one whole block
 # the last three are comment lines that a comma count alone would take for rows
-EXTRA_LINES = ["", "   ", "# note", "# device: a", "#device:  b ", "  # device: c", "#",
+EXTRA_LINES = ["", "   ", BLANK_RUN, "# note", "# device: a", "#device:  b ", "  # device: c", "#",
                "# 0-1,0,00,0,1.0,2.0", "#,,,,,", "  #device: z,,,,,"]
 
 
@@ -129,6 +138,18 @@ EXTRA_LINES = ["", "   ", "# note", "# device: a", "#device:  b ", "  # device: 
            (_BLOCK_ROWS + 9, _field(0, lambda token: f"{2**63}-1"))],
     extras=[],
 )
+@example(  # an index that numpy reads as uint64, past int64, after a valid "+1.5" in its block
+    edits=[(_BLOCK_ROWS + 3, _field(4, lambda token: "+1.5")),
+           (_BLOCK_ROWS + 9, _field(3, lambda token: str(2**64 - 1)))],
+    extras=[],
+)
+@example(  # a valid pair that the C parser's field would cut to another valid pair
+    edits=[(_BLOCK_ROWS + 1, _field(0, lambda token: token.replace("-", "-" + "0" * 60)))], extras=[],
+)
+@example(edits=[(_BLOCK_ROWS + 5, _field(0, lambda token: token + "\0"))], extras=[])
+@example(edits=[(_BLOCK_ROWS + 2, _field(1, lambda token: "-0"))], extras=[])  # uint64 refuses the sign
+@example(edits=[(_BLOCK_ROWS + 4, _field(5, lambda token: "1e999"))], extras=[])  # inf from digits alone
+@example(edits=[], extras=[(_BLOCK_ROWS + 7, BLANK_RUN)])
 def test_reader_matches_reference_on_long_files(long_rows, tmp_path_factory, edits, extras):
     rows = list(long_rows)
     for position, edit in edits:
