@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 from . import __version__, clustering, complexity, crosstalk, iqdata, metrics
@@ -290,6 +291,7 @@ def cmd_complexity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process: parsing a command line leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkmeans",

@@ -37,16 +37,19 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, count, islice
 
 import numpy as np
 
 from .dataset import DataSet, fit_readout_frame
 from .errors import (
-    ConfigError, DataError, check_choice, check_number, parse_index, parse_pair, read_lines,
+    ConfigError, DataError, check_choice, check_number, open_text, parse_index, parse_pair,
+    split_pieces,
 )
 from .simulator import derive_seed
 
 SCHEDULES = ("00", "01", "10", "11")
+_SCHEDULE_ARRAY = np.array(sorted(SCHEDULES))  # a schedule's code is its index here
 CROSSTALK_LATENT_GAIN = 1.8
 EXCITED_SHIFT_FRACTION = 0.25
 _ORTHOGONALIZE_MIN_SHOTS = 32
@@ -194,16 +197,16 @@ class IQShotTable:
                 raise DataError(f"column {name} must match pair_first length")
             columns.append(column)
         pf, ps, qb, sched, shot, i_val, q_val = columns
-        valid = np.isin(sched, SCHEDULES)
-        if not np.all(valid):
-            raise DataError(f"invalid schedule string {str(sched[~valid][0])!r}")
+        codes = np.searchsorted(_SCHEDULE_ARRAY, sched).astype(np.uint8)  # 4 for one past "11"
+        bad = np.flatnonzero(_SCHEDULE_ARRAY.take(codes, mode="clip") != sched)
+        if bad.size:
+            raise DataError(f"invalid schedule string {str(sched[bad[0]])!r}")
         if not (np.all(np.isfinite(i_val)) and np.all(np.isfinite(q_val))):
             raise DataError("i/q values must be finite")
-        large = np.flatnonzero(
-            (np.abs(i_val) > _MAX_IQ_MAGNITUDE) | (np.abs(q_val) > _MAX_IQ_MAGNITUDE)
-        )
-        if large.size:
-            j = large[0]
+        if (max(i_val.max(initial=0), q_val.max(initial=0)) > _MAX_IQ_MAGNITUDE
+                or min(i_val.min(initial=0), q_val.min(initial=0)) < -_MAX_IQ_MAGNITUDE):
+            large = (np.abs(i_val) > _MAX_IQ_MAGNITUDE) | (np.abs(q_val) > _MAX_IQ_MAGNITUDE)
+            j = np.flatnonzero(large)[0]
             raise DataError(
                 "|i| and |q| must be at most 2**400 (about 2.6e120), "
                 f"got i={float(i_val[j])!r}, q={float(q_val[j])!r}"
@@ -215,15 +218,17 @@ class IQShotTable:
             j = bad[0]
             raise DataError(f"qubit {qb[j]} is not one of the distinct qubits of pair {pf[j]}-{ps[j]}")
         # the sort copies every column, so the table never holds a caller's array; the schedules
-        # are cast to "U2" only now, once checked, since the cast would truncate "011" to "01"
-        order = np.lexsort((shot, sched, qb, ps, pf))
-        columns = [column[order].astype(dtype, copy=False) for column, dtype in zip(columns, _DTYPES)]
-        pf, ps, qb, sched, shot, _, _ = columns
+        # are sorted and compared as their codes, and come back as "U2" strings from them
+        columns[3] = codes
+        order = np.lexsort((shot, codes, qb, ps, pf))
+        columns = [column[order] for column in columns]
+        pf, ps, qb, codes, shot, _, _ = columns
+        sched = columns[3] = _SCHEDULE_ARRAY[codes]
         n = len(pf)
         new_run = np.ones(n, dtype=bool)  # row j opens a (pair, qubit, schedule) run
         new_run[1:] = (
             (pf[1:] != pf[:-1]) | (ps[1:] != ps[:-1])
-            | (qb[1:] != qb[:-1]) | (sched[1:] != sched[:-1])
+            | (qb[1:] != qb[:-1]) | (codes[1:] != codes[:-1])
         )
         same = ~new_run[1:] & (shot[1:] == shot[:-1])
         if np.any(same):
@@ -354,8 +359,8 @@ def assemble_datasets(
 
 _HEADER = "pair,qubit,schedule,shot,i,q"
 # Rows formatted or parsed per step.  Speed is flat from 256 to 4,096 rows;
-# at 1,024 a block's strings take a few hundred KB, so a table's token list
-# is never built whole: a load holds the file's lines and the table's columns.
+# at 1,024 a block's strings take a few hundred KB, so neither a file's lines
+# nor a table's token list is built whole: a load holds one block of lines.
 _BLOCK_ROWS = 1024
 # The characters of a data row that save_table writes when |i| and |q| are below
 # 1e16 (repr turns to "1e+16" there).  A block of only these goes to numpy's C
@@ -403,14 +408,16 @@ def _run_starts(column: np.ndarray) -> np.ndarray:
 
 def _columns(rows: np.ndarray, starts: np.ndarray) -> list:
     """Table columns of ``rows``, whose pair tokens change only at ``starts``:
-    ``parse_pair`` runs once per run.  An index past int64 raises
-    OverflowError here, except in a uint64 column, where the cast would
-    wrap: ``_parse_block`` bounds those first."""
+    ``parse_pair`` runs once per run.  Each is a copy, so no view keeps the
+    rows alive.  An index past int64 raises OverflowError here, except in a
+    uint64 column, where the cast would wrap: ``_parse_block`` bounds those
+    first."""
     firsts, seconds = zip(*map(parse_pair, rows["pair"][starts].tolist()))
     counts = np.diff(np.append(starts, len(rows)))
-    return [np.repeat(np.array(firsts, np.int64), counts), np.repeat(np.array(seconds, np.int64), counts),
-            rows["qubit"].astype(np.int64), rows["schedule"], rows["shot"].astype(np.int64),
-            rows["i"], rows["q"]]
+    columns = [np.repeat(np.array(firsts, np.int64), counts),
+               np.repeat(np.array(seconds, np.int64), counts),
+               rows["qubit"], rows["schedule"], rows["shot"], rows["i"], rows["q"]]
+    return [column.astype(dtype) for column, dtype in zip(columns, _DTYPES)]
 
 
 def _parse_block(texts: list[str]):
@@ -468,57 +475,70 @@ def _check_row(lineno: int, text: str) -> None:
         raise DataError(f"line {lineno}: invalid schedule {parts[2]!r}")
 
 
+def _device(comment: str, device: str) -> str:
+    """The device that the stripped comment line ``comment`` names, if it is
+    a ``# device:`` line; ``device`` otherwise."""
+    body = comment.lstrip("#").strip()
+    return body[len("device:"):].strip() if body.startswith("device:") else device
+
+
 def load_table(path) -> IQShotTable:
     """Read a shot table written by ``save_table``.
 
-    Lines are stripped and blank ones skipped.  Comment lines may appear
-    anywhere, and the last ``# device:`` line names the device.  The header
-    is the first other line.  One loop reads ``_BLOCK_ROWS`` lines at a time.
-    A block after the header goes whole to ``_parse_block``, one ``loadtxt``
-    call.  A block up to the header, or one that ``_parse_block`` does not
-    read, has its comment, blank and header lines taken out, and its data
-    rows go to ``_parse_block`` again.  Where that fails, ``_check_row``
-    raises the first bad row's DataError, and rows that pass it (a "+1.5",
-    say) go to ``_convert_rows``.  An index outside int64 raises DataError
-    once every later row has passed its checks.
+    The file is read in pieces (``errors.open_text``, which raises a UTF-8
+    error before any row error), so a load holds one piece and one block of
+    lines at a time, and its memory peaks at about the table, the sorted
+    copy of its columns and one block.  Lines are stripped and blank ones
+    skipped.  Comment lines may appear anywhere, and the last ``# device:``
+    line names the device.  The header is the first other line; the lines
+    up to it are read one by one.  The lines after it go ``_BLOCK_ROWS`` at
+    a time to ``_parse_block``, one ``loadtxt`` call.  A block that it does
+    not read has its comment and blank lines taken out, and its data rows go
+    to ``_parse_block`` again.  Where that fails, ``_check_row`` raises the
+    first bad row's DataError, and rows that pass it (a "+1.5", say) go to
+    ``_convert_rows``.  An index outside int64 raises DataError once every
+    later row has passed its checks.
     """
-    lines = read_lines(path)
-    device, header, count, overflow = "", False, 0, None
-    columns = [np.empty(len(lines), dtype) for dtype in _DTYPES]
-    for first in range(0, len(lines), _BLOCK_ROWS):
-        texts = list(map(str.strip, lines[first:first + _BLOCK_ROWS]))
-        try:
-            block = _parse_block(texts) if header else None  # most blocks: data rows only
-            if block is None:
-                rows = []
-                for lineno, text in enumerate(texts, first + 1):
-                    if text.startswith("#"):
-                        body = text.lstrip("#").strip()
-                        if body.startswith("device:"):
-                            device = body[len("device:"):].strip()
-                    elif header and text:
-                        rows.append((lineno, text))
-                    elif text == _HEADER:
-                        header = True
-                    elif text:
-                        raise DataError(f"line {lineno}: expected header {_HEADER!r}, got {text!r}")
-                if not rows:
-                    continue
-                data = [text for _, text in rows]
-                block = _parse_block(data)
+    device, lineno, overflow = "", 0, None
+    blocks = [[np.empty(0, dtype) for dtype in _DTYPES]]  # then each block's columns
+    with open_text(path) as text:
+        lines = map(str.strip, chain.from_iterable(split_pieces(text)))
+        for lineno, line in enumerate(lines, 1):  # up to the header
+            if line.startswith("#"):
+                device = _device(line, device)
+            elif line == _HEADER:
+                break
+            elif line:
+                raise DataError(f"line {lineno}: expected header {_HEADER!r}, got {line!r}")
+        for first in count(lineno + 1, _BLOCK_ROWS):
+            texts = list(islice(lines, _BLOCK_ROWS))
+            if not texts:
+                break
+            try:
+                block = _parse_block(texts)  # most blocks: data rows only
                 if block is None:
-                    for lineno, text in rows:
-                        _check_row(lineno, text)
-                    block = _convert_rows(data)
-            for column, values in zip(columns, block):
-                column[count:count + len(values)] = values
-            count += len(block[0])
-        except OverflowError as exc:  # a later bad row still names its line first
-            overflow = overflow or exc
-    del lines  # before the table sorts copies of its columns
+                    rows = []
+                    for lineno, line in enumerate(texts, first):
+                        if line.startswith("#"):
+                            device = _device(line, device)
+                        elif line:
+                            rows.append((lineno, line))
+                    if not rows:
+                        continue
+                    data = [line for _, line in rows]
+                    block = _parse_block(data)
+                    if block is None:
+                        for lineno, line in rows:
+                            _check_row(lineno, line)
+                        block = _convert_rows(data)
+                blocks.append(block)
+            except OverflowError as exc:  # a later bad row still names its line first
+                overflow = overflow or exc
     if overflow is not None:
         raise DataError(_INDEX_OVERFLOW.format(overflow)) from overflow
-    return IQShotTable(device, *(column[:count] for column in columns))
+    columns = list(map(np.concatenate, zip(*blocks)))
+    del blocks  # before the table sorts copies of its columns
+    return IQShotTable(device, *columns)
 
 
 # ---------------------------------------------------------------------------

@@ -689,6 +689,18 @@ class TestEntryPoint:
         assert parser.parse_args(["complexity"]).c == defaults.max_circuits_per_job
         assert ComplexityParams(N=1, K=1, F=1, I=1).C == defaults.max_circuits_per_job
 
+    def test_parser_is_built_once_and_left_as_built(self, tmp_path, capsys):
+        parser = build_parser()
+        argvs = [["synth"], ["benchmark", "--data", "x.csv"], ["crosstalk"], ["complexity"]]
+        before = [vars(parser.parse_args(argv)) for argv in argvs]
+        assert main(["complexity", "--k", "3", "--n-range", "10:20:2", "--f-range", "2:4:2",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["benchmark", "--data", str(tmp_path / "missing.csv"), "--mode", "sampled",
+                     "--out", str(tmp_path)]) == 1
+        assert main(["synth", "--bogus"]) == 1
+        assert build_parser() is parser
+        assert [vars(parser.parse_args(argv)) for argv in argvs] == before
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "qkmeans" in capsys.readouterr().out

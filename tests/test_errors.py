@@ -1,7 +1,8 @@
 """The shared input rules: every library entry point checks its own run
 parameters with ``check_number`` and its named options with
-``check_choice``, every qubit and shot field goes through ``parse_index``
-and every pair-token parser through ``parse_pair``."""
+``check_choice``, every qubit and shot field goes through ``parse_index``,
+every pair-token parser through ``parse_pair``, and a data file read a
+piece at a time (``open_text``) reads and fails as ``read_lines`` does."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from qkmeans import errors
 from qkmeans.cli import read_score_table
 from qkmeans.clustering import ClusterModel, FitConfig, fit, predict, qkmeans_plusplus_init
 from qkmeans.complexity import ComplexityParams, cost_curve, sweep_values
@@ -25,9 +27,11 @@ from qkmeans.errors import (
     ConfigError,
     DataError,
     check_number,
+    open_text,
     parse_index,
     parse_pair,
     read_lines,
+    split_pieces,
 )
 from qkmeans.iqdata import (
     CouplingMap,
@@ -287,6 +291,47 @@ def test_read_lines_rejects_non_utf8(tmp_path):
         read_lines(path)
     path.write_bytes(b"a\r\nb\n")
     assert read_lines(path) == ["a", "b"]
+
+
+# every line end str.splitlines knows ("\r\n" as one), "\x1f" that it does not,
+# and characters of two, three and four UTF-8 bytes
+TEXT_TOKENS = ["a", ",", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+               "\u2028", "\u2029", "é", "€", "𝄞"]
+# an invalid start byte, a bad continuation, an overlong form, a surrogate, a cut sequence
+BAD_UTF8 = [b"\xff", b"\xe2\x28", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82"]
+text_bytes = st.lists(st.sampled_from(TEXT_TOKENS), max_size=40).map(lambda tokens: "".join(tokens).encode())
+file_bytes = text_bytes | st.binary(max_size=40) | st.builds(
+    lambda head, bad, tail: head + bad + tail, text_bytes, st.sampled_from(BAD_UTF8), text_bytes)
+
+
+def _streamed(path):
+    """open_text's DataError message, or split_pieces' lines."""
+    try:
+        with open_text(path) as text:
+            return [line for lines in split_pieces(text) for line in lines]
+    except DataError as exc:
+        return str(exc)
+
+
+def _whole(path):
+    """read_lines' DataError message, or the whole text's splitlines(True)."""
+    try:
+        read_lines(path)
+    except DataError as exc:
+        return str(exc)
+    return path.read_bytes().decode("utf-8").splitlines(True)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(file_bytes, st.integers(1, 12))
+@example(b"a\r\nb", 2)  # a piece ends inside "\r\n"
+@example("é€𝄞\n".encode() + b"\xff", 1)  # pieces end inside each character before the bad byte
+def test_open_text_reads_and_rejects_as_read_lines_in_any_pieces(tmp_path, content, piece):
+    path = tmp_path / "x.txt"
+    path.write_bytes(content)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "_PIECE", piece)
+        assert _streamed(path) == _whole(path)
 
 
 BAD_PAIR_TOKENS = ["1_0-2", "+1-2", " 1-2", "١-٢", "1- 2", "1-", "-1-2", "1-2-3"]

@@ -1,11 +1,13 @@
 """Block-wise shot-table I/O against the row-by-row reference in
 ``table_io_reference``: the same table or the same DataError from every
-file, the same bytes from every table, bit-exact round trips, and a memory
-bound that keeps a whole-file token list from coming back."""
+file, read in pieces of any size, the same bytes from every table,
+bit-exact round trips, and memory bounds that keep a whole-file line or
+token list from coming back."""
 
 from __future__ import annotations
 
 import tracemalloc
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -13,10 +15,13 @@ import table_io_reference as reference
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from test_parser_fuzz import shot_files
 
+from qkmeans import errors
+from qkmeans.cli import main
 from qkmeans.errors import DataError
 from qkmeans.iqdata import (
     _BLOCK_ROWS,
     _COLUMNS,
+    _HEADER,
     SCHEDULES,
     IQShotTable,
     crosstalk_demo_model,
@@ -163,6 +168,96 @@ def test_reader_matches_reference_on_long_files(long_rows, tmp_path_factory, edi
     assert outcome(load_table, path) == outcome(reference.load_table, path)
 
 
+# every line end str.splitlines knows, with "\r\n" as one and "\r" before others
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+             "\r\r\n", "\n\r"]
+# comment lines of two-, three- and four-byte characters, one naming the device
+WIDE_LINES = ["# device: chïp €", "# ü𝄞", "  # 𝄞€é"]
+
+
+def _in_pieces(piece, load, path):
+    """outcome(load, path) with open_text and split_pieces reading ``piece``
+    bytes, then characters, at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "_PIECE", piece)
+        return outcome(load, path)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shot_files, st.integers(1, 16))
+def test_reader_matches_reference_in_small_pieces(tmp_path, content, piece):
+    path = tmp_path / "shots.csv"
+    path.write_bytes(content)
+    assert _in_pieces(piece, load_table, path) == outcome(reference.load_table, path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    ends=st.lists(st.sampled_from(LINE_ENDS), min_size=1, max_size=4),
+    extras=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(WIDE_LINES + EXTRA_LINES)),
+                    max_size=4),
+    edit=st.tuples(st.integers(0, 10**6), st.sampled_from(FIELD_EDITS)) | st.none(),
+    piece=st.integers(1, 300),
+)
+def test_reader_matches_reference_on_long_files_in_small_pieces(long_rows, tmp_path_factory, ends,
+                                                                 extras, edit, piece):
+    rows = ["# device: chip", _HEADER, *long_rows]
+    if edit is not None:
+        position = 2 + edit[0] % len(long_rows)
+        rows[position] = ",".join(edit[1](rows[position].split(",")))
+    for position, line in extras:
+        rows.insert(position % (len(rows) + 1), line)
+    path = tmp_path_factory.mktemp("ends") / "shots.csv"
+    path.write_bytes("".join(row + end for row, end in zip(rows, cycle(ends))).encode())
+    assert _in_pieces(piece, load_table, path) == outcome(reference.load_table, path)
+
+
+def _short_file(bad_row=False, bad_byte=False) -> bytes:
+    """A few rows, each line ended by the next of LINE_ENDS, among comment
+    lines of wide characters; with a malformed last row, or a byte that is
+    not UTF-8 after the last wide character."""
+    rows = [f"0-1,{shot % 2},{SCHEDULES[shot % 4]},{shot},{shot}.5,-2.5" for shot in range(12)]
+    if bad_row:
+        rows[-1] += ",0"
+    lines = [WIDE_LINES[0], _HEADER, *rows[:4], WIDE_LINES[1], "", *rows[4:8], WIDE_LINES[2], *rows[8:]]
+    content = "".join(line + end for line, end in zip(lines, cycle(LINE_ENDS))).encode()
+    if bad_byte:
+        cut = content.rindex("𝄞".encode()) + 4
+        content = content[:cut] + b"\xff" + content[cut:]
+    return content
+
+
+@pytest.mark.parametrize("content", [_short_file(), _short_file(bad_row=True), _short_file(bad_byte=True)],
+                         ids=["valid", "bad-row", "bad-byte"])
+def test_reader_matches_reference_at_every_piece_boundary(tmp_path, content):
+    r"""Every piece size up to the file's length, so that pieces end inside
+    each "\r\n", inside each wide character and next to every line end."""
+    path = tmp_path / "shots.csv"
+    path.write_bytes(content)
+    expected = outcome(reference.load_table, path)
+    assert isinstance(expected, str) == (content != _short_file())
+    for piece in range(1, len(content) + 1):
+        assert _in_pieces(piece, load_table, path) == expected, piece
+
+
+def test_utf8_error_comes_before_an_earlier_row_error(long_rows, tmp_path, capsys):
+    """A malformed row on line 2 and a bad byte past the first piece: the
+    file is still rejected as not UTF-8, as a whole-file decode rejects it."""
+    rows = [_HEADER, long_rows[0].replace(",", ",x", 1), *long_rows[1:]]
+    content = "\n".join(rows).encode()
+    path = tmp_path / "iq_shots.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match="^line 2: malformed row"):
+        load_table(path)
+    cut = 3 * errors._PIECE // 2
+    path.write_bytes(content[:cut] + b"\xff" + content[cut:])
+    with pytest.raises(DataError, match="not UTF-8 text") as info:
+        load_table(path)
+    assert str(info.value) == outcome(reference.load_table, path)
+    assert main(["crosstalk", "--data", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 def test_reader_names_the_same_line_in_a_later_block(long_rows, tmp_path):
     rows = list(long_rows)
     rows[_BLOCK_ROWS + 10] = rows[_BLOCK_ROWS + 10].replace(",", ",+", 1)
@@ -245,7 +340,7 @@ def test_writer_formats_every_finite_float_as_reference(tmp_path, table, data):
 
 def test_large_table_memory(tmp_path):
     """tracemalloc peaks on the seed-1, 2048-shot crosstalk table (65,536
-    rows, 64 blocks) that a whole-file token list would break."""
+    rows, 64 blocks) that a whole-file line or token list would break."""
     table = synthesize(crosstalk_demo_model(), default_coupling_map(), shots_per_schedule=2048, seed=1)
     assert len(table) == 65_536
     path = tmp_path / "iq_shots.csv"
@@ -259,21 +354,23 @@ def test_large_table_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert save_peak <= 4 * MiB, save_peak / MiB
-    assert load_peak <= 13 * MiB, load_peak / MiB
+    assert load_peak <= 9 * MiB, load_peak / MiB
     assert contents(back) == contents(table)
 
 
 def test_empty_table_holds_no_line_buffers(tmp_path):
-    """A header and 200,000 blank lines load as a 0-row table that keeps none
-    of the columns sized by the line count (about 10 MiB of them)."""
+    """A header and 200,000 blank lines load a piece at a time, with a peak
+    of a piece's lines and a block, not the file's 200,000 lines, as a
+    0-row table that keeps nothing sized by the line count."""
     path = tmp_path / "iq_shots.csv"
     path.write_text("pair,qubit,schedule,shot,i,q" + "\n" * 200_001, encoding="utf-8")
     load_table(path)  # first-call caches are not the table's
     tracemalloc.start()
     try:
         table = load_table(path)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(table) == 0
     assert held <= MiB / 16, held / MiB
+    assert peak <= MiB, peak / MiB
