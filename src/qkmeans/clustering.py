@@ -121,18 +121,18 @@ def _pairwise(columns, center_columns, distance_mode: str, batch: BatchConfig):
         _, norms, exponents = distance._scaled_norms(columns[:, None, :] - center_columns[:, :, None])
         return (norms if exponents is None else np.ldexp(norms, exponents)), None
     overlap, stats = distance._overlaps(columns, center_columns, batch)
-    return -overlap * overlap, stats
+    overlap *= overlap
+    return np.negative(overlap, out=overlap), stats
 
 
 def _nearest_rows(values: np.ndarray) -> np.ndarray:
     """``np.argmin(values, axis=0)`` of a (K, N) array as a running strict-<
-    minimum over its K rows: ties go to the lowest row."""
-    labels = np.zeros(values.shape[1], dtype=np.int64)
+    minimum over its K rows, from the first comparison on: ties go to the lowest row."""
+    labels = (values[min(1, len(values) - 1)] < values[0]).astype(np.int64)  # at K = 1, none
     best = values[0]
-    for k in range(1, len(values)):
-        closer = values[k] < best
-        labels[closer] = k
-        best = np.minimum(best, values[k])
+    for k in range(2, len(values)):
+        best = np.minimum(best, values[k - 1])
+        labels[values[k] < best] = k
     return labels
 
 
@@ -229,11 +229,10 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
     columns = _columns(X.features, mode)
     centers = _seeding(X, columns, k, mode, config.seed, config.batch)
     center_columns = centers.T
-    features = columns if mode == "classical_euclidean" else np.ascontiguousarray(X.features.T)
-    bins = np.arange(f)[:, None] * k  # center k's sum of feature j is bin j*K + k
+    weights = (columns if mode == "classical_euclidean" else X.features.T).ravel()  # feature-major
+    bins, index = np.arange(f)[:, None] * k, np.empty((f, X.n_points), dtype=np.int64)
     shifts: list[float] = []
     batch_history: list[BatchStats] = []
-    converged = False
     for iteration in range(config.max_iter):  # max_iter >= 1, so the loop sets labels
         labels, stats, keys = _nearest(columns, center_columns, mode, config.batch,
                                        partial(derive_seed, config.batch.seed, 1, iteration))
@@ -244,17 +243,16 @@ def fit(X: DataSet, config: FitConfig) -> ClusterModel:
             labels = _repair_empty_clusters(labels, keys(), k)
             counts = np.bincount(labels, minlength=k)
         # init needs N >= K, so the repair leaves every cluster a member
-        sums = np.bincount((bins + labels).ravel(), features.ravel(), k * f)
+        np.add(bins, labels, out=index)  # center k's sum of feature j is bin j*K + k
+        sums = np.bincount(index.ravel(), weights, k * f)
         center_columns = sums.reshape(f, k) / counts
         new_centers = np.ascontiguousarray(center_columns.T)
-        shift = float(np.sum(np.abs(new_centers - centers)))
-        shifts.append(shift)
+        shifts.append(float(np.abs(new_centers - centers).sum()))
         centers = new_centers
-        if shift < config.tol:
-            converged = True
+        if shifts[-1] < config.tol:
             break
     return ClusterModel(cluster_centers=centers, labels=labels, center_shifts=tuple(shifts),
-                        converged=converged, batch_history=tuple(batch_history))
+                        converged=shifts[-1] < config.tol, batch_history=tuple(batch_history))
 
 
 def predict(model: ClusterModel, X: DataSet, distance_mode: str = "quantum_exact",

@@ -59,15 +59,23 @@ def pearson(a, b) -> float:
         raise DataError("pearson needs two equal-length 1-D arrays")
     if x.size < 2:
         raise DataError("pearson needs at least two samples")
-    if (x == x[0]).all() or (y == y[0]).all():
-        return float("nan")
+    return _correlation(_deviation(x), _deviation(y))
+
+
+def _deviation(x: np.ndarray):
+    """``x`` less its mean, scaled by a power of two into [0.5, 1), and its sum of squares, or None."""
+    if (x == x[0]).all():
+        return None
     dx = x - x.mean()
-    dy = y - y.mean()
     dx = np.ldexp(dx, -np.frexp(np.max(np.abs(dx)))[1])
-    dy = np.ldexp(dy, -np.frexp(np.max(np.abs(dy)))[1])
-    vx = float(np.sum(dx * dx))
-    vy = float(np.sum(dy * dy))
-    return float(np.clip(np.sum(dx * dy) / np.sqrt(vx * vy), -1.0, 1.0))
+    return dx, float(np.sum(dx * dx))
+
+
+def _correlation(x, y) -> float:
+    """Pearson's r of two ``_deviation`` results; NaN when either is None (has zero spread)."""
+    if x is None or y is None:
+        return float("nan")
+    return float(np.clip(np.sum(x[0] * y[0]) / np.sqrt(x[1] * y[1]), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -191,15 +199,13 @@ def flag_crosstalk(
 def heatmap_lines(table: IQShotTable, pair: tuple[int, int]) -> list[str]:
     """The pair's delimited 8x8 grid with axis labels, one header + 8 rows."""
     pair, signals = _signals(table, pair)
-    arrays = [np.concatenate(halves) for halves in signals.values()]
+    deviations = [_deviation(np.concatenate(halves)) for halves in signals.values()]
     labels = [f"{state}_{pair[pos]}_{FEATURE_NAMES[feature]}" for state, pos, feature in signals]
 
     matrix = np.eye(8)
     for r in range(8):
         for c in range(r + 1, 8):
-            value = pearson(arrays[r], arrays[c])
-            matrix[r, c] = value
-            matrix[c, r] = value
+            matrix[r, c] = matrix[c, r] = _correlation(deviations[r], deviations[c])
 
     lines = ["label," + ",".join(labels)]
     for label, row in zip(labels, matrix):

@@ -134,25 +134,32 @@ def _unit_columns(columns: np.ndarray) -> np.ndarray:
     column whose squares leave the float range by a power of two.)  A fit
     encodes its K centers here on every Lloyd step, and ``encode_matrix``
     its rows."""
-    if not (len(columns) and np.isfinite(columns).all()):  # a zero-length vector is no state
+    if not len(columns):  # a zero-length vector is no state
         raise DataError("amplitude encoding needs nonzero finite vectors")
-    columns, norms, _ = _scaled_norms(columns)
-    if not norms.all():
+    columns, norms, exponents = _scaled_norms(columns)
+    if exponents is not None and not _all_normal(norms):
         raise DataError("amplitude encoding needs nonzero finite vectors")
     return np.divide(columns, norms, order="C")
 
 
+def _all_normal(values: np.ndarray) -> bool:
+    """Whether every entry is a normal finite float (NaN is not)."""
+    return _TINY <= values.min(initial=np.inf) and values.max(initial=0.0) < np.inf
+
+
 def _scaled_norms(columns: np.ndarray):
     """``columns`` times 2**-e vector by vector, their norms
-    sqrt(row_sums(columns * columns)) over the leading (feature) axis, and e
-    (None if no vector is scaled): 0 unless a nonzero vector's plain sum of
-    squares is not a normal float (inf, 0 or subnormal), then the exponent
-    of its largest |entry|."""
+    sqrt(row_sums(columns * columns)) over the leading (feature) axis, and e:
+    None if every plain sum of squares is a normal float, else 0 (one 0 if no
+    vector is scaled) unless a nonzero vector's sum is inf, 0 or subnormal,
+    then the exponent of its largest |entry|.  A scaled norm is normal."""
     with np.errstate(over="ignore"):
         squares = row_sums(columns * columns)
+    if _all_normal(squares):
+        return columns, np.sqrt(squares), None
     small = squares < _TINY
-    if squares.max(initial=0.0) < np.inf and not (small.any() and columns[:, small].any()):
-        return columns, np.sqrt(squares), None  # every sum is normal or of a zero vector
+    if squares.max() < np.inf and not columns[:, small].any():
+        return columns, np.sqrt(squares), 0  # every sum is normal or of a zero vector
     odd = small | (squares == np.inf)
     exponents = np.zeros(squares.shape, dtype=np.intc)
     exponents[odd] = np.frexp(np.max(np.abs(columns[:, odd]), axis=0))[1]
@@ -335,17 +342,20 @@ def estimate_distances(requests: Sequence[DistanceRequest], config: BatchConfig 
 def _overlaps(unit_points, unit_centers, config: BatchConfig) -> tuple[np.ndarray, BatchStats]:
     """The (K, N) overlaps <x|y> of N unit columns with K unit columns
     (transposed ``encode_matrix`` rows), and their stats: one circuit per
-    request, ceil(N*K/C) jobs.  (F, K, points) products are formed in capped
-    blocks of points, and ``row_sums`` adds them over F."""
+    request, ceil(N*K/C) jobs.  ``row_sums`` adds the (F, K, points) products
+    over F, in one block or in blocks of points capped at ``_BLOCK_PRODUCTS``."""
     (f, n_pts), k = unit_points.shape, unit_centers.shape[1]
-    overlap = np.empty((k, n_pts), dtype=np.float64)
     step = max(1, _BLOCK_PRODUCTS // max(1, k * f))
     centers = unit_centers[:, :, None]
+    stats = BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
+    # passed as a temporary, so the tree frees the products after its first level
+    if n_pts <= step:
+        return row_sums(unit_points[:, None, :] * centers), stats
+    overlap = np.empty((k, n_pts), dtype=np.float64)
     for start in range(0, n_pts, step):
         points = slice(start, start + step)
-        # passed as a temporary, so the tree frees the products after its first level
         overlap[:, points] = row_sums(unit_points[:, None, points] * centers)
-    return overlap, BatchStats(-(-n_pts * k // config.max_circuits_per_job), n_pts * k)
+    return overlap, stats
 
 
 def distance_matrix(points: np.ndarray, centers: np.ndarray, config: BatchConfig | None = None,

@@ -492,12 +492,12 @@ def load_table(path) -> IQShotTable:
     skipped.  Comment lines may appear anywhere, and the last ``# device:``
     line names the device.  The header is the first other line; the lines
     up to it are read one by one.  The lines after it go ``_BLOCK_ROWS`` at
-    a time to ``_parse_block``, one ``loadtxt`` call.  A block that it does
-    not read has its comment and blank lines taken out, and its data rows go
-    to ``_parse_block`` again.  Where that fails, ``_check_row`` raises the
-    first bad row's DataError, and rows that pass it (a "+1.5", say) go to
-    ``_convert_rows``.  An index outside int64 raises DataError once every
-    later row has passed its checks.
+    a time to ``_parse_block``, one ``loadtxt`` call, unless all are blank.
+    A block that it does not read has its comment and blank lines taken out,
+    and its data rows go to ``_parse_block`` again.  Where that fails,
+    ``_check_row`` raises the first bad row's DataError, and rows that pass
+    it (a "+1.5", say) go to ``_convert_rows``.  An index outside int64
+    raises DataError once every later row has passed its checks.
     """
     device, lineno, overflow = "", 0, None
     blocks = [[np.empty(0, dtype) for dtype in _DTYPES]]  # then each block's columns
@@ -514,6 +514,8 @@ def load_table(path) -> IQShotTable:
             texts = list(islice(lines, _BLOCK_ROWS))
             if not texts:
                 break
+            if not any(texts):  # all blank
+                continue
             try:
                 block = _parse_block(texts)  # most blocks: data rows only
                 if block is None:

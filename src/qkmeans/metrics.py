@@ -204,13 +204,12 @@ def stratified_folds(labels: np.ndarray, n_splits: int, seed: int) -> list[np.nd
         if size < n_splits:
             raise DataError(f"class {value} has {size} samples; need >= n_splits={n_splits}")
     rng = np.random.default_rng(seed)
-    shuffled = [rng.permutation(np.flatnonzero(labels == value)) for value in classes]
-    # member i of class number `offset` goes to fold (i + offset) % n_splits
-    fold = np.concatenate(
-        [(np.arange(m.size) + offset) % n_splits for offset, m in enumerate(shuffled)]
-    )
-    members = np.concatenate(shuffled).astype(np.int64)
-    ordered = members[np.lexsort((members, fold))]
+    fold = np.empty(labels.size, dtype=np.int64)
+    # shuffled member i of class number `offset` goes to fold (i + offset) % n_splits
+    for offset, value in enumerate(classes):
+        members = rng.permutation(np.flatnonzero(labels == value))
+        fold[members] = (np.arange(members.size) + offset) % n_splits
+    ordered = np.argsort(fold, kind="stable")  # by fold, then by index
     return np.split(ordered, np.cumsum(np.bincount(fold, minlength=n_splits))[:-1])
 
 
@@ -237,8 +236,8 @@ def cross_validate(
     for fold_idx, test_idx in enumerate(folds):
         mask = np.ones(X.n_points, dtype=bool)
         mask[test_idx] = False
-        train = DataSet(X.features[mask], X.labels[mask])
-        test = DataSet(X.features[test_idx], X.labels[test_idx])
+        train, test = (DataSet(X.features.take(rows, axis=0), X.labels.take(rows))
+                       for rows in (np.flatnonzero(mask), test_idx))
         base = derive_seed(seed, fold_idx)
         fold_config = replace(config, seed=derive_seed(base, 0))
         predict_seed = 0

@@ -14,7 +14,7 @@ from scipy import stats
 
 from conftest import register_amplitudes
 from qkmeans import distance
-from qkmeans.clustering import _nearest, _nearest_rows, qkmeans_plusplus_init
+from qkmeans.clustering import _columns, _nearest, _nearest_rows, _pairwise, qkmeans_plusplus_init
 from qkmeans.dataset import DataSet
 from qkmeans.distance import (
     _BLOCK_PRODUCTS,
@@ -31,7 +31,7 @@ from qkmeans.distance import (
     estimate_distances,
     quantum_distance,
 )
-from qkmeans.errors import ConfigError
+from qkmeans.errors import ConfigError, DataError
 from qkmeans.simulator import (
     batch_cswap,
     batch_ground,
@@ -754,6 +754,101 @@ class TestFeatureMajorKernels:
         labels = _nearest_rows(np.ascontiguousarray(dists.T))
         assert labels.dtype == np.int64
         np.testing.assert_array_equal(labels, np.argmin(dists, axis=1))
+
+
+TINY = np.finfo(np.float64).tiny
+# entry scales whose square sums are normal, sit at the least normal float
+# (2**-1022), go subnormal, underflow to 0 or overflow
+NORM_SCALES = [1.0, 2.0**-300, 2.0**300, 2.0**-511, 2.0**-520, 2.0**-540, 2.0**512, 2.0**520]
+
+
+@st.composite
+def norm_columns(draw, bad=False):
+    """(F, N) columns, each at one scale of ``NORM_SCALES`` or zero, some
+    entries zero; with ``bad``, a column may instead hold a NaN or an
+    infinity."""
+    f, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.normal(size=(f, n)) * (rng.random((f, n)) < 0.8)
+    kinds = st.sampled_from(NORM_SCALES + [0.0] + ([np.nan, np.inf, -np.inf] if bad else []))
+    for j in range(n):
+        kind = draw(kinds)
+        if np.isfinite(kind):
+            columns[:, j] *= kind
+        else:
+            columns[draw(st.integers(0, f - 1)), j] = kind
+    return columns
+
+
+def reference_scaled_norms(columns):
+    """Each column times 2**-e, e the exponent of its largest |entry| where
+    its plain sum of squares (``row_sums``' tree) is not a normal float and
+    it is not zero, else 0; the scaled norms; and e."""
+    with np.errstate(over="ignore"):
+        squares = row_sums(columns * columns)
+    exponents = np.zeros(squares.shape, dtype=np.intc)
+    for j in np.ndindex(squares.shape):
+        column = columns[(slice(None), *j)]
+        if not TINY <= squares[j] < np.inf and column.any():
+            exponents[j] = np.frexp(np.max(np.abs(column)))[1]
+    scaled = np.ldexp(columns, -exponents)
+    return scaled, np.sqrt(row_sums(scaled * scaled)), exponents
+
+
+class TestNormTest:
+    """One test on the square sums sends every normal, finite column down the
+    plain path; the rest take the power-of-two rescale.  Both give the
+    reference's bits, and encoding refuses what it refused before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(norm_columns())
+    def test_scaled_norms_and_unit_columns_match_reference(self, columns):
+        scaled, norms, exponents = reference_scaled_norms(columns)
+        got_columns, got_norms, got_exponents = distance._scaled_norms(columns)
+        with np.errstate(over="ignore"):
+            squares = row_sums(columns * columns)
+        assert (got_exponents is None) == bool(np.all((TINY <= squares) & (squares < np.inf)))
+        got_exponents = np.broadcast_to(0 if got_exponents is None else got_exponents, exponents.shape)
+        assert got_exponents.tolist() == exponents.tolist()
+        assert got_columns.tobytes() == scaled.tobytes()
+        assert got_norms.tobytes() == norms.tobytes()
+        if columns.any(axis=0).all():
+            unit = distance._unit_columns(columns)
+            assert unit.flags.c_contiguous and unit.tobytes() == (scaled / norms).tobytes()
+        else:
+            with pytest.raises(DataError, match="nonzero finite vectors"):
+                distance._unit_columns(columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(norm_columns(bad=True))
+    def test_encoding_refuses_zero_and_nonfinite_columns(self, columns):
+        if columns.any(axis=0).all() and np.isfinite(columns).all():
+            assert distance._unit_columns(columns).shape == columns.shape
+            return
+        with pytest.raises(DataError, match="nonzero finite vectors"):
+            distance._unit_columns(columns)
+        with pytest.raises(DataError, match="nonzero finite vectors"):
+            encode_matrix(columns.T)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_encoding_refuses_no_features(self, n):
+        with pytest.raises(DataError, match="nonzero finite vectors"):
+            distance._unit_columns(np.empty((0, n)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(norm_columns(), st.data())
+    def test_classical_first_step_with_a_seed_on_its_center(self, columns, data):
+        # a fit's first centers are data points, so each seed's own
+        # difference is zero, and the step's square sums take the full path
+        picks = data.draw(st.lists(st.integers(0, columns.shape[1] - 1), min_size=1, max_size=3))
+        points = _columns(columns.T, "classical_euclidean")
+        centers = points[:, picks]
+        diff = points[:, None, :] - centers[:, :, None]
+        assert distance._scaled_norms(diff)[2] is not None
+        keys, stats = _pairwise(points, centers, "classical_euclidean", BatchConfig())
+        _, norms, exponents = reference_scaled_norms(diff)
+        assert keys.tobytes() == np.ldexp(norms, exponents).tobytes()
+        assert not keys[np.arange(len(picks)), picks].any() and stats is None
 
 
 class TestBatchConfig:

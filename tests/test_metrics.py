@@ -6,12 +6,14 @@ import importlib.util
 import itertools
 import timeit
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from qkmeans.clustering import FitConfig
+from qkmeans import clustering
+from qkmeans.clustering import DISTANCE_MODES, FitConfig
 from qkmeans.dataset import DataSet
 from qkmeans.distance import BatchConfig
 from qkmeans.errors import DataError
@@ -29,7 +31,10 @@ from qkmeans.metrics import (
     table_row,
 )
 
+from qkmeans.simulator import derive_seed
+
 from conftest import make_blobs
+from test_clustering import assert_same_fit, fit_or_error, reference_fit
 
 
 def oracle_fidelity(pred, truth) -> float:
@@ -483,6 +488,101 @@ class TestScoreReport:
         report = ScoreReport(metric="AssignmentFidelity", per_fold=(0.97, 0.98))
         # mean 0.975, half-width 0.01 / sqrt(2) = 0.00707...
         assert table_row("q0", "single", report) == "q0, single, 0.975 ±0.0071"
+
+
+@st.composite
+def fold_cases(draw):
+    """A labeled cloud of 8 to 60 points, on a lattice (so ties and duplicate
+    points are common) or normal, each class at least as large as the 2 to
+    5 splits, and a fit config with K from 1 to 3."""
+    n_splits = draw(st.integers(2, 5))
+    n = draw(st.integers(max(8, 2 * n_splits), 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = rng.integers(-4, 5, size=(n, 2)) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    else:
+        features = rng.normal(size=(n, 2)) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    first = draw(st.integers(n_splits, n - n_splits))
+    labels = rng.permutation(np.repeat([0, 1], [first, n - first]))
+    batch = BatchConfig(max_circuits_per_job=draw(st.sampled_from([1, 7, 900])),
+                        shots_per_circuit=draw(st.sampled_from([7, 64])), seed=draw(st.integers(0, 99)))
+    config = FitConfig(n_clusters=draw(st.integers(1, 3)), max_iter=draw(st.integers(1, 8)),
+                       tol=draw(st.sampled_from([0.0, 1e-4])), batch=batch)
+    return (DataSet(features, labels), config, n_splits, draw(st.sampled_from(sorted(METRIC_NAMES))),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def masked_fold_loop(X, config, n_splits, metric, seed):
+    """``cross_validate``'s folds split with boolean masks: per fold the
+    train and test sets, the fit config, the model, the predicted labels and
+    the score."""
+    folds = []
+    for fold_idx, test_idx in enumerate(stratified_folds(X.labels, n_splits, seed)):
+        in_train = np.ones(X.n_points, dtype=bool)
+        in_train[test_idx] = False
+        train = DataSet(X.features[in_train], X.labels[in_train])
+        test = DataSet(X.features[test_idx], X.labels[test_idx])
+        base = derive_seed(seed, fold_idx)
+        fold_config, predict_seed = replace(config, seed=derive_seed(base, 0)), 0
+        if config.distance_mode == "quantum_sampled":
+            fold_config = replace(fold_config, batch=replace(config.batch, seed=derive_seed(base, 1)))
+            predict_seed = derive_seed(base, 2)
+        model = clustering.fit(train, fold_config)
+        predicted = clustering.predict(model, test, fold_config.distance_mode, fold_config.batch, predict_seed)
+        folds.append((train, test, fold_config, model, predicted, score_labels(metric, predicted, test.labels)))
+    return folds
+
+
+def same_data(a: DataSet, b: DataSet) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.features, b.features), (a.labels, b.labels)))
+
+
+class TestFoldSplit:
+    """``cross_validate`` splits each fold by index; every fold's sets,
+    model, predicted labels and score must be those of boolean masks."""
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(case=fold_cases())
+    def test_matches_masked_fold_loop(self, mode, case):
+        X, config, n_splits, metric, seed = case
+        config = replace(config, distance_mode=mode)
+        try:
+            expected = masked_fold_loop(X, config, n_splits, metric, seed)
+        except DataError as err:  # a center at the origin has no quantum state
+            event("a fit raised DataError")
+            with pytest.raises(DataError) as caught:
+                cross_validate(X, config, n_splits, metric, seed)
+            assert str(caught.value) == str(err)
+            return
+        fits, predictions = [], []
+        real_fit, real_predict = clustering.fit, clustering.predict
+
+        def fit(train, fold_config):
+            fits.append((train, fold_config, real_fit(train, fold_config)))
+            return fits[-1][2]
+
+        def predict(model, test, *args, **kwargs):
+            predictions.append((test, real_predict(model, test, *args, **kwargs)))
+            return predictions[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "fit", fit)
+            patch.setattr(clustering, "predict", predict)
+            report = cross_validate(X, config, n_splits, metric, seed)
+        assert len(fits) == len(predictions) == len(report.per_fold) == len(expected)
+        for (train, fold_config, model), (test, predicted), score, want in zip(
+                fits, predictions, report.per_fold, expected):
+            want_train, want_test, want_config, want_model, want_predicted, want_score = want
+            assert same_data(train, want_train) and same_data(test, want_test)
+            assert fold_config == want_config
+            assert_same_fit(model, want_model)
+            assert predicted.dtype == want_predicted.dtype
+            np.testing.assert_array_equal(predicted, want_predicted)
+            assert score == want_score
+            if mode != "quantum_sampled":
+                assert_same_fit(model, fit_or_error(reference_fit, train, fold_config))
 
 
 class TestCrossValidate:

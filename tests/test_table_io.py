@@ -15,7 +15,7 @@ import table_io_reference as reference
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from test_parser_fuzz import shot_files
 
-from qkmeans import errors
+from qkmeans import errors, iqdata
 from qkmeans.cli import main
 from qkmeans.errors import DataError
 from qkmeans.iqdata import (
@@ -374,3 +374,15 @@ def test_empty_table_holds_no_line_buffers(tmp_path):
     assert len(table) == 0
     assert held <= MiB / 16, held / MiB
     assert peak <= MiB, peak / MiB
+
+
+def test_blank_blocks_skip_the_text_parser(tmp_path, monkeypatch):
+    """All-blank blocks after the header are dropped before any ``loadtxt``
+    call: a header and 200,000 blank lines load as 0 rows without one."""
+    path = tmp_path / "iq_shots.csv"
+    path.write_text(_HEADER + "\n" * 200_001, encoding="utf-8")
+    reads = []
+    real = iqdata._read_rows
+    monkeypatch.setattr(iqdata, "_read_rows", lambda *args, **kwargs: reads.append(1) or real(*args, **kwargs))
+    assert len(load_table(path)) == 0
+    assert reads == []
