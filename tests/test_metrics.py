@@ -30,7 +30,6 @@ from qkmeans.metrics import (
     stratified_folds,
     table_row,
 )
-
 from qkmeans.simulator import derive_seed
 
 from conftest import make_blobs
